@@ -7,11 +7,11 @@ that reproduce the operating-point figures.
 
 from .analytic import (RECORD_SQUEEZING_DB, ChannelParams,
                        InfeasibleParameterError, NlaParams, db_from_lambda,
-                       eps_infinity, eps_no_nla, eps_opt_formula,
-                       lambda_from_db, purity_formula, purity_no_nla,
-                       purity_tradeoff, r_from_squeeze_db, squeeze_db_from_r,
-                       success_prob_1stage)
-from .fock import (DensityMatrix, PureState, apply_beamsplitter,
+                       eps_infinity, eps_ladder, eps_no_nla, eps_opt_formula,
+                       lambda_from_db, purity_formula, purity_ladder,
+                       purity_no_nla, purity_tradeoff, r_from_squeeze_db,
+                       squeeze_db_from_r, success_prob_1stage)
+from .fock import (DensityMatrix, PureState, TailMassError, apply_beamsplitter,
                    apply_single_mode_squeeze, debug_serialize, epr_state,
                    fidelity, fock_state, herald_beamsplitter, norm_sq,
                    partial_trace, project_fock, purity, quadrature_moment,
@@ -21,9 +21,9 @@ from .metrics import (ConditionalVariancePair, EprResult,
 from .nla import (DistillationResult, HeraldedState, closed_form_state,
                   distill_and_measure, dual_stage_circuit,
                   single_stage_circuit, truncated_pair_state)
-from .optimize import (SweepSpec, TailMassError, UnachievableTargetError,
-                       best_entanglement_vs_stages, eta_from_pi,
-                       optimize_entanglement, purity_for_target_entanglement)
+from .optimize import (UnachievableTargetError, best_entanglement_vs_stages,
+                       eta_from_pi, optimize_entanglement,
+                       purity_for_target_entanglement)
 
 __version__ = "0.1.0"
 
@@ -32,6 +32,7 @@ __all__ = [
     "InfeasibleParameterError", "UnachievableTargetError", "TailMassError",
     "eps_no_nla", "eps_infinity", "purity_no_nla", "purity_tradeoff",
     "success_prob_1stage", "eps_opt_formula", "purity_formula",
+    "eps_ladder", "purity_ladder",
     "lambda_from_db", "db_from_lambda", "r_from_squeeze_db",
     "squeeze_db_from_r",
     "PureState", "DensityMatrix", "vacuum", "fock_state", "epr_state", "tensor",
@@ -43,6 +44,6 @@ __all__ = [
     "HeraldedState", "DistillationResult", "single_stage_circuit",
     "dual_stage_circuit", "closed_form_state", "truncated_pair_state",
     "distill_and_measure",
-    "SweepSpec", "eta_from_pi", "optimize_entanglement",
+    "eta_from_pi", "optimize_entanglement",
     "purity_for_target_entanglement", "best_entanglement_vs_stages",
 ]

@@ -24,6 +24,8 @@ __all__ = [
     "success_prob_1stage",
     "eps_opt_formula",
     "purity_formula",
+    "eps_ladder",
+    "purity_ladder",
     "lambda_from_db",
     "db_from_lambda",
     "r_from_squeeze_db",
@@ -209,6 +211,61 @@ def purity_formula(r: float, lam: float, pi: float) -> float:
                           + k2 * k2 * (1.0 + big_t * big_t))
     down = (1.0 + big_t) ** 3 * ((1.0 - big_t) + k2) ** 2
     return up / down
+
+
+# ---------------------------------------------------------------------------
+# N-stage heralded state, summed over the loss-mode ladder
+#
+# (1 + (kappa/N) a'b')^N sigma_AL^rho |0> puts j photons in B and n + j in A
+# when the loss mode holds n.  Tracing the loss mode out leaves an orthogonal
+# mixture over n whose sums close in q = 1/(1 - T), T = tanh^2(rho), so every
+# quantity is a finite sum over j <= N.
+
+
+def _ladder(n_stages: int, kappa: float, rho: float):
+    """T, and w_j = (N!/(N-j)! (kappa/N)^j)^2 by recurrence (no factorials)."""
+    if n_stages < 1:
+        raise ValueError("n_stages must be >= 1")
+    w = [1.0]
+    for j in range(1, n_stages + 1):
+        w.append(w[-1] * ((n_stages - j + 1) * kappa / n_stages) ** 2)
+    return math.tanh(rho) ** 2, w
+
+
+def eps_ladder(n_stages: int, kappa: float, rho: float) -> tuple[float, float]:
+    """EPR products (eps_B|A, eps_A|B) of the N-stage heralded state.
+
+    First moments vanish and X- mirrors X+, so both products follow from
+    <a'a>, <b'b> and <ab>; S_j below is the weight of B holding j photons.
+    """
+    big_t, w = _ladder(n_stages, kappa, rho)
+    n, q = n_stages, 1.0 / (1.0 - big_t)
+    s = [wj * q ** (j + 1) for j, wj in enumerate(w)]
+    z = sum(s)
+    nb = sum(j * sj for j, sj in enumerate(s)) / z
+    na = nb + big_t * q * sum((j + 1) * sj for j, sj in enumerate(s)) / z
+    # <ab> joins j - 1 and j: S_j j N / ((N-j+1) kappa), via S_{j-1} so that
+    # kappa = 0 needs no division
+    ab = sum(s[j - 1] * q * j * (n - j + 1) * kappa / n
+             for j in range(1, n + 1)) / z
+    v_a, v_b, c2 = 1.0 + 2.0 * na, 1.0 + 2.0 * nb, (2.0 * ab) ** 2
+    return (v_b - c2 / v_a) ** 2, (v_a - c2 / v_b) ** 2
+
+
+def purity_ladder(n_stages: int, kappa: float, rho: float) -> float:
+    """Purity of the N-stage heralded state with the loss mode traced out:
+    the squared block norms summed over the ladder, each pair (j, k) closed
+    over n in x = T^2."""
+    big_t, w = _ladder(n_stages, kappa, rho)
+    x = big_t * big_t
+    num = 0.0
+    for j, wj in enumerate(w):
+        for k, wk in enumerate(w):
+            inner = sum(math.comb(j, i) * math.comb(k, i) * x**i
+                        for i in range(min(j, k) + 1))
+            num += wj * wk * inner / (1.0 - x) ** (j + k + 1)
+    z = sum(wj / (1.0 - big_t) ** (j + 1) for j, wj in enumerate(w))
+    return num / (z * z)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 evaluation, and the verification suite.
 
 Exit codes: 0 success, 1 infeasible parameters / validation failure /
-tail-mass violation / failed verification, 2 I/O error.
+failed verification, 2 I/O error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from . import __version__, figures, optimize, verify
 from .analytic import InfeasibleParameterError, lambda_from_db
 from .figures import DEFAULT_LAMBDA_DB, DEFAULT_PIS, format_number
-from .optimize import TailMassError
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -37,7 +36,6 @@ class RunConfig:
     max_stages: int = 20
     point_lambda_db: float | None = None
     point_pi: float | None = None
-    method: str = "closed_form"
     emit_svg: bool = False
     workers: int = field(default_factory=lambda: os.cpu_count() or 1)
 
@@ -60,13 +58,21 @@ def _panel_path(base: str, suffix: str) -> str:
     return f"{root}{suffix}{ext or '.csv'}"
 
 
+def _echo(key: str, value) -> str:
+    if key == "lambda_db":
+        return ":".join(str(x) for x in value)
+    if isinstance(value, tuple):
+        return ",".join(format_number(v) for v in value)
+    return format_number(value)
+
+
 def _comments(config: RunConfig) -> list[str]:
-    echo = (f"command={config.command} cutoff={config.cutoff} "
-            f"tolerance={format_number(config.tolerance)} "
-            f"lambda_db={config.lambda_db[0]}:{config.lambda_db[1]}:{config.lambda_db[2]} "
-            f"pi={','.join(format_number(p) for p in config.pis)} "
-            f"eps_target={config.eps_target} stages={config.stages} "
-            f"max_stages={config.max_stages}")
+    """Tool version, then the command and the parameters that shaped it."""
+    params = figures.figure_params(
+        config.command, lambda_db=config.lambda_db, pis=config.pis,
+        eps_target=config.eps_target, n_max=config.max_stages)
+    echo = " ".join([f"command={config.command}"]
+                    + [f"{k}={_echo(k, v)}" for k, v in params.items()])
     return [f"nla-distill {__version__}", echo]
 
 
@@ -96,8 +102,7 @@ def _run_point(config: RunConfig) -> int:
     if config.point_lambda_db is None or config.point_pi is None:
         raise ValueError("point needs --lambda-db and --pi")
     lam = lambda_from_db(config.point_lambda_db)
-    res = optimize.optimize_entanglement(lam, config.point_pi, config.stages,
-                                         config.method)
+    res = optimize.optimize_entanglement(lam, config.point_pi, config.stages)
     fields = (("lambda_db", config.point_lambda_db), ("lambda", lam),
               ("pi", config.point_pi), ("n_stages", res.n_stages),
               ("eps_b_given_a", res.eps_b_given_a),
@@ -140,14 +145,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--cutoff", type=int, default=25,
-                       help="Fock cutoff for simulation-backed checks")
-        p.add_argument("--tolerance", type=float, default=verify.TAIL_BUDGET,
-                       help="truncation tail-mass budget")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                       help="parallel sweep workers")
-
     for name in _FIGURES:
         p = sub.add_parser(name, help=f"write {name} sweep data as CSV")
         p.add_argument("-o", "--output", required=True, help="CSV output path")
@@ -162,34 +159,38 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-stages", type=int, default=20,
                        help="largest stage count (fig11)")
         p.add_argument("--svg", action="store_true", help="also write SVG charts")
-        add_common(p)
+        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                       help="parallel sweep workers")
 
     p = sub.add_parser("point", help="evaluate one operating point")
     p.add_argument("--lambda-db", type=float, required=True, help="loss in dB")
     p.add_argument("--pi", type=float, required=True, help="success probability")
-    p.add_argument("--stages", type=int, default=1)
-    p.add_argument("--method", choices=("closed_form", "simulate"),
-                   default="closed_form")
-    add_common(p)
+    p.add_argument("--stages", type=int, default=1,
+                   help=f"stage count, 1 to {optimize.MAX_SEARCH_STAGES}")
 
     p = sub.add_parser("verify", help="run the oracle suite")
-    add_common(p)
+    p.add_argument("--cutoff", type=int, default=25,
+                   help="Fock cutoff for the lossy-channel checks")
+    p.add_argument("--tolerance", type=float, default=verify.TAIL_BUDGET,
+                   help="truncation tail-mass budget")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    kw = dict(command=args.command, cutoff=args.cutoff,
-              tolerance=args.tolerance, workers=args.workers)
+    kw = dict(command=args.command)
     if args.command in _FIGURES:
         kw.update(output_path=args.output,
                   lambda_db=tuple(args.lambda_db),
                   pis=tuple(args.pi),
                   eps_target=args.eps_target,
                   max_stages=args.max_stages,
-                  emit_svg=args.svg)
+                  emit_svg=args.svg,
+                  workers=args.workers)
     elif args.command == "point":
         kw.update(point_lambda_db=args.lambda_db, point_pi=args.pi,
-                  stages=args.stages, method=args.method)
+                  stages=args.stages)
+    else:
+        kw.update(cutoff=args.cutoff, tolerance=args.tolerance)
     return RunConfig(**kw)
 
 
@@ -198,7 +199,7 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         return run(config)
-    except (InfeasibleParameterError, TailMassError, ValueError) as exc:
+    except (InfeasibleParameterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

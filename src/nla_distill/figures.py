@@ -19,8 +19,9 @@ from .analytic import (RECORD_SQUEEZING_DB, ChannelParams, db_from_lambda,
                        eps_infinity, eps_no_nla, lambda_from_db,
                        purity_no_nla, purity_tradeoff, r_from_squeeze_db)
 
-__all__ = ["figure_rows", "format_number", "write_csv", "write_svg",
-           "DEFAULT_PIS", "DEFAULT_LAMBDA_DB", "FIG4_EPS_TARGETS", "panel_plot_spec"]
+__all__ = ["figure_rows", "figure_params", "format_number", "write_csv",
+           "write_svg", "DEFAULT_PIS", "DEFAULT_LAMBDA_DB", "FIG4_EPS_TARGETS",
+           "panel_plot_spec"]
 
 DEFAULT_PIS = (1e-1, 1e-2, 1e-3, 1e-4)
 DEFAULT_LAMBDA_DB = (0.5, 40.0, 0.5)          # min, max, step
@@ -28,6 +29,8 @@ FIG3_LAMBDAS = tuple(i / 100.0 for i in range(100))
 FIG3_SQUEEZE_DB = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0, RECORD_SQUEEZING_DB)
 FIG4_EPS_TARGETS = tuple(round(1.0 - 0.11 * k, 2) for k in range(10))
 FIG10_PIS = (1e-1, 1e-4)
+# default target entanglement of the fixed-target figures
+DEFAULT_EPS_TARGETS = {"fig7": 0.85, "fig9": 0.6, "fig10": 0.85}
 
 
 def _db_range(spec: tuple[float, float, float]) -> list[float]:
@@ -65,10 +68,6 @@ def _target_point(args):
     except analytic.InfeasibleParameterError:
         return None
     return (lam_db, lam, pi, res)
-
-
-def _floor_point(n):
-    return optimize.best_entanglement_vs_stages(n)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +168,31 @@ def _fig11(n_max: int):
     return [("", head, rows)]
 
 
+def figure_params(name: str, *, lambda_db=DEFAULT_LAMBDA_DB, pis=DEFAULT_PIS,
+                  eps_target: float | None = None, n_max: int = 20) -> dict:
+    """The inputs that shape one figure's rows, with defaults resolved.
+
+    fig3 and fig4 run on fixed grids and take none.
+    """
+    if name in ("fig3", "fig4"):
+        return {}
+    if name == "fig11":
+        return {"max_stages": n_max}
+    if name == "fig10" and pis is DEFAULT_PIS:
+        pis = FIG10_PIS
+    params = {"lambda_db": tuple(lambda_db), "pi": tuple(pis)}
+    if name in DEFAULT_EPS_TARGETS:
+        params["eps_target"] = eps_target or DEFAULT_EPS_TARGETS[name]
+    return params
+
+
 def figure_rows(name: str, *, lambda_db=DEFAULT_LAMBDA_DB, pis=DEFAULT_PIS,
                 eps_target: float | None = None, n_max: int = 20,
                 workers: int | None = None):
     """Rows for one figure; see the module docstring for the return shape."""
     workers = os.cpu_count() or 1 if workers is None else workers
+    p = figure_params(name, lambda_db=lambda_db, pis=pis, eps_target=eps_target,
+                      n_max=n_max)
     if name == "fig3":
         return _fig3(FIG3_LAMBDAS)
     if name == "fig4":
@@ -181,14 +200,13 @@ def figure_rows(name: str, *, lambda_db=DEFAULT_LAMBDA_DB, pis=DEFAULT_PIS,
     if name == "fig6":
         return _fig_opt(lambda_db, pis, 1, workers)
     if name == "fig7":
-        return _fig_target(lambda_db, pis, eps_target or 0.85, 1, workers)
+        return _fig_target(lambda_db, pis, p["eps_target"], 1, workers)
     if name == "fig8":
         return _fig_opt(lambda_db, pis, 2, workers)
     if name == "fig9":
-        return _fig_target(lambda_db, pis, eps_target or 0.6, 2, workers)
+        return _fig_target(lambda_db, pis, p["eps_target"], 2, workers)
     if name == "fig10":
-        return _fig10(lambda_db, FIG10_PIS if pis is DEFAULT_PIS else pis,
-                      eps_target or 0.85, workers)
+        return _fig10(lambda_db, p["pi"], p["eps_target"], workers)
     if name == "fig11":
         return _fig11(n_max)
     raise ValueError(f"unknown figure {name!r}")

@@ -117,9 +117,9 @@ def test_criterion_08_eps_formula_minimum():
     worst = 0.0
     for lam in (0.5, 0.9):
         for pi in (1e-1, 1e-3):
-            a = optimize.optimize_entanglement(lam, pi, 1, "closed_form")
-            b = optimize.optimize_entanglement(lam, pi, 1, "simulate")
-            worst = max(worst, abs(a.eps_b_given_a - b.eps_b_given_a))
+            a = optimize.optimize_entanglement(lam, pi, 1)
+            worst = max(worst, abs(a.eps_b_given_a
+                                   - verify._circuit_minimum(lam, pi)))
     report(8, "entanglement-formula-minimum", worst <= 1e-5,
            f"max |closed - simulated| {worst:.2e} <= 1e-5")
 

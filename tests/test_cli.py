@@ -1,5 +1,9 @@
 """Command-line surface: CSV schema, determinism, exit codes."""
 
+import time
+
+import pytest
+
 from nla_distill import cli
 from nla_distill.figures import format_number
 
@@ -161,14 +165,42 @@ def test_fig8_fig9_two_stage_figures(tmp_path):
     out8 = tmp_path / "fig8.csv"
     assert cli.main(["fig8", "-o", str(out8), "--lambda-db", "8", "9", "1",
                      "--pi", "0.01", "--workers", "1"]) == 0
-    _, header_a, rows_a = read_csv(tmp_path / "fig8a.csv")
+    comments8, header_a, rows_a = read_csv(tmp_path / "fig8a.csv")
     assert tuple(header_a) == EXPECTED_HEADERS["fig6a"]
     assert rows_a, "two-stage sweep produced no feasible rows"
     out9 = tmp_path / "fig9.csv"
     assert cli.main(["fig9", "-o", str(out9), "--lambda-db", "2", "3", "1",
                      "--pi", "0.01", "--workers", "1"]) == 0
-    _, header9, rows9 = read_csv(out9)
+    comments9, header9, rows9 = read_csv(out9)
     assert tuple(header9) == EXPECTED_HEADERS["fig7"]
     for row in rows9:
         vals = dict(zip(header9, row.split(",")))
         assert vals["eps_target"] == "0.6"
+    # provenance echoes only what shaped the file, defaults resolved
+    assert comments9[1] == \
+        "# command=fig9 lambda_db=2.0:3.0:1.0 pi=0.01 eps_target=0.6"
+    assert comments8[1] == "# command=fig8 lambda_db=8.0:9.0:1.0 pi=0.01"
+
+
+def test_removed_flags_are_rejected():
+    parser = cli._build_parser()
+    fig = ["fig6", "-o", "x.csv"]
+    point = ["point", "--lambda-db", "10", "--pi", "0.01"]
+    for argv in (fig + ["--cutoff", "30"], fig + ["--tolerance", "1e-9"],
+                 point + ["--cutoff", "30"], point + ["--tolerance", "1e-9"],
+                 point + ["--workers", "2"], point + ["--method", "simulate"],
+                 ["verify", "--workers", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2, argv
+    # the flags that act on verify stay
+    args = parser.parse_args(["verify", "--cutoff", "30", "--tolerance", "1e-9"])
+    assert (args.cutoff, args.tolerance) == (30, 1e-9)
+
+
+def test_point_rejects_unbounded_stage_count(capsys):
+    t0 = time.perf_counter()
+    assert cli.main(["point", "--lambda-db", "10", "--pi", "0.01",
+                     "--stages", "7"]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert "stages" in capsys.readouterr().err
