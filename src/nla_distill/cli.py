@@ -88,9 +88,10 @@ def _run_figure(config: RunConfig) -> int:
         workers=config.workers,
     )
     comments = _comments(config)
-    for suffix, header, rows in panels:
+    for suffix, header, rows, skipped in panels:
         path = _panel_path(config.output_path, suffix)
-        figures.write_csv(path, header, rows, comments)
+        extra = [] if skipped is None else [f"infeasible_skipped={skipped}"]
+        figures.write_csv(path, header, rows, comments + extra)
         if config.emit_svg:
             figures.write_svg(os.path.splitext(path)[0] + ".svg",
                               f"{config.command}{suffix}", header, rows,
@@ -148,19 +149,23 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _FIGURES:
         p = sub.add_parser(name, help=f"write {name} sweep data as CSV")
         p.add_argument("-o", "--output", required=True, help="CSV output path")
-        p.add_argument("--lambda-db", type=float, nargs=3,
-                       metavar=("MIN", "MAX", "STEP"),
-                       default=list(DEFAULT_LAMBDA_DB),
-                       help="loss axis in dB (fig6-fig10)")
-        p.add_argument("--pi", type=float, nargs="+", default=list(DEFAULT_PIS),
-                       help="success probabilities")
-        p.add_argument("--eps-target", type=float, default=None,
-                       help="target entanglement (fig7/fig9/fig10)")
-        p.add_argument("--max-stages", type=int, default=20,
-                       help="largest stage count (fig11)")
         p.add_argument("--svg", action="store_true", help="also write SVG charts")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                       help="parallel sweep workers")
+        # a figure takes a flag only if its value shapes the rows
+        shaped = figures.figure_params(name)
+        if "lambda_db" in shaped:
+            p.add_argument("--lambda-db", type=float, nargs=3,
+                           metavar=("MIN", "MAX", "STEP"),
+                           default=list(DEFAULT_LAMBDA_DB), help="loss axis in dB")
+            p.add_argument("--pi", type=float, nargs="+",
+                           default=list(DEFAULT_PIS), help="success probabilities")
+            p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                           help="parallel sweep workers")
+        if "eps_target" in shaped:
+            p.add_argument("--eps-target", type=float, default=None,
+                           help="target entanglement")
+        if "max_stages" in shaped:
+            p.add_argument("--max-stages", type=int, default=20,
+                           help="largest stage count")
 
     p = sub.add_parser("point", help="evaluate one operating point")
     p.add_argument("--lambda-db", type=float, required=True, help="loss in dB")
@@ -179,13 +184,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     kw = dict(command=args.command)
     if args.command in _FIGURES:
-        kw.update(output_path=args.output,
-                  lambda_db=tuple(args.lambda_db),
-                  pis=tuple(args.pi),
-                  eps_target=args.eps_target,
-                  max_stages=args.max_stages,
-                  emit_svg=args.svg,
-                  workers=args.workers)
+        given = vars(args)
+        kw.update(output_path=args.output, emit_svg=args.svg)
+        if "lambda_db" in given:
+            kw.update(lambda_db=tuple(args.lambda_db), pis=tuple(args.pi),
+                      workers=args.workers)
+        if "eps_target" in given:
+            kw.update(eps_target=args.eps_target)
+        if "max_stages" in given:
+            kw.update(max_stages=args.max_stages)
     elif args.command == "point":
         kw.update(point_lambda_db=args.lambda_db, point_pi=args.pi,
                   stages=args.stages)

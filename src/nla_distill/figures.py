@@ -1,8 +1,10 @@
 """Sweep-data generation for every figure, plus CSV/SVG emission.
 
-Each generator returns a list of (panel_suffix, header, rows); the CSV schema
-(header names and row order) is part of the package's external contract and
-covered by golden tests.  Heavy sweeps fan out over a process pool; rows are
+Each generator returns a list of (panel_suffix, header, rows, skipped); the
+CSV schema (header names and row order) is part of the package's external
+contract and covered by golden tests.  ``skipped`` counts the sweep points
+left out of the panel as infeasible, and is None for the figures that do not
+search (fig3, fig4, fig11).  Heavy sweeps fan out over a process pool; rows are
 assembled in axis order regardless of completion order, so output bytes do
 not depend on scheduling.
 """
@@ -89,7 +91,7 @@ def _fig3(lambdas: Iterable[float]):
                        eps_infinity(lam)))
         rows_b.append((db_from_lambda(lam), lam, math.inf, math.inf,
                        1.0 if lam == 0.0 else 0.0))
-    return [("a", head, rows_a), ("b", head_b, rows_b)]
+    return [("a", head, rows_a, None), ("b", head_b, rows_b, None)]
 
 
 def _fig4(lambdas: Iterable[float]):
@@ -100,7 +102,7 @@ def _fig4(lambdas: Iterable[float]):
             if lam * lam > eps:
                 continue  # beyond the infinite-squeezing floor
             rows.append((db_from_lambda(lam), lam, eps, purity_tradeoff(eps, lam)))
-    return [("", head, rows)]
+    return [("", head, rows, None)]
 
 
 def _fig_opt(db_spec, pis, n_stages: int, workers: int):
@@ -116,7 +118,8 @@ def _fig_opt(db_spec, pis, n_stages: int, workers: int):
         lam_db, lam, pi, res = item
         rows_a.append((lam_db, lam, pi, res.eps_b_given_a, res.r_opt, res.eta_opt))
         rows_b.append((lam_db, lam, pi, res.purity, res.r_opt, res.eta_opt))
-    return [("a", head_a, rows_a), ("b", head_b, rows_b)]
+    skipped = got.count(None)
+    return [("a", head_a, rows_a, skipped), ("b", head_b, rows_b, skipped)]
 
 
 def _fig_target(db_spec, pis, eps_target: float, n_stages: int, workers: int):
@@ -133,7 +136,7 @@ def _fig_target(db_spec, pis, eps_target: float, n_stages: int, workers: int):
         bench = purity_tradeoff(eps_target, lam) if lam * lam <= eps_target else 0.0
         rows.append((lam_db, lam, pi, eps_target, res.purity, bench,
                      res.r_opt, res.eta_opt))
-    return [("", head, rows)]
+    return [("", head, rows, got.count(None))]
 
 
 def _fig10(db_spec, pis, eps_target: float, workers: int):
@@ -159,13 +162,14 @@ def _fig10(db_spec, pis, eps_target: float, workers: int):
         bench = purity_tradeoff(eps, lam) if lam * lam <= eps else 0.0
         rows_b.append((lam_db, lam, pi, n, eps, res.purity, bench,
                        res.r_opt, res.eta_opt))
-    return [("a", head_a, rows_a), ("b", head_b, rows_b)]
+    return [("a", head_a, rows_a, got.count(None)),
+            ("b", head_b, rows_b, got_b.count(None))]
 
 
 def _fig11(n_max: int):
     head = ("n_stages", "eps_best", "kappa_best")
     rows = [(n, e, k) for n, e, k in optimize.best_entanglement_vs_stages(n_max)]
-    return [("", head, rows)]
+    return [("", head, rows, None)]
 
 
 def figure_params(name: str, *, lambda_db=DEFAULT_LAMBDA_DB, pis=DEFAULT_PIS,

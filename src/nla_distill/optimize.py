@@ -38,9 +38,10 @@ R_GRID_POINTS = 200
 GOLDEN_TOL = 1e-8
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# the N >= 2 searches run on the moments engine, whose cost grows
-# exponentially in N: a search makes ~200 evaluations, each ~0.3 s at N = 4
-# and ~6 s at N = 5 on one core of a Xeon server
+# the N >= 2 searches run on the moments engine, which compiles each stage
+# count once per process at a cost exponential in N (9 ms at N = 2, 0.35 s at
+# N = 4, 2.1 s and a 170 MB peak at N = 5 on one core of a Xeon server); a
+# search then makes ~200 evaluations of 0.07 to 0.13 ms each
 MAX_SEARCH_STAGES = 4
 
 

@@ -177,19 +177,48 @@ def test_fig8_fig9_two_stage_figures(tmp_path):
         vals = dict(zip(header9, row.split(",")))
         assert vals["eps_target"] == "0.6"
     # provenance echoes only what shaped the file, defaults resolved
-    assert comments9[1] == \
-        "# command=fig9 lambda_db=2.0:3.0:1.0 pi=0.01 eps_target=0.6"
-    assert comments8[1] == "# command=fig8 lambda_db=8.0:9.0:1.0 pi=0.01"
+    assert comments9[1:] == [
+        "# command=fig9 lambda_db=2.0:3.0:1.0 pi=0.01 eps_target=0.6",
+        "# infeasible_skipped=0"]
+    assert comments8[1:] == ["# command=fig8 lambda_db=8.0:9.0:1.0 pi=0.01",
+                             "# infeasible_skipped=0"]
+
+
+def test_infeasible_points_are_counted(tmp_path):
+    # success probability 1 needs eta = 0, outside the open interval, at every
+    # squeezing: both of its points are skipped, the pi = 0.01 rows stay
+    sweep = ["--lambda-db", "10", "11", "1", "--pi", "0.01", "1.0",
+             "--workers", "1"]
+    assert cli.main(["fig6", "-o", str(tmp_path / "fig6.csv")] + sweep) == 0
+    for panel in ("fig6a", "fig6b"):
+        comments, _, rows = read_csv(tmp_path / f"{panel}.csv")
+        assert comments[2] == "# infeasible_skipped=2"
+        assert [r.split(",")[2] for r in rows] == ["0.01", "0.01"]
+    assert cli.main(["fig7", "-o", str(tmp_path / "fig7.csv")] + sweep) == 0
+    comments, _, rows = read_csv(tmp_path / "fig7.csv")
+    assert comments[2] == "# infeasible_skipped=2" and len(rows) == 2
+    # figures that run no search carry no count
+    assert cli.main(["fig4", "-o", str(tmp_path / "fig4.csv")]) == 0
+    comments, _, _ = read_csv(tmp_path / "fig4.csv")
+    assert comments == ["# nla-distill " + cli.__version__, "# command=fig4"]
 
 
 def test_removed_flags_are_rejected():
     parser = cli._build_parser()
     fig = ["fig6", "-o", "x.csv"]
     point = ["point", "--lambda-db", "10", "--pi", "0.01"]
+    # each figure takes only the flags it reads
+    unread = [["fig3", "--pi", "0.1"], ["fig3", "--lambda-db", "1", "2", "1"],
+              ["fig4", "--eps-target", "0.5"], ["fig4", "--workers", "2"],
+              ["fig6", "--eps-target", "0.5"], ["fig8", "--max-stages", "3"],
+              ["fig9", "--max-stages", "3"], ["fig10", "--max-stages", "3"],
+              ["fig11", "--lambda-db", "1", "2", "1"], ["fig11", "--pi", "0.1"],
+              ["fig11", "--eps-target", "0.5"], ["fig11", "--workers", "2"]]
     for argv in (fig + ["--cutoff", "30"], fig + ["--tolerance", "1e-9"],
                  point + ["--cutoff", "30"], point + ["--tolerance", "1e-9"],
                  point + ["--workers", "2"], point + ["--method", "simulate"],
-                 ["verify", "--workers", "2"]):
+                 ["verify", "--workers", "2"],
+                 *([a[0], "-o", "x.csv", *a[1:]] for a in unread)):
         with pytest.raises(SystemExit) as exc:
             parser.parse_args(argv)
         assert exc.value.code == 2, argv

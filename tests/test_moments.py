@@ -1,14 +1,85 @@
 """Ladder-word vacuum algebra and the commutation-based moment engine."""
 
 import math
+from math import comb
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nla_distill import fock, metrics, moments, nla
 from nla_distill.analytic import ChannelParams, NlaParams
 
 A_DAG, A = ("A", True), ("A", False)
 L_DAG, L = ("L", True), ("L", False)
+
+
+# Reference: the word-by-word expansion that the compiled plans replace.
+# Every (i, j) block substitutes each word symbol by symbol (mode B passes
+# through as x 1.0) and sums coef * vacuum value over all 2^k words,
+# zeros included.
+
+def _ref_substitute(poly, rules):
+    out = []
+    for coef, word in poly:
+        terms = [(coef, ())]
+        for sym in word:
+            repl = rules.get(sym, [(1.0, sym)])
+            terms = [(c * rc, w + (rsym,)) for c, w in terms for rc, rsym in repl]
+        out.extend(terms)
+    return out
+
+
+def _ref_poly_vacuum(poly):
+    return sum(c * moments.vacuum_expectation(w) for c, w in poly)
+
+
+def _ref_heralded_moment(n_stages, kappa, rho, middle):
+    k = kappa / n_stages
+    ch, sh = math.cosh(rho), math.sinh(rho)
+    rules = {A: [(ch, A), (sh, L_DAG)], A_DAG: [(ch, A_DAG), (sh, L)],
+             L: [(ch, L), (sh, A_DAG)], L_DAG: [(ch, L_DAG), (sh, A)]}
+    total = 0j
+    for i in range(n_stages + 1):
+        left = tuple([("B", False)] * i + [A] * i)
+        cl = comb(n_stages, i) * k**i
+        for j in range(n_stages + 1):
+            right = tuple([A_DAG] * j + [("B", True)] * j)
+            cr = comb(n_stages, j) * k**j
+            poly = [(cl * cr * c, left + w + right) for c, w in middle]
+            total += _ref_poly_vacuum(_ref_substitute(poly, rules))
+    return total
+
+
+def _first_moments():
+    return [moments._x_poly(m, s) for m in "ABL" for s in "+-"]
+
+
+def _even_middles():
+    """Every even middle that eps_via_moments and verify build."""
+    out = [[(1.0, ())], [(1.0, (A_DAG, A))], [(1.0, (A, L))]]
+    for sign in ("+", "-"):
+        xa, xb = moments._x_poly("A", sign), moments._x_poly("B", sign)
+        out += [moments._poly_mul(xb, xb), moments._poly_mul(xa, xa),
+                moments._poly_mul(xb, xa)]
+    xa, xl = moments._x_poly("A", "+"), moments._x_poly("L", "+")
+    out.append(moments._poly_mul(xa, xl))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), kappa=st.floats(0.0, 3.0), rho=st.floats(0.0, 2.0))
+def test_compiled_moments_are_bit_identical_to_word_expansion(n, kappa, rho):
+    for middle in _even_middles():
+        got = moments.heralded_moment(n, kappa, rho, middle)
+        assert got == _ref_heralded_moment(n, kappa, rho, middle), middle
+    for middle in _first_moments():
+        assert moments.heralded_moment(n, kappa, rho, middle) == 0
+        assert _ref_heralded_moment(n, kappa, rho, middle) == 0
+    got = moments.eps_via_moments(n, kappa, rho)
+    with mock.patch.object(moments, "heralded_moment", _ref_heralded_moment):
+        assert got == moments.eps_via_moments(n, kappa, rho)
 
 
 def test_vacuum_expectation_basics():

@@ -7,7 +7,7 @@ import pytest
 
 from nla_distill import nla, optimize
 from nla_distill.analytic import (ChannelParams, InfeasibleParameterError,
-                                  success_prob_1stage)
+                                  NlaParams, eps_ladder, success_prob_1stage)
 
 
 def test_eta_from_pi_zero_squeezing():
@@ -98,6 +98,28 @@ def test_optimize_two_stage_simulate_agrees():
     assert a.eps_b_given_a < 0.81  # two photons beat the single-stage floor
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_many_stage_search_matches_ladder_sums(n):
+    # the search objective (moments engine) re-evaluated at the reported
+    # operating point by the independent ladder sums
+    res = optimize.optimize_entanglement(0.9, 1e-2, n)
+    assert res.n_stages == n and 0 < res.eta_opt < 1
+    p = NlaParams(n, res.eta_opt, ChannelParams(res.r_opt, 0.9))
+    assert abs(res.eps_b_given_a - eps_ladder(n, p.kappa, p.rho)[0]) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("lam,pi", [(0.3, 1e-2), (0.6, 1e-1), (0.9, 1e-3)])
+def test_refined_optimum_undercuts_the_grid(n, lam, pi):
+    # golden-section refinement assumes the objective is unimodal around the
+    # best grid point; were it not, the refined optimum could land above it
+    # ((0.3, 1e-2) at two stages has a second feasible pocket)
+    objective = optimize._make_objective(lam, pi, n)
+    _, vals, _ = optimize._feasible_grid(objective, lam, pi, n)
+    res = optimize.optimize_entanglement(lam, pi, n)
+    assert res.eps_b_given_a <= min(v[0] for v in vals)
+
+
 def test_optimize_rejects_bad_domain():
     with pytest.raises(ValueError):
         optimize.optimize_entanglement(1.0, 0.1, 1)
@@ -106,8 +128,9 @@ def test_optimize_rejects_bad_domain():
 
 
 def test_searches_reject_stage_counts_past_the_bound():
-    # the two-stage searches run on the moments engine, whose cost explodes
-    # past four stages; such inputs fail fast instead of running for hours
+    # the multi-stage searches run on the moments engine, whose one-off
+    # compile grows exponentially with the stage count; inputs past the
+    # bound fail fast
     n = optimize.MAX_SEARCH_STAGES + 1
     with pytest.raises(ValueError, match="stages"):
         optimize.optimize_entanglement(0.5, 0.1, n)
