@@ -10,45 +10,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import __version__, figures, optimize, verify
 from .analytic import InfeasibleParameterError, lambda_from_db
-from .figures import DEFAULT_LAMBDA_DB, DEFAULT_PIS, format_number
+from .figures import format_number
 
-__all__ = ["RunConfig", "run", "main"]
-
-_FIGURES = ("fig3", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11")
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation; all computations downstream are deterministic."""
-
-    command: str
-    output_path: str | None = None
-    cutoff: int = 25
-    tolerance: float = verify.TAIL_BUDGET
-    lambda_db: tuple[float, float, float] = DEFAULT_LAMBDA_DB
-    pis: tuple[float, ...] = DEFAULT_PIS
-    eps_target: float | None = None
-    stages: int = 1
-    max_stages: int = 20
-    point_lambda_db: float | None = None
-    point_pi: float | None = None
-    emit_svg: bool = False
-    workers: int = field(default_factory=lambda: os.cpu_count() or 1)
-
-    def __post_init__(self):
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
-        lo, hi, step = self.lambda_db
-        if step <= 0 or hi < lo:
-            raise ValueError(f"bad loss range {self.lambda_db}")
-        if not self.pis or any(p <= 0 or p > 1 for p in self.pis):
-            raise ValueError(f"success probabilities must be in (0, 1]: {self.pis}")
+__all__ = ["main"]
 
 
 def _panel_path(base: str, suffix: str) -> str:
@@ -66,46 +33,30 @@ def _echo(key: str, value) -> str:
     return format_number(value)
 
 
-def _comments(config: RunConfig) -> list[str]:
-    """Tool version, then the command and the parameters that shaped it."""
+def _run_figure(args: argparse.Namespace) -> int:
+    name = args.command
+    # the parser registered one flag per input the figure reads, None if unset
     params = figures.figure_params(
-        config.command, lambda_db=config.lambda_db, pis=config.pis,
-        eps_target=config.eps_target, n_max=config.max_stages)
-    echo = " ".join([f"command={config.command}"]
-                    + [f"{k}={_echo(k, v)}" for k, v in params.items()])
-    return [f"nla-distill {__version__}", echo]
-
-
-def _run_figure(config: RunConfig) -> int:
-    if not config.output_path:
-        raise ValueError("figure commands need --output")
-    panels = figures.figure_rows(
-        config.command,
-        lambda_db=config.lambda_db,
-        pis=config.pis,
-        eps_target=config.eps_target,
-        n_max=config.max_stages,
-        workers=config.workers,
-    )
-    comments = _comments(config)
+        name, **{k: getattr(args, k) for k in figures.figure_params(name)})
+    panels = figures.figure_rows(name, params, getattr(args, "workers", None))
+    comments = [f"nla-distill {__version__}",
+                " ".join([f"command={name}"]
+                         + [f"{k}={_echo(k, v)}" for k, v in params.items()])]
     for suffix, header, rows, skipped in panels:
-        path = _panel_path(config.output_path, suffix)
+        path = _panel_path(args.output, suffix)
         extra = [] if skipped is None else [f"infeasible_skipped={skipped}"]
         figures.write_csv(path, header, rows, comments + extra)
-        if config.emit_svg:
+        if args.svg:
             figures.write_svg(os.path.splitext(path)[0] + ".svg",
-                              f"{config.command}{suffix}", header, rows,
-                              config.command + suffix)
+                              f"{name}{suffix}", header, rows, name + suffix)
     return 0
 
 
-def _run_point(config: RunConfig) -> int:
-    if config.point_lambda_db is None or config.point_pi is None:
-        raise ValueError("point needs --lambda-db and --pi")
-    lam = lambda_from_db(config.point_lambda_db)
-    res = optimize.optimize_entanglement(lam, config.point_pi, config.stages)
-    fields = (("lambda_db", config.point_lambda_db), ("lambda", lam),
-              ("pi", config.point_pi), ("n_stages", res.n_stages),
+def _run_point(args: argparse.Namespace) -> int:
+    lam = lambda_from_db(args.lambda_db)
+    res = optimize.optimize_entanglement(lam, args.pi, args.stages)
+    fields = (("lambda_db", args.lambda_db), ("lambda", lam),
+              ("pi", args.pi), ("n_stages", res.n_stages),
               ("eps_b_given_a", res.eps_b_given_a),
               ("eps_a_given_b", res.eps_a_given_b), ("purity", res.purity),
               ("success_prob", res.success_prob), ("r_opt", res.r_opt),
@@ -114,8 +65,8 @@ def _run_point(config: RunConfig) -> int:
     return 0
 
 
-def _run_verify(config: RunConfig) -> int:
-    results = verify.run_all(cutoff=config.cutoff, tail_budget=config.tolerance)
+def _run_verify(args: argparse.Namespace) -> int:
+    results = verify.run_all(cutoff=args.cutoff, tail_budget=args.tolerance)
     width = max(len(r.name) for r in results)
     ok = True
     for r in results:
@@ -127,17 +78,6 @@ def _run_verify(config: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch one command; returns the process exit status."""
-    if config.command in _FIGURES:
-        return _run_figure(config)
-    if config.command == "point":
-        return _run_point(config)
-    if config.command == "verify":
-        return _run_verify(config)
-    raise ValueError(f"unknown command {config.command!r}")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nla-distill",
@@ -146,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in _FIGURES:
+    for name in figures.FIGURES:
         p = sub.add_parser(name, help=f"write {name} sweep data as CSV")
         p.add_argument("-o", "--output", required=True, help="CSV output path")
         p.add_argument("--svg", action="store_true", help="also write SVG charts")
@@ -154,18 +94,15 @@ def _build_parser() -> argparse.ArgumentParser:
         shaped = figures.figure_params(name)
         if "lambda_db" in shaped:
             p.add_argument("--lambda-db", type=float, nargs=3,
-                           metavar=("MIN", "MAX", "STEP"),
-                           default=list(DEFAULT_LAMBDA_DB), help="loss axis in dB")
+                           metavar=("MIN", "MAX", "STEP"), help="loss axis in dB")
             p.add_argument("--pi", type=float, nargs="+",
-                           default=list(DEFAULT_PIS), help="success probabilities")
-            p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                           help="parallel sweep workers")
+                           help="success probabilities")
+            p.add_argument("--workers", type=int,
+                           help="parallel sweep workers (default: CPU count)")
         if "eps_target" in shaped:
-            p.add_argument("--eps-target", type=float, default=None,
-                           help="target entanglement")
+            p.add_argument("--eps-target", type=float, help="target entanglement")
         if "max_stages" in shaped:
-            p.add_argument("--max-stages", type=int, default=20,
-                           help="largest stage count")
+            p.add_argument("--max-stages", type=int, help="largest stage count")
 
     p = sub.add_parser("point", help="evaluate one operating point")
     p.add_argument("--lambda-db", type=float, required=True, help="loss in dB")
@@ -174,38 +111,19 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"stage count, 1 to {optimize.MAX_SEARCH_STAGES}")
 
     p = sub.add_parser("verify", help="run the oracle suite")
-    p.add_argument("--cutoff", type=int, default=25,
+    p.add_argument("--cutoff", type=int, default=verify.DEFAULT_CUTOFF,
                    help="Fock cutoff for the lossy-channel checks")
     p.add_argument("--tolerance", type=float, default=verify.TAIL_BUDGET,
                    help="truncation tail-mass budget")
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    kw = dict(command=args.command)
-    if args.command in _FIGURES:
-        given = vars(args)
-        kw.update(output_path=args.output, emit_svg=args.svg)
-        if "lambda_db" in given:
-            kw.update(lambda_db=tuple(args.lambda_db), pis=tuple(args.pi),
-                      workers=args.workers)
-        if "eps_target" in given:
-            kw.update(eps_target=args.eps_target)
-        if "max_stages" in given:
-            kw.update(max_stages=args.max_stages)
-    elif args.command == "point":
-        kw.update(point_lambda_db=args.lambda_db, point_pi=args.pi,
-                  stages=args.stages)
-    else:
-        kw.update(cutoff=args.cutoff, tolerance=args.tolerance)
-    return RunConfig(**kw)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    run = {"point": _run_point, "verify": _run_verify}.get(args.command,
+                                                           _run_figure)
     try:
-        config = _config_from_args(args)
-        return run(config)
+        return run(args)
     except (InfeasibleParameterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

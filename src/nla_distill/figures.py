@@ -1,5 +1,8 @@
 """Sweep-data generation for every figure, plus CSV/SVG emission.
 
+``figure_params`` is the one place that knows a figure's inputs, their
+defaults and their valid ranges; ``figure_rows`` runs on what it returns.
+
 Each generator returns a list of (panel_suffix, header, rows, skipped); the
 CSV schema (header names and row order) is part of the package's external
 contract and covered by golden tests.  ``skipped`` counts the sweep points
@@ -21,9 +24,9 @@ from .analytic import (RECORD_SQUEEZING_DB, ChannelParams, db_from_lambda,
                        eps_infinity, eps_no_nla, lambda_from_db,
                        purity_no_nla, purity_tradeoff, r_from_squeeze_db)
 
-__all__ = ["figure_rows", "figure_params", "format_number", "write_csv",
-           "write_svg", "DEFAULT_PIS", "DEFAULT_LAMBDA_DB", "FIG4_EPS_TARGETS",
-           "panel_plot_spec"]
+__all__ = ["FIGURES", "figure_rows", "figure_params", "format_number",
+           "write_csv", "write_svg", "DEFAULT_PIS", "DEFAULT_LAMBDA_DB",
+           "FIG4_EPS_TARGETS"]
 
 DEFAULT_PIS = (1e-1, 1e-2, 1e-3, 1e-4)
 DEFAULT_LAMBDA_DB = (0.5, 40.0, 0.5)          # min, max, step
@@ -31,8 +34,21 @@ FIG3_LAMBDAS = tuple(i / 100.0 for i in range(100))
 FIG3_SQUEEZE_DB = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0, RECORD_SQUEEZING_DB)
 FIG4_EPS_TARGETS = tuple(round(1.0 - 0.11 * k, 2) for k in range(10))
 FIG10_PIS = (1e-1, 1e-4)
-# default target entanglement of the fixed-target figures
-DEFAULT_EPS_TARGETS = {"fig7": 0.85, "fig9": 0.6, "fig10": 0.85}
+
+_SWEEP = {"lambda_db": DEFAULT_LAMBDA_DB, "pi": DEFAULT_PIS}
+# the inputs that shape each figure's rows, with their defaults; fig3 and
+# fig4 run on fixed grids
+_DEFAULTS = {
+    "fig3": {},
+    "fig4": {},
+    "fig6": _SWEEP,
+    "fig7": {**_SWEEP, "eps_target": 0.85},
+    "fig8": _SWEEP,
+    "fig9": {**_SWEEP, "eps_target": 0.6},
+    "fig10": {**_SWEEP, "pi": FIG10_PIS, "eps_target": 0.85},
+    "fig11": {"max_stages": 20},
+}
+FIGURES = tuple(_DEFAULTS)
 
 
 def _db_range(spec: tuple[float, float, float]) -> list[float]:
@@ -139,31 +155,19 @@ def _fig_target(db_spec, pis, eps_target: float, n_stages: int, workers: int):
     return [("", head, rows, got.count(None))]
 
 
+def _by_stages(suffix: str, panels):
+    """One panel from (n_stages, panel) pairs, n_stages inserted as column 3."""
+    head = panels[0][1][1]
+    rows = [row[:3] + (n,) + row[3:] for n, panel in panels for row in panel[2]]
+    return (suffix, head[:3] + ("n_stages",) + head[3:], rows,
+            sum(panel[3] for _, panel in panels))
+
+
 def _fig10(db_spec, pis, eps_target: float, workers: int):
-    dbs = _db_range(db_spec)
-    pts = [(db, pi, n) for n in (1, 2) for pi in pis for db in dbs]
-    got = _pmap(_opt_point, pts, workers)
-    head_a = ("lambda_db", "lambda", "pi", "n_stages", "eps_opt", "r_opt", "eta_opt")
-    rows_a = []
-    for (db, pi, n), item in zip(pts, got):
-        if item is None:
-            continue
-        lam_db, lam, pi, res = item
-        rows_a.append((lam_db, lam, pi, n, res.eps_b_given_a, res.r_opt, res.eta_opt))
-    pts_b = [(db, pi, n, eps_target) for n in (1, 2) for pi in pis for db in dbs]
-    got_b = _pmap(_target_point, pts_b, workers)
-    head_b = ("lambda_db", "lambda", "pi", "n_stages", "eps_target", "purity",
-              "purity_no_nla", "r_opt", "eta_opt")
-    rows_b = []
-    for (db, pi, n, eps), item in zip(pts_b, got_b):
-        if item is None:
-            continue
-        lam_db, lam, pi, res = item
-        bench = purity_tradeoff(eps, lam) if lam * lam <= eps else 0.0
-        rows_b.append((lam_db, lam, pi, n, eps, res.purity, bench,
-                       res.r_opt, res.eta_opt))
-    return [("a", head_a, rows_a, got.count(None)),
-            ("b", head_b, rows_b, got_b.count(None))]
+    opt = [(n, _fig_opt(db_spec, pis, n, workers)[0]) for n in (1, 2)]
+    target = [(n, _fig_target(db_spec, pis, eps_target, n, workers)[0])
+              for n in (1, 2)]
+    return [_by_stages("a", opt), _by_stages("b", target)]
 
 
 def _fig11(n_max: int):
@@ -172,48 +176,56 @@ def _fig11(n_max: int):
     return [("", head, rows, None)]
 
 
-def figure_params(name: str, *, lambda_db=DEFAULT_LAMBDA_DB, pis=DEFAULT_PIS,
-                  eps_target: float | None = None, n_max: int = 20) -> dict:
-    """The inputs that shape one figure's rows, with defaults resolved.
+def figure_params(name: str, *, lambda_db=None, pi=None,
+                  eps_target: float | None = None,
+                  max_stages: int | None = None) -> dict:
+    """The inputs that shape one figure's rows, defaults resolved and checked.
 
-    fig3 and fig4 run on fixed grids and take none.
+    None selects the figure's default; fig3 and fig4 take no input, fig11
+    only max_stages.  Raises ValueError for an unknown figure, an input the
+    figure does not read, or a value out of range.
     """
-    if name in ("fig3", "fig4"):
-        return {}
-    if name == "fig11":
-        return {"max_stages": n_max}
-    if name == "fig10" and pis is DEFAULT_PIS:
-        pis = FIG10_PIS
-    params = {"lambda_db": tuple(lambda_db), "pi": tuple(pis)}
-    if name in DEFAULT_EPS_TARGETS:
-        params["eps_target"] = eps_target or DEFAULT_EPS_TARGETS[name]
-    return params
+    if name not in _DEFAULTS:
+        raise ValueError(f"unknown figure {name!r}")
+    given = {"lambda_db": lambda_db, "pi": pi, "eps_target": eps_target,
+             "max_stages": max_stages}
+    unread = [k for k, v in given.items() if v is not None and k not in _DEFAULTS[name]]
+    if unread:
+        raise ValueError(f"{name} does not read {', '.join(unread)}")
+    p = {k: d if given[k] is None else given[k] for k, d in _DEFAULTS[name].items()}
+    if "pi" in p:
+        p["lambda_db"], p["pi"] = tuple(p["lambda_db"]), tuple(p["pi"])
+        _db_range(p["lambda_db"])
+        if not p["pi"] or not all(0.0 < x <= 1.0 for x in p["pi"]):
+            raise ValueError(f"success probabilities must be in (0, 1]: {p['pi']}")
+    if not p.get("eps_target", 1.0) > 0.0:
+        raise ValueError(f"eps_target must be > 0, got {p['eps_target']}")
+    if p.get("max_stages", 1) < 1:
+        raise ValueError(f"max_stages must be >= 1, got {p['max_stages']}")
+    return p
 
 
-def figure_rows(name: str, *, lambda_db=DEFAULT_LAMBDA_DB, pis=DEFAULT_PIS,
-                eps_target: float | None = None, n_max: int = 20,
+def figure_rows(name: str, params: dict | None = None,
                 workers: int | None = None):
-    """Rows for one figure; see the module docstring for the return shape."""
+    """Rows for one figure from its ``figure_params`` (the figure's defaults
+    when None); see the module docstring for the return shape."""
+    p = figure_params(name) if params is None else params
     workers = os.cpu_count() or 1 if workers is None else workers
-    p = figure_params(name, lambda_db=lambda_db, pis=pis, eps_target=eps_target,
-                      n_max=n_max)
     if name == "fig3":
         return _fig3(FIG3_LAMBDAS)
     if name == "fig4":
         return _fig4(FIG3_LAMBDAS)
-    if name == "fig6":
-        return _fig_opt(lambda_db, pis, 1, workers)
-    if name == "fig7":
-        return _fig_target(lambda_db, pis, p["eps_target"], 1, workers)
-    if name == "fig8":
-        return _fig_opt(lambda_db, pis, 2, workers)
-    if name == "fig9":
-        return _fig_target(lambda_db, pis, p["eps_target"], 2, workers)
     if name == "fig10":
-        return _fig10(lambda_db, p["pi"], p["eps_target"], workers)
+        return _fig10(p["lambda_db"], p["pi"], p["eps_target"], workers)
     if name == "fig11":
-        return _fig11(n_max)
-    raise ValueError(f"unknown figure {name!r}")
+        return _fig11(p["max_stages"])
+    if name not in _DEFAULTS:
+        raise ValueError(f"unknown figure {name!r}")
+    n_stages = 1 if name in ("fig6", "fig7") else 2
+    if "eps_target" in p:
+        return _fig_target(p["lambda_db"], p["pi"], p["eps_target"], n_stages,
+                           workers)
+    return _fig_opt(p["lambda_db"], p["pi"], n_stages, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +279,9 @@ _PLOT_SPEC = {
 }
 
 
-def panel_plot_spec(panel: str):
-    return _PLOT_SPEC.get(panel)
-
-
 def write_svg(path: str, title: str, header: Sequence[str],
               rows: Sequence[Sequence], panel: str) -> None:
-    spec = panel_plot_spec(panel)
+    spec = _PLOT_SPEC.get(panel)
     if spec is None or not rows:
         return
     xcol, ycol, gcol = spec

@@ -41,37 +41,50 @@ def _weight(obj: StateLike) -> float:
     return w
 
 
-def conditional_variances(obj: StateLike, target: ModeLabel,
-                          conditioner: ModeLabel) -> ConditionalVariancePair:
-    """min_gamma Var(X_target - gamma X_conditioner) for both quadratures.
-
-    The optimum is V = Var_t - Cov^2 / Var_c at gamma = Cov / Var_c; first
-    moments are subtracted so subnormalized and displaced states are handled
-    alike (the input is normalized internally).
-    """
+def _second_moments(obj: StateLike, target: ModeLabel, conditioner: ModeLabel):
+    """(sign, Var_t, Var_c, Cov) for X+ and X-, first moments subtracted and
+    the state normalized, so subnormalized and displaced states alike work."""
     if target == conditioner:
         raise ValueError("target and conditioner must differ")
     w = _weight(obj)
-    vs, gs = [], []
-    for sign in ("+", "-"):
+    out = []
+    for sign in "+-":
         mt = fock.quadrature_moment(obj, [(target, sign)]) / w
         mc = fock.quadrature_moment(obj, [(conditioner, sign)]) / w
         var_t = fock.quadrature_moment(obj, [(target, sign)] * 2) / w - mt * mt
         var_c = fock.quadrature_moment(obj, [(conditioner, sign)] * 2) / w - mc * mc
         cov = fock.quadrature_moment(obj, [(target, sign), (conditioner, sign)]) / w \
             - mt * mc
-        if var_c < _DEGENERATE_VAR:
-            raise ValueError(
-                f"conditioner quadrature X{sign} has (near-)zero variance")
-        vs.append(var_t - cov * cov / var_c)
-        gs.append(cov / var_c)
-    return ConditionalVariancePair(v_plus=vs[0], v_minus=vs[1],
-                                   gamma_plus=gs[0], gamma_minus=gs[1])
+        out.append((sign, var_t, var_c, cov))
+    return out
+
+
+def _conditioned(sign: str, var_t: float, var_c: float,
+                 cov: float) -> tuple[float, float]:
+    if var_c < _DEGENERATE_VAR:
+        raise ValueError(f"conditioner quadrature X{sign} has (near-)zero variance")
+    return var_t - cov * cov / var_c, cov / var_c
+
+
+def conditional_variances(obj: StateLike, target: ModeLabel,
+                          conditioner: ModeLabel) -> ConditionalVariancePair:
+    """min_gamma Var(X_target - gamma X_conditioner) for both quadratures.
+
+    The optimum is V = Var_t - Cov^2 / Var_c at gamma = Cov / Var_c (the
+    input is normalized internally).
+    """
+    (v_plus, g_plus), (v_minus, g_minus) = (
+        _conditioned(*m) for m in _second_moments(obj, target, conditioner))
+    return ConditionalVariancePair(v_plus=v_plus, v_minus=v_minus,
+                                   gamma_plus=g_plus, gamma_minus=g_minus)
 
 
 def epr_criterion(obj: StateLike, a: ModeLabel, b: ModeLabel) -> EprResult:
-    """EPR products in both directions; eps_B|A conditions B's variance on A."""
-    ba = conditional_variances(obj, target=b, conditioner=a)
-    ab = conditional_variances(obj, target=a, conditioner=b)
-    return EprResult(eps_b_given_a=ba.v_plus * ba.v_minus,
-                     eps_a_given_b=ab.v_plus * ab.v_minus)
+    """EPR products in both directions; eps_B|A conditions B's variance on A.
+
+    Each quadrature moment is computed once and serves both directions.
+    """
+    moments = _second_moments(obj, b, a)
+    ba = [_conditioned(s, vb, va, cov)[0] for s, vb, va, cov in moments]
+    ab = [_conditioned(s, va, vb, cov)[0] for s, vb, va, cov in moments]
+    return EprResult(eps_b_given_a=ba[0] * ba[1], eps_a_given_b=ab[0] * ab[1])

@@ -144,21 +144,21 @@ def _feasible_grid(objective, lam: float, pi: float, n_stages: int
                    ) -> tuple[np.ndarray, list[tuple[float, float]], np.ndarray]:
     """Feasible grid points, objective values, and run labels.
 
-    The feasible set is usually a single interval in r, but a second pocket
-    can open at large squeezing (the gain inversion re-enters (0, 1) on its
-    way down), so bracketing is only ever done inside one contiguous run.
+    A grid point is feasible when the objective finds a transmissivity there
+    (its eta is not NaN).  The feasible set is usually a single interval in r,
+    but a second pocket can open at large squeezing (the gain inversion
+    re-enters (0, 1) on its way down), so bracketing is only ever done inside
+    one contiguous run.
     """
     grid = np.geomspace(R_GRID_LO, R_GRID_HI, R_GRID_POINTS)
-    feasible = np.array([bool(eta_candidates(r, lam, pi, n_stages)) for r in grid])
-    if not feasible.any():
+    vals = [objective(r) for r in grid]
+    idx = np.flatnonzero([not math.isnan(eta) for _, eta in vals])
+    if not idx.size:
         raise InfeasibleParameterError(
             f"no squeezing in [{R_GRID_LO}, {R_GRID_HI}] reaches success "
             f"probability {pi} at lam={lam} with {n_stages} stage(s)")
-    idx = np.flatnonzero(feasible)
     runs = np.concatenate([[0], np.cumsum(np.diff(idx) != 1)])
-    sub = grid[idx]
-    vals = [objective(r) for r in sub]
-    return sub, vals, runs
+    return grid[idx], [vals[i] for i in idx], runs
 
 
 def _minimize_on_grid(objective, sub, vals, runs) -> tuple[float, float, float]:

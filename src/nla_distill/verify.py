@@ -16,9 +16,10 @@ from .analytic import (ChannelParams, NlaParams, eps_infinity, eps_no_nla,
                        eps_opt_formula, purity_formula, purity_no_nla,
                        purity_tradeoff, success_prob_1stage)
 
-__all__ = ["CheckResult", "run_all", "TAIL_BUDGET"]
+__all__ = ["CheckResult", "run_all", "TAIL_BUDGET", "DEFAULT_CUTOFF"]
 
 TAIL_BUDGET = 1e-10
+DEFAULT_CUTOFF = 25  # Fock cutoff of the lossy-channel benchmark checks
 
 _BENCH_GRID = [(r, lam) for r in (0.2, 0.5, 0.7) for lam in (0.1, 0.3, 0.6)]
 _CIRCUIT_GRID = [(r, lam, eta) for r in (0.2, 0.3) for lam in (0.2, 0.5)
@@ -231,8 +232,13 @@ def _check_floors() -> list[CheckResult]:
             CheckResult("dual_stage_floor_kappa", abs(k2 - 0.59), 1e-2)]
 
 
-def run_all(cutoff: int = 25, tail_budget: float = TAIL_BUDGET) -> list[CheckResult]:
+def run_all(cutoff: int = DEFAULT_CUTOFF,
+            tail_budget: float = TAIL_BUDGET) -> list[CheckResult]:
     """Run every oracle check; the tail budget applies to all states built."""
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    if not tail_budget > 0.0:
+        raise ValueError(f"tolerance must be > 0, got {tail_budget}")
     tails: list[float] = []
     out: list[CheckResult] = []
     out += _check_benchmarks(cutoff, tails)

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from nla_distill import cli
+from nla_distill import cli, figures
 from nla_distill.figures import format_number
 
 # header names are an external contract
@@ -233,3 +233,52 @@ def test_point_rejects_unbounded_stage_count(capsys):
                      "--stages", "7"]) == 1
     assert time.perf_counter() - t0 < 1.0
     assert "stages" in capsys.readouterr().err
+
+
+def test_fig10_defaults_to_its_own_success_probabilities(tmp_path):
+    out = tmp_path / "fig10.csv"
+    assert cli.main(["fig10", "-o", str(out), "--lambda-db", "12", "12", "1",
+                     "--workers", "1"]) == 0
+    for panel in ("fig10a", "fig10b"):
+        comments, header, rows = read_csv(tmp_path / f"{panel}.csv")
+        assert comments[1] == ("# command=fig10 lambda_db=12.0:12.0:1.0 "
+                               "pi=0.1,0.0001 eps_target=0.85")
+        # two stage counts at each of the two pi, written or counted skipped
+        assert {float(r.split(",")[2]) for r in rows} <= {0.1, 1e-4}
+        assert len(rows) + int(comments[2].split("=")[1]) == 4
+
+
+@pytest.mark.parametrize("argv", [["fig7", "--eps-target", "0"],
+                                  ["fig9", "--eps-target", "-0.5"],
+                                  ["fig10", "--eps-target", "0"],
+                                  ["fig11", "--max-stages", "0"],
+                                  ["fig8", "--pi", "0"]])
+def test_out_of_range_figure_inputs_exit_one(argv, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert cli.main([argv[0], "-o", str(out), *argv[1:]]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", [["--cutoff", "0"], ["--tolerance", "0"]])
+def test_verify_rejects_bad_settings_before_running(flag, capsys):
+    t0 = time.perf_counter()
+    assert cli.main(["verify", *flag]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr()
+    assert "error:" in err.err and err.out == ""
+
+
+def test_figure_params_own_defaults_and_ranges():
+    assert figures.figure_params("fig3") == {}
+    assert figures.figure_params("fig11") == {"max_stages": 20}
+    assert figures.figure_params("fig10")["pi"] == figures.FIG10_PIS
+    assert figures.figure_params("fig7", pi=[0.5]) == {
+        "lambda_db": figures.DEFAULT_LAMBDA_DB, "pi": (0.5,), "eps_target": 0.85}
+    for name, kw in (("fig6", {"lambda_db": (5.0, 4.0, 1.0)}),
+                     ("fig6", {"pi": ()}), ("fig6", {"pi": (1.5,)}),
+                     ("fig9", {"eps_target": 0.0}), ("fig11", {"max_stages": 0}),
+                     ("fig6", {"eps_target": 0.5}), ("fig3", {"pi": (0.1,)}),
+                     ("fig5", {})):
+        with pytest.raises(ValueError):
+            figures.figure_params(name, **kw)

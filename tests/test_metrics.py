@@ -128,3 +128,23 @@ def test_same_mode_rejected():
     st = fock.vacuum(["A", "B"], [2, 2])
     with pytest.raises(ValueError):
         metrics.conditional_variances(st, "A", "A")
+
+
+def test_epr_criterion_computes_each_moment_once(monkeypatch):
+    # per quadrature sign: two means, two second moments and one cross
+    # moment, shared by both directions
+    calls = []
+    real = fock.quadrature_moment
+
+    def counting(obj, factors):
+        calls.append(tuple(factors))
+        return real(obj, factors)
+
+    monkeypatch.setattr(fock, "quadrature_moment", counting)
+    st = lossy_epr(0.5, 0.3, 12)
+    res = metrics.epr_criterion(st, "A", "B")
+    assert len(calls) == 10 and len(set(calls)) == 10
+    ba = metrics.conditional_variances(st, "B", "A")
+    ab = metrics.conditional_variances(st, "A", "B")
+    assert res.eps_b_given_a == ba.v_plus * ba.v_minus
+    assert abs(res.eps_a_given_b - ab.v_plus * ab.v_minus) < 1e-14

@@ -190,3 +190,20 @@ def test_fully_infeasible_grid_raises():
     # every squeezing
     with pytest.raises(InfeasibleParameterError):
         optimize.optimize_entanglement(0.5, 1.0, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_each_probed_squeezing_is_scanned_once(n, monkeypatch):
+    # the grid scan reads feasibility off the objective's own eta, so no
+    # squeezing is handed to eta_candidates twice
+    probed = []
+    real = optimize.eta_candidates
+
+    def counting(r, lam, pi, n_stages):
+        probed.append(r)
+        return real(r, lam, pi, n_stages)
+
+    monkeypatch.setattr(optimize, "eta_candidates", counting)
+    optimize.optimize_entanglement(0.6, 1e-2, n)
+    assert len(probed) >= optimize.R_GRID_POINTS
+    assert len(probed) == len(set(probed))
