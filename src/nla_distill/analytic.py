@@ -121,9 +121,12 @@ def purity_no_nla(params: ChannelParams) -> float:
 
 
 def purity_tradeoff(eps: float, lam: float) -> float:
-    """Purity reachable at entanglement eps under loss lam (no amplifier)."""
+    """Purity reachable at entanglement eps in [lam^2, 1] under loss lam (no
+    amplifier)."""
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"loss reflectivity must be in [0, 1), got {lam}")
+    if eps > 1.0:
+        raise ValueError(f"entanglement {eps} above 1 certifies none")
     if eps < lam * lam:
         raise InfeasibleParameterError(
             f"entanglement {eps} below the loss floor {lam * lam}")

@@ -198,8 +198,8 @@ def figure_params(name: str, *, lambda_db=None, pi=None,
         _db_range(p["lambda_db"])
         if not p["pi"] or not all(0.0 < x <= 1.0 for x in p["pi"]):
             raise ValueError(f"success probabilities must be in (0, 1]: {p['pi']}")
-    if not p.get("eps_target", 1.0) > 0.0:
-        raise ValueError(f"eps_target must be > 0, got {p['eps_target']}")
+    if not 0.0 < p.get("eps_target", 1.0) <= 1.0:
+        raise ValueError(f"eps_target must be in (0, 1], got {p['eps_target']}")
     if p.get("max_stages", 1) < 1:
         raise ValueError(f"max_stages must be >= 1, got {p['max_stages']}")
     return p
@@ -211,6 +211,8 @@ def figure_rows(name: str, params: dict | None = None,
     when None); see the module docstring for the return shape."""
     p = figure_params(name) if params is None else params
     workers = os.cpu_count() or 1 if workers is None else workers
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if name == "fig3":
         return _fig3(FIG3_LAMBDAS)
     if name == "fig4":

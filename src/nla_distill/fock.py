@@ -303,29 +303,24 @@ def apply_single_mode_squeeze(state: PureState, mode: ModeLabel, r: float) -> Pu
 def _bs_sectors(s_max: int, theta: float) -> tuple[np.ndarray, ...]:
     """Fock matrices of exp[theta (m'n - mn')] per total-photon sector.
 
-    Sector s holds basis |j, s-j> for j = 0..s; built by the one-photon
-    recurrence, which is exact and keeps every sector orthogonal.
-    """
+    Sector s holds basis |j, s-j> for j = 0..s.  Column j adds a rotated m'
+    to column j-1 of sector s-1 (weight sqrt(j)) plus a rotated n' to its
+    column j (weight sqrt(s-j)), over s: two exact routes whose sum keeps
+    rounding from growing geometrically (orthogonal to ~1e-14 at s = 256)."""
     c, s_ = math.cos(theta), math.sin(theta)
     mats = [np.ones((1, 1))]
     for s in range(1, s_max + 1):
-        prev = mats[-1]
+        below = np.zeros((s + 1, s))    # column v as v[i]: n' reads it
+        below[:s] = mats[-1]
+        above = np.zeros((s + 1, s))    # column v as v[i-1]: m' reads it
+        above[1:] = mats[-1]
+        sq_jp = np.sqrt(np.arange(s + 1))[:, None]
+        sq_rest = sq_jp[::-1]
+        w = np.sqrt(np.arange(1, s + 1))
         cur = np.zeros((s + 1, s + 1))
-        jp = np.arange(s + 1)
-        sq_jp = np.sqrt(jp)
-        sq_rest = np.sqrt(s - jp)
-        shifted = np.zeros((s + 1, s))
-        shifted[1:, :] = prev
-        tail = np.zeros((s + 1, s))
-        tail[:s, :] = prev
-        inv_sqrt_j = 1.0 / np.sqrt(np.arange(1, s + 1))
-        cur[:, 1:] = (c * sq_jp[:, None] * shifted
-                      - s_ * sq_rest[:, None] * tail) * inv_sqrt_j[None, :]
-        col0 = np.zeros(s + 1)
-        col0[:s] = prev[:, 0]
-        col0_sh = np.zeros(s + 1)
-        col0_sh[1:] = prev[:, 0]
-        cur[:, 0] = (c * sq_rest * col0 + s_ * sq_jp * col0_sh) / math.sqrt(s)
+        cur[:, 1:] = (c * sq_jp * above - s_ * sq_rest * below) * w
+        cur[:, :-1] += (c * sq_rest * below + s_ * sq_jp * above) * w[::-1]
+        cur /= s
         cur.flags.writeable = False
         mats.append(cur)
     mats[0].flags.writeable = False
@@ -338,49 +333,62 @@ def _bs_theta(transmissivity: float) -> float:
     return math.acos(min(1.0, math.sqrt(transmissivity)))
 
 
-def _pair_front(state: PureState, modes) -> tuple[np.ndarray, int, int, list]:
+def _pair_axes(state: PureState, modes) -> tuple[int, int]:
     m1, m2 = modes
     if m1 == m2:
         raise ValueError("beamsplitter needs two distinct modes")
-    ax1, ax2 = state.axis(m1), state.axis(m2)
-    perm = [ax1, ax2] + [i for i in range(len(state.modes)) if i not in (ax1, ax2)]
-    amps = np.transpose(state.amps, perm)
-    d1, d2 = amps.shape[0], amps.shape[1]
-    return amps.reshape(d1, d2, -1), d1, d2, perm
+    return state.axis(m1), state.axis(m2)
 
 
-def _pair_back(arr: np.ndarray, shape_perm, perm) -> np.ndarray:
-    arr = arr.reshape(shape_perm)
-    inv = np.argsort(perm)
-    return np.ascontiguousarray(np.transpose(arr, inv))
+@lru_cache(maxsize=64)
+def _bs_plan(d1: int, d2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Padded (sector, slot) gather plan for a d1 x d2 mode pair: slot i of
+    sector s holds pair (lo_s + i, s - lo_s - i) while it fits, else (0, 0),
+    which the zero-padded blocks ignore; ``back`` maps pair j * d2 + k to its
+    flattened (sector, slot) position."""
+    s = np.arange(d1 + d2 - 1)
+    lo = np.maximum(0, s - (d2 - 1))
+    j = lo[:, None] + np.arange(min(d1, d2))
+    pad = j > np.minimum(s, d1 - 1)[:, None]
+    jj, kk = np.divmod(np.arange(d1 * d2), d2)
+    plan = (np.where(pad, 0, j), np.where(pad, 0, s[:, None] - j),
+            (jj + kk) * min(d1, d2) + jj - lo[jj + kk])
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
+
+
+@lru_cache(maxsize=64)
+def _bs_blocks(d1: int, d2: int, theta: float) -> np.ndarray:
+    """Each sector's kept _bs_sectors block, zero-padded to the plan's width."""
+    width = min(d1, d2)
+    blocks = np.zeros((d1 + d2 - 1, width, width))
+    for s, mat in enumerate(_bs_sectors(d1 + d2 - 2, theta)):
+        lo, hi = max(0, s - (d2 - 1)), min(s, d1 - 1) + 1
+        blocks[s, :hi - lo, :hi - lo] = mat[lo:hi, lo:hi]
+    blocks.flags.writeable = False
+    return blocks
 
 
 def apply_beamsplitter(state: PureState, modes, transmissivity: float) -> PureState:
     """Two-mode beamsplitter in the convention above.
 
     Exact per total-photon-number sector; population driven past a mode's
-    cutoff is clipped and the lost mass added to ``tail_mass``.
+    cutoff is clipped and the lost mass added to ``tail_mass``.  All sectors
+    are rotated by one batched matmul over the padded (sector, slot) plan.
     """
     theta = _bs_theta(transmissivity)
-    flat, d1, d2, perm = _pair_front(state, modes)
-    shape_perm = tuple(np.array(state.amps.shape)[perm])
-    mats = _bs_sectors(d1 - 1 + d2 - 1, theta)
-    out = np.zeros_like(flat)
-    for s in range(len(mats)):
-        j_lo, j_hi = max(0, s - (d2 - 1)), min(s, d1 - 1)
-        if j_lo > j_hi:
-            continue
-        js = np.arange(j_lo, j_hi + 1)
-        ks = s - js
-        seg = flat[js, ks, :]
-        if not seg.any():
-            continue
-        block = mats[s][np.ix_(js, js)]
-        out[js, ks, :] = block @ seg
-    n_in = float(np.vdot(flat, flat).real)
-    n_out = float(np.vdot(out, out).real)
-    clipped = max(n_in - n_out, 0.0)
-    return replace(state, amps=_pair_back(out, shape_perm, perm),
+    ax1, ax2 = _pair_axes(state, modes)
+    d1, d2 = state.amps.shape[ax1], state.amps.shape[ax2]
+    j_src, k_src, back = _bs_plan(d1, d2)
+    pair = np.moveaxis(state.amps, (ax1, ax2), (0, 1))
+    gathered = np.ascontiguousarray(pair[j_src, k_src]).reshape(j_src.shape + (-1,))
+    # real blocks times the interleaved (re, im) columns: a real matmul
+    rotated = np.matmul(_bs_blocks(d1, d2, theta), gathered.view(np.float64))
+    flat = rotated.view(np.complex128).reshape(-1, gathered.shape[2])[back]
+    clipped = max(norm_sq(state) - float(np.vdot(flat, flat).real), 0.0)
+    amps = np.moveaxis(flat.reshape(pair.shape), (0, 1), (ax1, ax2))
+    return replace(state, amps=np.ascontiguousarray(amps),
                    tail_mass=state.tail_mass + clipped)
 
 
@@ -390,26 +398,27 @@ def herald_beamsplitter(state: PureState, modes, transmissivity: float,
 
     Equivalent to ``apply_beamsplitter`` followed by ``project_fock`` on each
     output port, but computed from the single total-photon sector the outcome
-    lives in, so it never materializes the full two-mode unitary.
+    lives in: it reads only that sector's slices of the input, in place.
     """
     theta = _bs_theta(transmissivity)
     n1, n2 = outcome
-    flat, d1, d2, perm = _pair_front(state, modes)
+    ax1, ax2 = _pair_axes(state, modes)
+    d1, d2 = state.amps.shape[ax1], state.amps.shape[ax2]
     if not (0 <= n1 <= d1 - 1 and 0 <= n2 <= d2 - 1):
         raise ValueError(f"outcome {outcome} outside cutoffs")
-    s = n1 + n2
-    mats = _bs_sectors(s, theta)
-    j_lo, j_hi = max(0, s - (d2 - 1)), min(s, d1 - 1)
-    js = np.arange(j_lo, j_hi + 1)
-    branch = np.tensordot(mats[s][n1, js], flat[js, s - js, :], axes=([0], [0]))
-
-    # flat's trailing axis runs over the non-pair modes in their original order
-    keep = tuple(state.modes[i] for i in perm[2:])
-    if not keep:
+    if state.amps.ndim == 2:
         raise ValueError("heralding away every mode is not supported")
-    cutoffs = tuple(state.cutoffs[i] for i in perm[2:])
-    amps = np.ascontiguousarray(branch.reshape(tuple(c + 1 for c in cutoffs)))
-    return PureState(keep, cutoffs, amps, tail_mass=state.tail_mass)
+    s = n1 + n2
+    row = _bs_sectors(s, theta)[s][n1]
+    index = [slice(None)] * state.amps.ndim
+    branch = 0.0
+    for j in range(max(0, s - (d2 - 1)), min(s, d1 - 1) + 1):
+        index[ax1], index[ax2] = j, s - j
+        branch = branch + row[j] * state.amps[tuple(index)]
+    keep = [i for i in range(len(state.modes)) if i not in (ax1, ax2)]
+    return PureState(tuple(state.modes[i] for i in keep),
+                     tuple(state.cutoffs[i] for i in keep), branch,
+                     tail_mass=state.tail_mass)
 
 
 # ---------------------------------------------------------------------------

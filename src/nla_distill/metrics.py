@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import fock
+import numpy as np
+
 from .fock import ModeLabel, PureState, StateLike
 
 __all__ = ["ConditionalVariancePair", "EprResult", "conditional_variances",
@@ -34,28 +35,48 @@ class EprResult:
     eps_a_given_b: float
 
 
-def _weight(obj: StateLike) -> float:
-    w = fock.norm_sq(obj) if isinstance(obj, PureState) else obj.trace
-    if w <= _DEGENERATE_VAR:
-        raise ValueError("state has (near-)zero norm; nothing to normalize")
-    return w
+def _lower(arr: np.ndarray, ax: int) -> np.ndarray:
+    """The annihilator along one axis, (a psi)_n = sqrt(n + 1) psi_(n+1), in
+    the same box: lowering never leaves it, so the ladder sums below are exact
+    at the cutoff (the top slot would read the empty slot past it)."""
+    w = np.sqrt(np.arange(1.0, arr.shape[ax] + 1))
+    w[-1] = 0.0
+    return (np.expand_dims(w, [i for i in range(arr.ndim) if i != ax])
+            * np.roll(arr, -1, axis=ax))
 
 
 def _second_moments(obj: StateLike, target: ModeLabel, conditioner: ModeLabel):
     """(sign, Var_t, Var_c, Cov) for X+ and X-, first moments subtracted and
-    the state normalized, so subnormalized and displaced states alike work."""
+    the state normalized, so subnormalized and displaced states alike work.
+
+    One pass of shifted-slice ladder sums, exact at the cutoff: <a>, <a^2>,
+    <a'a> per mode, <a_t a_c>, <a_t' a_c>.  A density matrix enters as bra rho
+    and ket identity, so <bra|O|ket> = Tr(rho O) for the Hermitian rho."""
     if target == conditioner:
         raise ValueError("target and conditioner must differ")
-    w = _weight(obj)
+    t, c = obj.axis(target), obj.axis(conditioner)
+    if isinstance(obj, PureState):
+        bra = ket = obj.amps
+    else:
+        bra = obj.matrix.reshape([d + 1 for d in obj.cutoffs] + [-1])
+        ket = np.eye(bra.shape[-1]).reshape(bra.shape)
+    w = float(np.vdot(bra, ket).real)   # squared norm or trace
+    if w <= _DEGENERATE_VAR:
+        raise ValueError("state has (near-)zero norm; nothing to normalize")
+    low = {ax: _lower(ket, ax) for ax in (t, c)}
+    low_bra = low if bra is ket else {ax: _lower(bra, ax) for ax in (t, c)}
+    a = [np.vdot(bra, low[ax]) for ax in (t, c)]
+    a2 = [np.vdot(bra, _lower(low[ax], ax)) for ax in (t, c)]
+    n = [np.vdot(low_bra[ax], low[ax]).real for ax in (t, c)]
+    aa = np.vdot(bra, _lower(low[t], c)).real
+    ada = np.vdot(low_bra[t], low[c]).real
     out = []
-    for sign in "+-":
-        mt = fock.quadrature_moment(obj, [(target, sign)]) / w
-        mc = fock.quadrature_moment(obj, [(conditioner, sign)]) / w
-        var_t = fock.quadrature_moment(obj, [(target, sign)] * 2) / w - mt * mt
-        var_c = fock.quadrature_moment(obj, [(conditioner, sign)] * 2) / w - mc * mc
-        cov = fock.quadrature_moment(obj, [(target, sign), (conditioner, sign)]) / w \
-            - mt * mc
-        out.append((sign, var_t, var_c, cov))
+    for sign, s in (("+", 1.0), ("-", -1.0)):
+        mean = [2.0 * (x.real if s > 0 else x.imag) / w for x in a]
+        var = [(2.0 * (s * x2.real + nx) + w) / w - m * m
+               for x2, nx, m in zip(a2, n, mean)]
+        cov = 2.0 * (s * aa + ada) / w - mean[0] * mean[1]
+        out.append((sign, var[0], var[1], cov))
     return out
 
 

@@ -84,16 +84,20 @@ def _check_pattern(pattern) -> tuple[int, int]:
 
 
 def _scissor(state: fock.PureState, signal: str, photon: str, vac: str,
-             eta: float, pattern: tuple[int, int]) -> fock.PureState:
-    """One quantum scissor: eta-splitter on the ancilla pair, 50:50 mix of the
-    signal with the reflected arm, herald on the detection pattern.
+             photon_cutoff: int, eta: float,
+             pattern: tuple[int, int]) -> fock.PureState:
+    """One quantum scissor: eta-splitter on the ancilla pair |1, 0>, 50:50 mix
+    of the signal with the reflected arm, herald on the detection pattern.
 
     The ancilla photon ends in mode ``photon``, which becomes the scissor
     output; a pi phase shows up on its one-photon component for the (0,1)
-    pattern and is compensated here.
+    pattern and is compensated here.  The eta-splitter acts on the ancilla
+    alone, so it runs before the ancilla joins the (larger) signal state.
     """
-    state = fock.apply_beamsplitter(state, (vac, photon), eta)
-    state = fock.herald_beamsplitter(state, (signal, vac), 0.5, pattern)
+    ancilla = fock.fock_state([photon, vac], [photon_cutoff, 1], [1, 0])
+    ancilla = fock.apply_beamsplitter(ancilla, (vac, photon), eta)
+    state = fock.herald_beamsplitter(fock.tensor(state, ancilla), (signal, vac),
+                                     0.5, pattern)
     if pattern == (0, 1):
         state = _flip_odd(state, photon)
     return state
@@ -123,8 +127,7 @@ def single_stage_circuit(channel: ChannelParams, eta: float, cutoff: int,
     st = fock.tensor(st, fock.vacuum(["VL"], [cutoff]))
     # vacuum-first ordering keeps the loss-arm amplitudes positive
     st = fock.apply_beamsplitter(st, ("VL", "Ap"), 1.0 - channel.lam)
-    st = fock.tensor(st, fock.fock_state(["P", "V"], [1, 1], [1, 0]))
-    st = _scissor(st, "Ap", "P", "V", eta, pattern)
+    st = _scissor(st, "Ap", "P", "V", 1, eta, pattern)
     st = fock.rename_modes(st, {"VL": "L", "P": "B"})
     st = fock.reorder_modes(st, ("A", "B", "L"))
     _check_tail(st, tail_budget)
@@ -154,10 +157,8 @@ def dual_stage_circuit(channel: ChannelParams, eta: float, cutoff: int,
     st = fock.tensor(st, fock.vacuum(["W"], [cutoff]))
     st = fock.apply_beamsplitter(st, ("W", "Ap"), 0.5)
     # scissor outputs need room for two photons at the recombiner
-    st = fock.tensor(st, fock.fock_state(["P1", "V1"], [2, 1], [1, 0]))
-    st = _scissor(st, "Ap", "P1", "V1", eta, p1)
-    st = fock.tensor(st, fock.fock_state(["P2", "V2"], [2, 1], [1, 0]))
-    st = _scissor(st, "W", "P2", "V2", eta, p2)
+    st = _scissor(st, "Ap", "P1", "V1", 2, eta, p1)
+    st = _scissor(st, "W", "P2", "V2", 2, eta, p2)
     st = fock.apply_beamsplitter(st, ("P1", "P2"), 0.5)
     st = fock.project_fock(st, "P2", 0)
     st = fock.rename_modes(st, {"VL": "L", "P1": "B"})

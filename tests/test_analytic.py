@@ -56,6 +56,9 @@ def test_purity_tradeoff_limits():
     assert purity_tradeoff(0.25, 0.5) == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(InfeasibleParameterError):
         purity_tradeoff(0.2, 0.5)
+    # above 1 no entanglement is certified: a purity there would exceed 1
+    with pytest.raises(ValueError):
+        purity_tradeoff(1.5, 0.3)
 
 
 @pytest.mark.parametrize("r,lam", [(0.8, 0.25), (0.3, 0.1), (1.2, 0.6)])

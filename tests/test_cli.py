@@ -252,7 +252,12 @@ def test_fig10_defaults_to_its_own_success_probabilities(tmp_path):
                                   ["fig9", "--eps-target", "-0.5"],
                                   ["fig10", "--eps-target", "0"],
                                   ["fig11", "--max-stages", "0"],
-                                  ["fig8", "--pi", "0"]])
+                                  ["fig8", "--pi", "0"],
+                                  ["fig7", "--eps-target", "1.5"],
+                                  ["fig9", "--eps-target", "1.01"],
+                                  ["fig10", "--eps-target", "2"],
+                                  ["fig6", "--workers", "0"],
+                                  ["fig8", "--workers", "-3"]])
 def test_out_of_range_figure_inputs_exit_one(argv, tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert cli.main([argv[0], "-o", str(out), *argv[1:]]) == 1
@@ -277,7 +282,8 @@ def test_figure_params_own_defaults_and_ranges():
         "lambda_db": figures.DEFAULT_LAMBDA_DB, "pi": (0.5,), "eps_target": 0.85}
     for name, kw in (("fig6", {"lambda_db": (5.0, 4.0, 1.0)}),
                      ("fig6", {"pi": ()}), ("fig6", {"pi": (1.5,)}),
-                     ("fig9", {"eps_target": 0.0}), ("fig11", {"max_stages": 0}),
+                     ("fig9", {"eps_target": 0.0}), ("fig7", {"eps_target": 1.5}),
+                     ("fig11", {"max_stages": 0}),
                      ("fig6", {"eps_target": 0.5}), ("fig3", {"pi": (0.1,)}),
                      ("fig5", {})):
         with pytest.raises(ValueError):

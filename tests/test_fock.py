@@ -4,8 +4,38 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nla_distill import fock
+
+
+@st.composite
+def random_states(draw, min_modes=2, max_modes=4, max_cutoff=5):
+    """Dense random complex (sub)normalized states, mode labels in random order."""
+    k = draw(st.integers(min_modes, max_modes))
+    labels = tuple(draw(st.permutations("ABCD"[:k])))
+    cutoffs = tuple(draw(st.lists(st.integers(1, max_cutoff), min_size=k, max_size=k)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = [c + 1 for c in cutoffs]
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    amps *= draw(st.floats(0.1, 1.0)) / np.linalg.norm(amps)
+    return fock.PureState(labels, cutoffs, amps)
+
+
+def sector_loop_beamsplitter(state, modes, transmissivity):
+    """Reference: one gather, block product and scatter per photon sector."""
+    theta = fock._bs_theta(transmissivity)
+    ax1, ax2 = state.axis(modes[0]), state.axis(modes[1])
+    pair = np.moveaxis(state.amps, (ax1, ax2), (0, 1))
+    d1, d2 = pair.shape[:2]
+    flat = pair.reshape(d1, d2, -1)
+    mats = fock._bs_sectors(d1 + d2 - 2, theta)
+    out = np.zeros_like(flat)
+    for s in range(len(mats)):
+        js = np.arange(max(0, s - (d2 - 1)), min(s, d1 - 1) + 1)
+        out[js, s - js, :] = mats[s][np.ix_(js, js)] @ flat[js, s - js, :]
+    return np.moveaxis(out.reshape(pair.shape), (0, 1), (ax1, ax2))
 
 
 def test_vacuum_amplitudes():
@@ -191,6 +221,43 @@ def test_herald_matches_apply_then_project():
         full = fock.project_fock(full, "P", outcome[1])
         assert fused.modes == full.modes
         assert np.allclose(fused.amps, full.amps, atol=1e-12)
+
+
+@settings(max_examples=60)
+@given(state=random_states(), order=st.permutations(range(4)),
+       t=st.floats(0.0, 1.0))
+def test_batched_beamsplitter_matches_sector_loop(state, order, t):
+    pair = tuple(state.modes[i] for i in order if i < len(state.modes))[:2]
+    out = fock.apply_beamsplitter(state, pair, t)
+    assert out.modes == state.modes and out.cutoffs == state.cutoffs
+    assert np.abs(out.amps - sector_loop_beamsplitter(state, pair, t)).max() <= 1e-13
+    # every bit of norm not kept is booked as clipped tail
+    clipped = out.tail_mass - state.tail_mass
+    assert abs(fock.norm_sq(state) - fock.norm_sq(out) - clipped) <= 1e-13
+
+
+@settings(max_examples=12)
+@given(s_max=st.integers(0, 256), theta=st.floats(0.0, math.pi / 2))
+def test_beamsplitter_sectors_are_orthogonal(s_max, theta):
+    # s_max 256 is the pair of cutoff-128 modes that verify builds
+    mats = fock._bs_sectors(s_max, theta)
+    assert len(mats) == s_max + 1
+    for s, m in enumerate(mats):
+        assert np.abs(m @ m.T - np.eye(s + 1)).max() <= 1e-13
+
+
+@settings(max_examples=60)
+@given(state=random_states(min_modes=3), order=st.permutations(range(4)),
+       t=st.floats(0.0, 1.0), outcome=st.tuples(st.integers(0, 5), st.integers(0, 5)))
+def test_herald_matches_apply_then_project_anywhere(state, order, t, outcome):
+    m1, m2 = tuple(state.modes[i] for i in order if i < len(state.modes))[:2]
+    n1, n2 = min(outcome[0], state.cutoff_of(m1)), min(outcome[1], state.cutoff_of(m2))
+    fused = fock.herald_beamsplitter(state, (m1, m2), t, (n1, n2))
+    full = fock.apply_beamsplitter(state, (m1, m2), t)
+    full = fock.project_fock(fock.project_fock(full, m1, n1), m2, n2)
+    assert fused.modes == full.modes and fused.cutoffs == full.cutoffs
+    assert np.abs(fused.amps - full.amps).max() <= 1e-13
+    assert fused.tail_mass == state.tail_mass
 
 
 def test_project_vacuum_probability_one():

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nla_distill import fock, metrics
 from nla_distill.analytic import ChannelParams, eps_no_nla
+from test_fock import random_states
 
 
 def lossy_epr(r, lam, cutoff):
@@ -130,9 +133,9 @@ def test_same_mode_rejected():
         metrics.conditional_variances(st, "A", "A")
 
 
-def test_epr_criterion_computes_each_moment_once(monkeypatch):
-    # per quadrature sign: two means, two second moments and one cross
-    # moment, shared by both directions
+def test_second_moments_make_no_quadrature_moment_calls(monkeypatch):
+    # the criterion reads every moment from one ladder pass;
+    # fock.quadrature_moment is only its oracle
     calls = []
     real = fock.quadrature_moment
 
@@ -143,8 +146,28 @@ def test_epr_criterion_computes_each_moment_once(monkeypatch):
     monkeypatch.setattr(fock, "quadrature_moment", counting)
     st = lossy_epr(0.5, 0.3, 12)
     res = metrics.epr_criterion(st, "A", "B")
-    assert len(calls) == 10 and len(set(calls)) == 10
     ba = metrics.conditional_variances(st, "B", "A")
     ab = metrics.conditional_variances(st, "A", "B")
+    assert calls == []
     assert res.eps_b_given_a == ba.v_plus * ba.v_minus
     assert abs(res.eps_a_given_b - ab.v_plus * ab.v_minus) < 1e-14
+
+
+@settings(max_examples=60)
+@given(state=random_states(max_modes=3, max_cutoff=4), data=st.data())
+def test_second_moments_match_quadrature_moment_oracle(state, data):
+    # dense random states: population at every cutoff, (generically) nonzero
+    # first moments on every mode
+    target, conditioner = data.draw(st.permutations(state.modes))[:2]
+    keep = data.draw(st.sampled_from([[target, conditioner], list(state.modes)]))
+    for obj in (state, fock.partial_trace(state, keep)):
+        w = fock.norm_sq(obj) if isinstance(obj, fock.PureState) else obj.trace
+        for sign, var_t, var_c, cov in metrics._second_moments(obj, target,
+                                                               conditioner):
+            def moment(*modes):
+                return fock.quadrature_moment(obj, [(m, sign) for m in modes]) / w
+
+            mt, mc = moment(target), moment(conditioner)
+            assert abs(var_t - (moment(target, target) - mt * mt)) <= 1e-12
+            assert abs(var_c - (moment(conditioner, conditioner) - mc * mc)) <= 1e-12
+            assert abs(cov - (moment(target, conditioner) - mt * mc)) <= 1e-12
