@@ -19,7 +19,7 @@ from .fock import (DensityMatrix, PureState, TailMassError, apply_beamsplitter,
 from .metrics import (ConditionalVariancePair, EprResult,
                       conditional_variances, epr_criterion)
 from .nla import (DistillationResult, HeraldedState, closed_form_state,
-                  distill_and_measure, dual_stage_circuit,
+                  distill_and_measure, dual_stage_circuit, scissor_circuit,
                   single_stage_circuit, truncated_pair_state)
 from .optimize import (UnachievableTargetError, best_entanglement_vs_stages,
                        eta_from_pi, optimize_entanglement,
@@ -41,9 +41,9 @@ __all__ = [
     "fidelity", "debug_serialize", "rename_modes", "reorder_modes",
     "ConditionalVariancePair", "EprResult", "conditional_variances",
     "epr_criterion",
-    "HeraldedState", "DistillationResult", "single_stage_circuit",
-    "dual_stage_circuit", "closed_form_state", "truncated_pair_state",
-    "distill_and_measure",
+    "HeraldedState", "DistillationResult", "scissor_circuit",
+    "single_stage_circuit", "dual_stage_circuit", "closed_form_state",
+    "truncated_pair_state", "distill_and_measure",
     "eta_from_pi", "optimize_entanglement",
     "purity_for_target_entanglement", "best_entanglement_vs_stages",
 ]

@@ -226,12 +226,17 @@ def purity_formula(r: float, lam: float, pi: float) -> float:
 
 
 def _ladder(n_stages: int, kappa: float, rho: float):
-    """T, and w_j = (N!/(N-j)! (kappa/N)^j)^2 by recurrence (no factorials)."""
+    """T, and w_j = (N!/(N-j)! (kappa/N)^j)^2 by recurrence (no factorials),
+    up to one common power-of-two factor."""
     if n_stages < 1:
         raise ValueError("n_stages must be >= 1")
-    w = [1.0]
+    w, wj = [1.0], 1.0
     for j in range(1, n_stages + 1):
-        w.append(w[-1] * ((n_stages - j + 1) * kappa / n_stages) ** 2)
+        wj *= ((n_stages - j + 1) * kappa / n_stages) ** 2
+        if wj > 2.0**256:
+            # exact rescale: only ratios of the w_j enter the sums
+            wj, w = math.ldexp(wj, -256), [math.ldexp(x, -256) for x in w]
+        w.append(wj)
     return math.tanh(rho) ** 2, w
 
 

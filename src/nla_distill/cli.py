@@ -102,7 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if "eps_target" in shaped:
             p.add_argument("--eps-target", type=float, help="target entanglement")
         if "max_stages" in shaped:
-            p.add_argument("--max-stages", type=int, help="largest stage count")
+            p.add_argument("--max-stages", type=int, help=(
+                f"largest stage count, 1 to {optimize.MAX_FLOOR_STAGES}"))
 
     p = sub.add_parser("point", help="evaluate one operating point")
     p.add_argument("--lambda-db", type=float, required=True, help="loss in dB")

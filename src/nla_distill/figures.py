@@ -200,8 +200,9 @@ def figure_params(name: str, *, lambda_db=None, pi=None,
             raise ValueError(f"success probabilities must be in (0, 1]: {p['pi']}")
     if not 0.0 < p.get("eps_target", 1.0) <= 1.0:
         raise ValueError(f"eps_target must be in (0, 1], got {p['eps_target']}")
-    if p.get("max_stages", 1) < 1:
-        raise ValueError(f"max_stages must be >= 1, got {p['max_stages']}")
+    if not 1 <= p.get("max_stages", 1) <= optimize.MAX_FLOOR_STAGES:
+        raise ValueError(f"max_stages must be 1 to {optimize.MAX_FLOOR_STAGES}, "
+                         f"got {p['max_stages']}")
     return p
 
 

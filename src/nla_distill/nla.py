@@ -2,9 +2,9 @@
 
 Two constructions of the same physics:
 
-* brute-force circuit simulations of the one- and two-stage scissor networks
-  (entangled source, loss beamsplitter, ancilla photon injection, heralding
-  detection patterns, recombination), and
+* brute-force simulations of the N-stage scissor network (entangled source,
+  loss beamsplitter, the lossy arm split over N scissors, ancilla photon
+  injection, heralding detection patterns, coherent recombination), and
 * the closed-form heralded states (1 + (kappa/N) a'b')^N sigma_AL^rho |0>
   for any stage count, expanded with exact binomial coefficients.
 
@@ -16,7 +16,6 @@ phase compensation on the amplified mode.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from math import comb
 
@@ -29,6 +28,7 @@ from .fock import TailMassError
 __all__ = [
     "HeraldedState",
     "DistillationResult",
+    "scissor_circuit",
     "single_stage_circuit",
     "dual_stage_circuit",
     "closed_form_state",
@@ -76,13 +76,6 @@ def _flip_odd(state: fock.PureState, mode: str) -> fock.PureState:
     return fock.PureState(state.modes, state.cutoffs, amps, tail_mass=state.tail_mass)
 
 
-def _check_pattern(pattern) -> tuple[int, int]:
-    pattern = tuple(pattern)
-    if pattern not in _PATTERNS:
-        raise ValueError(f"detection pattern must be (1,0) or (0,1), got {pattern}")
-    return pattern
-
-
 def _scissor(state: fock.PureState, signal: str, photon: str, vac: str,
              photon_cutoff: int, eta: float,
              pattern: tuple[int, int]) -> fock.PureState:
@@ -103,68 +96,64 @@ def _scissor(state: fock.PureState, signal: str, photon: str, vac: str,
     return state
 
 
-def _check_tail(state: fock.PureState, tail_budget) -> None:
-    if tail_budget is not None and state.tail_mass > tail_budget:
-        raise TailMassError(
-            f"truncation tail {state.tail_mass:.3e} exceeds budget {tail_budget:.0e}; "
-            f"raise the cutoff")
+def _arm_transmissivity(n_stages: int, k: int) -> float:
+    """Share kept on the lossy arm as arm k peels off: each arm gets 1/N."""
+    return 1.0 - 1.0 / (n_stages - k)
 
 
-def single_stage_circuit(channel: ChannelParams, eta: float, cutoff: int,
-                         pattern=(1, 0), tail_budget: float | None = None
-                         ) -> HeraldedState:
-    """Full circuit: EPR source, loss on one arm, one scissor on the lossy arm.
+def scissor_circuit(n_stages: int, channel: ChannelParams, eta: float,
+                    cutoff: int, patterns=None,
+                    tail_budget: float | None = None) -> HeraldedState:
+    """Full circuit: EPR source, loss on one arm, the lossy arm split evenly
+    over N scissors and coherently recombined (Ralph & Lund's N-splitter
+    generalized scissor).
 
-    Mode budget is exact: the ancilla modes hold at most one photon and the
-    heralding projection reads only the one-photon sector, so nothing beyond
-    the source truncation is ever clipped.  A ``tail_budget`` turns excess
-    truncation loss into a TailMassError.
+    Each peeled arm is scissored at once, the lossy arm itself last; the arms
+    recombine in mirror order, each dark port projected on vacuum and folded
+    into the success probability.  ``patterns`` holds each scissor's detection
+    pattern in that order (all (1,0) when None; 2^N symmetric combinations).
+    Only the source truncation clips: ancillas hold one photon, the scissor
+    outputs N together.  A ``tail_budget`` turns excess truncation loss into
+    a TailMassError.
     """
+    if n_stages < 1:
+        raise ValueError("n_stages must be >= 1")
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must be in (0, 1), got {eta}")
-    pattern = _check_pattern(pattern)
+    n = n_stages
+    patterns = [(1, 0)] * n if patterns is None else [tuple(p) for p in patterns]
+    if len(patterns) != n or not set(patterns) <= set(_PATTERNS):
+        raise ValueError(f"need {n} detection patterns, each (1,0) or (0,1): {patterns}")
     st = fock.epr_state(channel.chi, ("A", "Ap"), cutoff)
     st = fock.tensor(st, fock.vacuum(["VL"], [cutoff]))
     # vacuum-first ordering keeps the loss-arm amplitudes positive
     st = fock.apply_beamsplitter(st, ("VL", "Ap"), 1.0 - channel.lam)
-    st = _scissor(st, "Ap", "P", "V", 1, eta, pattern)
-    st = fock.rename_modes(st, {"VL": "L", "P": "B"})
-    st = fock.reorder_modes(st, ("A", "B", "L"))
-    _check_tail(st, tail_budget)
-    return HeraldedState(st, success_prob=2.0 * fock.norm_sq(st), pattern_count=2)
+    for k in range(n - 1):
+        st = fock.tensor(st, fock.vacuum([f"W{k}"], [cutoff]))
+        st = fock.apply_beamsplitter(st, (f"W{k}", "Ap"), _arm_transmissivity(n, k))
+        st = _scissor(st, f"W{k}", f"P{k}", f"V{k}", n, eta, patterns[k])
+    out = f"P{n - 1}"
+    st = _scissor(st, "Ap", out, f"V{n - 1}", n, eta, patterns[-1])
+    for k in reversed(range(n - 1)):
+        st = fock.apply_beamsplitter(st, (out, f"P{k}"), _arm_transmissivity(n, k))
+        st = fock.project_fock(st, f"P{k}", 0)
+    st = fock.reorder_modes(fock.rename_modes(st, {"VL": "L", out: "B"}), ("A", "B", "L"))
+    if tail_budget is not None and st.tail_mass > tail_budget:
+        raise TailMassError(f"truncation tail {st.tail_mass:.3e} exceeds budget "
+                            f"{tail_budget:.0e}; raise the cutoff")
+    return HeraldedState(st, success_prob=2.0**n * fock.norm_sq(st), pattern_count=2**n)
+
+
+def single_stage_circuit(channel: ChannelParams, eta: float, cutoff: int,
+                         pattern=(1, 0), tail_budget=None) -> HeraldedState:
+    """One scissor on the lossy arm: ``scissor_circuit(1, ...)``."""
+    return scissor_circuit(1, channel, eta, cutoff, [pattern], tail_budget)
 
 
 def dual_stage_circuit(channel: ChannelParams, eta: float, cutoff: int,
-                       patterns=((1, 0), (1, 0)),
-                       tail_budget: float | None = None) -> HeraldedState:
-    """Two parallel scissors on the 50:50-split lossy arm, coherently recombined.
-
-    The recombination beamsplitter's unused port is projected on vacuum and
-    folded into the success probability; both scissors are heralded on the
-    given patterns (four symmetric combinations in total).
-    """
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta must be in (0, 1), got {eta}")
-    if cutoff > 12:
-        warnings.warn(
-            "dual_stage_circuit above cutoff 12 is memory-heavy "
-            "(eight-mode simulation)", RuntimeWarning, stacklevel=2)
-    p1, p2 = (_check_pattern(p) for p in patterns)
-    st = fock.epr_state(channel.chi, ("A", "Ap"), cutoff)
-    st = fock.tensor(st, fock.vacuum(["VL"], [cutoff]))
-    st = fock.apply_beamsplitter(st, ("VL", "Ap"), 1.0 - channel.lam)
-    # split the lossy arm evenly onto the two scissor inputs
-    st = fock.tensor(st, fock.vacuum(["W"], [cutoff]))
-    st = fock.apply_beamsplitter(st, ("W", "Ap"), 0.5)
-    # scissor outputs need room for two photons at the recombiner
-    st = _scissor(st, "Ap", "P1", "V1", 2, eta, p1)
-    st = _scissor(st, "W", "P2", "V2", 2, eta, p2)
-    st = fock.apply_beamsplitter(st, ("P1", "P2"), 0.5)
-    st = fock.project_fock(st, "P2", 0)
-    st = fock.rename_modes(st, {"VL": "L", "P1": "B"})
-    st = fock.reorder_modes(st, ("A", "B", "L"))
-    _check_tail(st, tail_budget)
-    return HeraldedState(st, success_prob=4.0 * fock.norm_sq(st), pattern_count=4)
+                       patterns=None, tail_budget=None) -> HeraldedState:
+    """Two scissors on the evenly split lossy arm: ``scissor_circuit(2, ...)``."""
+    return scissor_circuit(2, channel, eta, cutoff, patterns, tail_budget)
 
 
 def closed_form_state(n_stages: int, channel: ChannelParams, eta: float,

@@ -43,6 +43,9 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # N = 4, 2.1 s and a 170 MB peak at N = 5 on one core of a Xeon server); a
 # search then makes ~200 evaluations of 0.07 to 0.13 ms each
 MAX_SEARCH_STAGES = 4
+# the floor search is O(N^2) in Python: 0.08 s at N = 20, 1.8 s at 100,
+# 3.8 s at 150 and about 32 s at 400 on one core of a Xeon server
+MAX_FLOOR_STAGES = 150
 
 
 class UnachievableTargetError(InfeasibleParameterError):
@@ -282,8 +285,8 @@ def best_entanglement_vs_stages(n_max: int) -> list[tuple[int, float, float]]:
     (1 + (kappa/N) a'b')^N |0> over the pair amplitude kappa: the ladder
     sums at zero loss (rho = 0).
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    if not 1 <= n_max <= MAX_FLOOR_STAGES:
+        raise ValueError(f"n_max must be 1 to {MAX_FLOOR_STAGES}, got {n_max}")
     out = []
     for n in range(1, n_max + 1):
         def eps_of(kappa: float, n=n) -> float:

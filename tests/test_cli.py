@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from nla_distill import cli, figures
+from nla_distill import cli, figures, optimize
 from nla_distill.figures import format_number
 
 # header names are an external contract
@@ -233,6 +233,20 @@ def test_point_rejects_unbounded_stage_count(capsys):
                      "--stages", "7"]) == 1
     assert time.perf_counter() - t0 < 1.0
     assert "stages" in capsys.readouterr().err
+
+
+def test_fig11_rejects_stage_counts_past_the_floor_bound(tmp_path, capsys):
+    # the floor search is O(N^2): 5000 stages would run for about an hour
+    out = tmp_path / "x.csv"
+    t0 = time.perf_counter()
+    assert cli.main(["fig11", "-o", str(out), "--max-stages",
+                     str(optimize.MAX_FLOOR_STAGES + 1)]) == 1
+    assert cli.main(["fig11", "-o", str(out), "--max-stages", "5000"]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert "max_stages" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ValueError):
+        optimize.best_entanglement_vs_stages(optimize.MAX_FLOOR_STAGES + 1)
 
 
 def test_fig10_defaults_to_its_own_success_probabilities(tmp_path):

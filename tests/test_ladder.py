@@ -3,6 +3,8 @@ the Fock-space closed-form state, the moments engine, the one-stage closed
 forms, and the lossless pair state."""
 
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -71,3 +73,46 @@ def test_ladder_without_pair_creation():
     assert eps_ab == pytest.approx(math.cosh(0.8) ** 2, rel=1e-14)
     with pytest.raises(ValueError):
         eps_ladder(0, 0.5, 0.1)
+
+
+def exact_ladder(n, kappa, rho):
+    """(eps_B|A, eps_A|B, purity) of the ladder sums in exact arithmetic for
+    an integer kappa, with T = a / d the float the library uses.
+
+    Over the common denominator n^(2N) (d-a)^(N+1), S_j = w_j q^(j+1) is the
+    integer c_j n^(2(N-j)) d^(j+1) (d-a)^(N-j), c_j = (N!/(N-j)! kappa^j)^2.
+    The purity pairs are regrouped as y sum_i x^i (sum_j w_j C(j,i) y^j)^2,
+    x = T^2, y = 1/(1-x), and cleared the same way with e = d^2 - a^2.
+    """
+    t = Fraction(math.tanh(rho) ** 2)
+    a, d = t.numerator, t.denominator
+    c = [1]
+    for j in range(1, n + 1):
+        c.append(c[-1] * ((n - j + 1) * kappa) ** 2)
+    s = [c[j] * n ** (2 * (n - j)) * d ** (j + 1) * (d - a) ** (n - j)
+         for j in range(n + 1)]
+    z = sum(s)
+    nb = Fraction(sum(j * sj for j, sj in enumerate(s)), z)
+    na = nb + Fraction(a * sum((j + 1) * sj for j, sj in enumerate(s)), (d - a) * z)
+    ab = Fraction(d * kappa * sum(s[j - 1] * j * (n - j + 1) for j in range(1, n + 1)),
+                  (d - a) * n * z)
+    v_a, v_b, c2 = 1 + 2 * na, 1 + 2 * nb, (2 * ab) ** 2
+    dd, e = d * d, d * d - a * a
+    u = [c[j] * n ** (2 * (n - j)) * dd ** j * e ** (n - j) for j in range(n + 1)]
+    num = sum(a ** (2 * i) * dd ** (n - i)
+              * sum(u[j] * math.comb(j, i) for j in range(i, n + 1)) ** 2
+              for i in range(n + 1))
+    purity = Fraction(num * dd * (d - a) ** (2 * n + 2),
+                      e ** (2 * n + 1) * dd ** n * z * z)
+    return (v_b - c2 / v_a) ** 2, (v_a - c2 / v_b) ** 2, purity
+
+
+@pytest.mark.parametrize("n,kappa,rho", [(3, 2, 0.4), (150, 30, 0.3)])
+def test_ladder_matches_exact_rational_sums(n, kappa, rho):
+    # at N = 150, kappa = 30 the weight w_N ~ 1e316 overflows a float, and
+    # the sums read nan unless the weights are rescaled on the way
+    if n == 150:
+        assert Fraction(math.factorial(n) * kappa**n, n**n) ** 2 > sys.float_info.max
+    got = eps_ladder(n, float(kappa), rho) + (purity_ladder(n, float(kappa), rho),)
+    for value, exact in zip(got, exact_ladder(n, kappa, rho)):
+        assert value == pytest.approx(float(exact), rel=1e-13)

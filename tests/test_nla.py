@@ -1,5 +1,6 @@
 """Heralded amplifier circuits against their closed forms."""
 
+import itertools
 import math
 from unittest import mock
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nla_distill import fock, metrics, nla
+from nla_distill import fock, metrics, nla, optimize
 from nla_distill.analytic import ChannelParams, NlaParams, success_prob_1stage
 
 GRID = [(r, lam, eta) for r in (0.2, 0.3) for lam in (0.2, 0.5)
@@ -70,8 +71,7 @@ def scissor_splitting_after_tensor(state, signal, photon, vac, photon_cutoff,
 
 @settings(max_examples=15)
 @given(r=st.floats(0.0, 0.8), lam=st.floats(0.0, 0.9), eta=st.floats(0.02, 0.98),
-       patterns=st.tuples(st.sampled_from(nla._PATTERNS),
-                          st.sampled_from(nla._PATTERNS)))
+       patterns=st.lists(st.sampled_from(nla._PATTERNS), min_size=3, max_size=3))
 def test_circuits_match_splitting_the_ancilla_after_tensoring(r, lam, eta, patterns):
     # gates on disjoint modes commute: splitting the ancilla pair first
     # simulates the same network
@@ -79,7 +79,8 @@ def test_circuits_match_splitting_the_ancilla_after_tensoring(r, lam, eta, patte
 
     def build():
         return (nla.single_stage_circuit(ch, eta, 12, patterns[0]),
-                nla.dual_stage_circuit(ch, eta, 5, patterns))
+                nla.dual_stage_circuit(ch, eta, 5, patterns[:2]),
+                nla.scissor_circuit(3, ch, eta, 4, patterns))
 
     new = build()
     with mock.patch.object(nla, "_scissor", scissor_splitting_after_tensor):
@@ -223,19 +224,69 @@ def test_truncated_pair_state_is_normalized():
 
 
 def test_circuit_tail_budget_enforced():
-    import warnings as _w
     from nla_distill.fock import TailMassError
     ch = ChannelParams(0.9, 0.3)  # heavy tail at a tiny cutoff
     with pytest.raises(TailMassError):
         nla.single_stage_circuit(ch, 0.6, 4, tail_budget=1e-10)
-    with _w.catch_warnings():
-        _w.simplefilter("ignore")
-        with pytest.raises(TailMassError):
-            nla.dual_stage_circuit(ch, 0.6, 4, tail_budget=1e-12)
+    with pytest.raises(TailMassError):
+        nla.dual_stage_circuit(ch, 0.6, 4, tail_budget=1e-12)
     # generous budgets pass
     nla.single_stage_circuit(ch, 0.6, 4, tail_budget=1.0)
 
 
-def test_dual_stage_warns_above_cutoff_12():
-    with pytest.warns(RuntimeWarning):
-        nla.dual_stage_circuit(ChannelParams(0.2, 0.2), 0.5, 13)
+N_STAGE_POINTS = [(0.3, 0.3, 0.7), (0.5, 0.6, 0.4)]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("r,lam,eta", N_STAGE_POINTS)
+def test_n_stage_circuit_matches_closed_form(n, r, lam, eta):
+    ch = ChannelParams(r, lam)
+    circ = nla.scissor_circuit(n, ch, eta, 10)
+    cf = nla.closed_form_state(n, ch, eta, 10)
+    assert circ.state.modes == cf.state.modes
+    assert circ.pattern_count == 2**n
+    assert fock.fidelity(circ.state, cf.state) >= 1 - 1e-12
+    assert abs(fock.norm_sq(circ.state) / fock.norm_sq(cf.state) - 1) <= 1e-12
+    # only the source clips: every scissor output has room for all N photons
+    assert abs(circ.state.tail_mass - ch.chi ** (2 * 11)) < 1e-14
+
+
+def test_closed_form_pins_the_splitter_convention(monkeypatch):
+    # N <= 2 cannot tell the peeling splitters 1 - 1/(N-k) from 1/(N-k):
+    # the flipped network must miss the N = 3 closed form by far more than
+    # the tolerance above
+    r, lam, eta = N_STAGE_POINTS[0]
+    cf = nla.closed_form_state(3, ChannelParams(r, lam), eta, 10)
+    monkeypatch.setattr(nla, "_arm_transmissivity", lambda n, k: 1.0 / (n - k))
+    flipped = nla.scissor_circuit(3, ChannelParams(r, lam), eta, 10)
+    assert fock.fidelity(flipped.state, cf.state) < 1 - 1e-4
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("r,lam,pi", [(0.2, 0.3, 1e-2), (0.25, 0.6, 1e-3)])
+def test_n_stage_success_prob_matches_polynomial(n, r, lam, pi):
+    # the circuit heralds with the probability Pi_N(eta) that eta_candidates
+    # inverts
+    etas = optimize.eta_candidates(r, lam, pi, n)
+    assert etas
+    for eta in etas:
+        hs = nla.scissor_circuit(n, ChannelParams(r, lam), eta, 10)
+        assert abs(hs.success_prob - pi) <= 1e-13
+
+
+def test_n_stage_pattern_symmetry():
+    ch = ChannelParams(0.3, 0.3)
+    base = nla.scissor_circuit(3, ch, 0.7, 10)
+    for pats in itertools.product(nla._PATTERNS, repeat=3):
+        alt = nla.scissor_circuit(3, ch, 0.7, 10, patterns=pats)
+        assert abs(fock.norm_sq(alt.state) - fock.norm_sq(base.state)) < 1e-12
+        assert fock.fidelity(alt.state, base.state) >= 1 - 1e-12
+
+
+def test_scissor_circuit_needs_one_pattern_per_stage():
+    ch = ChannelParams(0.3, 0.3)
+    for n, pats in ((3, [(1, 0)] * 2), (2, [(1, 0)] * 3), (1, [])):
+        with pytest.raises(ValueError, match="patterns"):
+            nla.scissor_circuit(n, ch, 0.7, 4, patterns=pats)
+    with pytest.raises(ValueError):
+        nla.scissor_circuit(0, ch, 0.7, 4)
