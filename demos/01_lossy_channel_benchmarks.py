@@ -6,22 +6,11 @@ entanglement floor at lambda^2, and how purity trades against entanglement.
 Every closed form is cross-checked against the truncated-Fock simulation.
 """
 
-import math
-
-from nla_distill import (ChannelParams, apply_beamsplitter, epr_criterion,
-                         epr_state, eps_infinity, eps_no_nla, partial_trace,
-                         purity, purity_no_nla, purity_tradeoff, rename_modes,
-                         tensor, vacuum)
+from nla_distill import (ChannelParams, epr_criterion, eps_infinity,
+                         eps_no_nla, lossy_channel_state, partial_trace,
+                         purity, purity_no_nla, purity_tradeoff)
 
 CUTOFF = 25
-
-
-def lossy_epr(r, lam):
-    """EPR pair with one arm sent through a beamsplitter loss channel."""
-    st = epr_state(math.tanh(r), ("A", "Ap"), CUTOFF)
-    st = tensor(st, vacuum(["VL"], [CUTOFF]))
-    st = apply_beamsplitter(st, ("VL", "Ap"), 1.0 - lam)
-    return rename_modes(st, {"Ap": "B", "VL": "L"})
 
 
 print("=== entanglement and purity after loss ===")
@@ -30,7 +19,7 @@ print(f"{'r':>5} {'loss':>5} | {'eps sim':>10} {'eps form':>10} "
 for r in (0.3, 0.6, 1.0):
     for lam in (0.1, 0.3, 0.6):
         ch = ChannelParams(r, lam)
-        st = lossy_epr(r, lam)
+        st = lossy_channel_state(ch, CUTOFF)
         eps_sim = epr_criterion(st, "A", "B").eps_b_given_a
         pur_sim = purity(partial_trace(st, ["A", "B"]))
         print(f"{r:5.2f} {lam:5.2f} | {eps_sim:10.6f} {eps_no_nla(ch)[0]:10.6f} "
@@ -39,7 +28,7 @@ for r in (0.3, 0.6, 1.0):
 print()
 print("=== the conditioning direction matters ===")
 ch = ChannelParams(0.6, 0.3)
-st = lossy_epr(0.6, 0.3)
+st = lossy_channel_state(ch, CUTOFF)
 res = epr_criterion(st, "A", "B")
 print(f"eps_B|A = {res.eps_b_given_a:.6f}  (infer the lossy mode from the kept one)")
 print(f"eps_A|B = {res.eps_a_given_b:.6f}  (the other way round is always worse)")

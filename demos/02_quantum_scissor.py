@@ -9,8 +9,9 @@ compares the heralded branch against its compact closed form
 import math
 
 from nla_distill import (ChannelParams, NlaParams, closed_form_state,
-                         debug_serialize, distill_and_measure, fidelity,
-                         norm_sq, single_stage_circuit, success_prob_1stage)
+                         debug_serialize, distill_and_measure, epr_criterion,
+                         fidelity, lossy_channel_state, norm_sq,
+                         single_stage_circuit, success_prob_1stage)
 
 r, lam, eta = 0.5, 0.3, 0.8
 ch = ChannelParams(r, lam)
@@ -44,13 +45,7 @@ print(f"branch norms: circuit {norm_sq(hs.state):.12f}, "
 print()
 print("=== what one scissor buys ===")
 res = distill_and_measure(single_stage_circuit(ch, eta, cutoff=30))
-from nla_distill import (apply_beamsplitter, epr_criterion, epr_state,
-                         rename_modes, tensor, vacuum)
-st = epr_state(math.tanh(r), ("A", "Ap"), 30)
-st = tensor(st, vacuum(["VL"], [30]))
-st = apply_beamsplitter(st, ("VL", "Ap"), 1.0 - lam)
-st = rename_modes(st, {"Ap": "B"})
-before = epr_criterion(st, "A", "B").eps_b_given_a
+before = epr_criterion(lossy_channel_state(ch, 30), "A", "B").eps_b_given_a
 print(f"eps_B|A before distillation: {before:.6f}")
 print(f"eps_B|A after the scissor:   {res.eps_b_given_a:.6f} "
       f"(purity {res.purity:.6f}, success {res.success_prob:.4f})")

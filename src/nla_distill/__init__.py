@@ -10,7 +10,7 @@ from .analytic import (RECORD_SQUEEZING_DB, ChannelParams,
                        eps_infinity, eps_ladder, eps_no_nla, eps_opt_formula,
                        lambda_from_db, purity_formula, purity_ladder,
                        purity_no_nla, purity_tradeoff, r_from_squeeze_db,
-                       squeeze_db_from_r, success_prob_1stage)
+                       squeeze_db_from_r, success_prob, success_prob_1stage)
 from .fock import (DensityMatrix, PureState, TailMassError, apply_beamsplitter,
                    apply_single_mode_squeeze, debug_serialize, epr_state,
                    fidelity, fock_state, herald_beamsplitter, norm_sq,
@@ -19,8 +19,8 @@ from .fock import (DensityMatrix, PureState, TailMassError, apply_beamsplitter,
 from .metrics import (ConditionalVariancePair, EprResult,
                       conditional_variances, epr_criterion)
 from .nla import (DistillationResult, HeraldedState, closed_form_state,
-                  distill_and_measure, dual_stage_circuit, scissor_circuit,
-                  single_stage_circuit, truncated_pair_state)
+                  distill_and_measure, dual_stage_circuit, lossy_channel_state,
+                  scissor_circuit, single_stage_circuit, truncated_pair_state)
 from .optimize import (UnachievableTargetError, best_entanglement_vs_stages,
                        eta_from_pi, optimize_entanglement,
                        purity_for_target_entanglement)
@@ -31,7 +31,7 @@ __all__ = [
     "RECORD_SQUEEZING_DB", "ChannelParams", "NlaParams",
     "InfeasibleParameterError", "UnachievableTargetError", "TailMassError",
     "eps_no_nla", "eps_infinity", "purity_no_nla", "purity_tradeoff",
-    "success_prob_1stage", "eps_opt_formula", "purity_formula",
+    "success_prob_1stage", "success_prob", "eps_opt_formula", "purity_formula",
     "eps_ladder", "purity_ladder",
     "lambda_from_db", "db_from_lambda", "r_from_squeeze_db",
     "squeeze_db_from_r",
@@ -41,9 +41,9 @@ __all__ = [
     "fidelity", "debug_serialize", "rename_modes", "reorder_modes",
     "ConditionalVariancePair", "EprResult", "conditional_variances",
     "epr_criterion",
-    "HeraldedState", "DistillationResult", "scissor_circuit",
-    "single_stage_circuit", "dual_stage_circuit", "closed_form_state",
-    "truncated_pair_state", "distill_and_measure",
+    "HeraldedState", "DistillationResult", "lossy_channel_state",
+    "scissor_circuit", "single_stage_circuit", "dual_stage_circuit",
+    "closed_form_state", "truncated_pair_state", "distill_and_measure",
     "eta_from_pi", "optimize_entanglement",
     "purity_for_target_entanglement", "best_entanglement_vs_stages",
 ]

@@ -22,6 +22,7 @@ __all__ = [
     "purity_no_nla",
     "purity_tradeoff",
     "success_prob_1stage",
+    "success_prob",
     "eps_opt_formula",
     "purity_formula",
     "eps_ladder",
@@ -88,11 +89,6 @@ class NlaParams:
     def rho(self) -> float:
         """Residual decoherence strength: tanh(rho) = sqrt(lam) tanh(r)."""
         return math.atanh(math.sqrt(self.channel.lam) * self.channel.chi)
-
-    @property
-    def xi(self) -> float:
-        """Two-stage branch scale cosh(rho)/cosh(r) * (1 - eta)/2."""
-        return math.cosh(self.rho) / math.cosh(self.channel.r) * (1.0 - self.eta) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +219,32 @@ def purity_formula(r: float, lam: float, pi: float) -> float:
 # when the loss mode holds n.  Tracing the loss mode out leaves an orthogonal
 # mixture over n whose sums close in q = 1/(1 - T), T = tanh^2(rho), so every
 # quantity is a finite sum over j <= N.
+
+
+def _success_weights(n_stages: int, r: float, lam: float):
+    """u_j and cosh^2(rho) of Pi_N(eta) = (cosh^2 rho / cosh^2 r)
+    * sum_j u_j eta^j (1-eta)^(N-j), the joint N-stage heralding probability
+    in its all-positive Bernstein form."""
+    t2 = math.tanh(r) ** 2
+    q = (1.0 - lam) * t2
+    ch2rho = 1.0 / (1.0 - lam * t2)  # cosh^2(rho)
+    n = n_stages
+    u = [(math.comb(n, j) * math.factorial(j) / n**j) ** 2 * (q * ch2rho) ** j
+         for j in range(n + 1)]
+    return u, ch2rho
+
+
+def success_prob(n_stages: int, params: ChannelParams, eta: float) -> float:
+    """Heralding probability of the N-stage amplifier (all 2^N patterns).
+
+    Summed in the Bernstein form, whose terms are all positive; the expanded
+    monomial coefficients cancel catastrophically at large N.
+    """
+    NlaParams(n_stages, eta, params)  # validates the stage count and eta
+    u, ch2rho = _success_weights(n_stages, params.r, params.lam)
+    total = sum(uj * eta**j * (1.0 - eta) ** (n_stages - j)
+                for j, uj in enumerate(u))
+    return total * ch2rho / math.cosh(params.r) ** 2
 
 
 def _ladder(n_stages: int, kappa: float, rho: float):

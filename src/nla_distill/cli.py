@@ -113,7 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the oracle suite")
     p.add_argument("--cutoff", type=int, default=verify.DEFAULT_CUTOFF,
-                   help="Fock cutoff for the lossy-channel checks")
+                   help=("Fock cutoff for the lossy-channel checks, 1 to "
+                         f"{verify.MAX_CUTOFF}"))
     p.add_argument("--tolerance", type=float, default=verify.TAIL_BUDGET,
                    help="truncation tail-mass budget")
     return parser

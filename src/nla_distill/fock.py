@@ -88,9 +88,9 @@ class PureState:
         amps = np.ascontiguousarray(self.amps, dtype=np.complex128)
         if amps is not self.amps:
             object.__setattr__(self, "amps", amps)
-        if not np.all(np.isfinite(self.amps)):
-            raise ValueError("non-finite amplitude")
         n2 = float(np.vdot(self.amps, self.amps).real)
+        if not math.isfinite(n2):  # a NaN or inf amplitude makes it so
+            raise ValueError("non-finite amplitude")
         if n2 > 1.0 + _NORM_SLACK:
             raise ValueError(f"squared norm {n2} exceeds 1")
         self.amps.flags.writeable = False

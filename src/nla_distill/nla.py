@@ -22,12 +22,13 @@ from math import comb
 import numpy as np
 
 from . import fock, metrics
-from .analytic import ChannelParams, NlaParams
+from .analytic import ChannelParams, NlaParams, success_prob
 from .fock import TailMassError
 
 __all__ = [
     "HeraldedState",
     "DistillationResult",
+    "lossy_channel_state",
     "scissor_circuit",
     "single_stage_circuit",
     "dual_stage_circuit",
@@ -41,16 +42,22 @@ _PATTERNS = ((1, 0), (0, 1))
 
 @dataclass(frozen=True)
 class HeraldedState:
-    """Unnormalized heralded branch plus its bookkeeping.
+    """Unnormalized heralded branch of an N-stage amplifier.
 
-    ``success_prob`` equals ``pattern_count * norm_sq(state)``: the stored
-    branch is the one for a single concrete detection pattern, and the other
-    symmetric patterns contribute equal probability.
+    The stored branch is the one for a single concrete detection pattern; the
+    other symmetric patterns contribute equal probability.
     """
 
     state: fock.PureState
-    success_prob: float
-    pattern_count: int
+    n_stages: int
+
+    @property
+    def pattern_count(self) -> int:
+        return 2**self.n_stages
+
+    @property
+    def success_prob(self) -> float:
+        return 2.0**self.n_stages * fock.norm_sq(self.state)
 
 
 @dataclass(frozen=True)
@@ -101,6 +108,14 @@ def _arm_transmissivity(n_stages: int, k: int) -> float:
     return 1.0 - 1.0 / (n_stages - k)
 
 
+def lossy_channel_state(channel: ChannelParams, cutoff: int) -> fock.PureState:
+    """EPR pair on (A, B) with B sent through the loss splitter into L."""
+    st = fock.epr_state(channel.chi, ("A", "B"), cutoff)
+    st = fock.tensor(st, fock.vacuum(["L"], [cutoff]))
+    # vacuum-first ordering keeps the loss-arm amplitudes positive
+    return fock.apply_beamsplitter(st, ("L", "B"), 1.0 - channel.lam)
+
+
 def scissor_circuit(n_stages: int, channel: ChannelParams, eta: float,
                     cutoff: int, patterns=None,
                     tail_budget: float | None = None) -> HeraldedState:
@@ -116,32 +131,26 @@ def scissor_circuit(n_stages: int, channel: ChannelParams, eta: float,
     outputs N together.  A ``tail_budget`` turns excess truncation loss into
     a TailMassError.
     """
-    if n_stages < 1:
-        raise ValueError("n_stages must be >= 1")
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta must be in (0, 1), got {eta}")
+    NlaParams(n_stages, eta, channel)  # validates the stage count and eta
     n = n_stages
     patterns = [(1, 0)] * n if patterns is None else [tuple(p) for p in patterns]
     if len(patterns) != n or not set(patterns) <= set(_PATTERNS):
         raise ValueError(f"need {n} detection patterns, each (1,0) or (0,1): {patterns}")
-    st = fock.epr_state(channel.chi, ("A", "Ap"), cutoff)
-    st = fock.tensor(st, fock.vacuum(["VL"], [cutoff]))
-    # vacuum-first ordering keeps the loss-arm amplitudes positive
-    st = fock.apply_beamsplitter(st, ("VL", "Ap"), 1.0 - channel.lam)
+    st = lossy_channel_state(channel, cutoff)
     for k in range(n - 1):
         st = fock.tensor(st, fock.vacuum([f"W{k}"], [cutoff]))
-        st = fock.apply_beamsplitter(st, (f"W{k}", "Ap"), _arm_transmissivity(n, k))
+        st = fock.apply_beamsplitter(st, (f"W{k}", "B"), _arm_transmissivity(n, k))
         st = _scissor(st, f"W{k}", f"P{k}", f"V{k}", n, eta, patterns[k])
     out = f"P{n - 1}"
-    st = _scissor(st, "Ap", out, f"V{n - 1}", n, eta, patterns[-1])
+    st = _scissor(st, "B", out, f"V{n - 1}", n, eta, patterns[-1])
     for k in reversed(range(n - 1)):
         st = fock.apply_beamsplitter(st, (out, f"P{k}"), _arm_transmissivity(n, k))
         st = fock.project_fock(st, f"P{k}", 0)
-    st = fock.reorder_modes(fock.rename_modes(st, {"VL": "L", out: "B"}), ("A", "B", "L"))
+    st = fock.reorder_modes(fock.rename_modes(st, {out: "B"}), ("A", "B", "L"))
     if tail_budget is not None and st.tail_mass > tail_budget:
         raise TailMassError(f"truncation tail {st.tail_mass:.3e} exceeds budget "
                             f"{tail_budget:.0e}; raise the cutoff")
-    return HeraldedState(st, success_prob=2.0**n * fock.norm_sq(st), pattern_count=2**n)
+    return HeraldedState(st, n)
 
 
 def single_stage_circuit(channel: ChannelParams, eta: float, cutoff: int,
@@ -165,8 +174,6 @@ def closed_form_state(n_stages: int, channel: ChannelParams, eta: float,
     cosh(rho)/cosh(r) * ((1-eta)/2)^(N/2), each scissor contributing one
     factor sqrt((1-eta)/2).
     """
-    if n_stages < 1:
-        raise ValueError("n_stages must be >= 1")
     params = NlaParams(n_stages, eta, channel)
     kappa, rho = params.kappa, params.rho
     n = n_stages
@@ -183,17 +190,12 @@ def closed_form_state(n_stages: int, channel: ChannelParams, eta: float,
             if nl + j > cutoff:
                 break
             amps[nl + j, j, nl] = base * coef[j] * math.sqrt(_ff(nl + j, nl))
-    # exact norm of the untruncated branch: the geometric sums over the loss
-    # ladder collapse to powers of cosh(rho)
-    norm_inf = scale**2 * sum(
-        (comb(n, j) * (kappa / n) ** j * math.factorial(j)) ** 2
-        * math.cosh(rho) ** (2 * j) for j in range(n + 1))
-    kept = float(np.vdot(amps, amps).real)
-    tail = max(norm_inf - kept, 0.0)
+    # the untruncated branch holds one pattern's share of the success rate
+    norm_inf = success_prob(n, channel, eta) / 2.0**n
+    tail = max(norm_inf - float(np.vdot(amps, amps).real), 0.0)
     state = fock.PureState(("A", "B", "L"), (cutoff, n, cutoff), amps,
                            tail_mass=tail)
-    return HeraldedState(state, success_prob=2.0**n * kept,
-                         pattern_count=2**n)
+    return HeraldedState(state, n)
 
 
 def _ff(top: int, bot: int) -> float:
@@ -227,5 +229,5 @@ def distill_and_measure(heralded: HeraldedState) -> DistillationResult:
         eps_a_given_b=res.eps_a_given_b,
         purity=fock.purity(rho_ab),
         success_prob=heralded.success_prob,
-        n_stages=heralded.pattern_count.bit_length() - 1,
+        n_stages=heralded.n_stages,
     )

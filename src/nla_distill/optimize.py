@@ -18,8 +18,8 @@ from scipy.optimize import brentq
 
 from . import moments
 from .analytic import (ChannelParams, InfeasibleParameterError, NlaParams,
-                       eps_ladder, eps_opt_formula, purity_formula,
-                       purity_ladder)
+                       _success_weights, eps_ladder, eps_opt_formula,
+                       purity_formula, purity_ladder)
 from .nla import DistillationResult
 
 __all__ = [
@@ -73,22 +73,17 @@ def eta_from_pi(r: float, lam: float, pi: float) -> float:
 def eta_candidates(r: float, lam: float, pi: float, n_stages: int) -> list[float]:
     """All transmissivities in (0, 1) with the N-stage success probability pi.
 
-    The joint success probability (2^N symmetric patterns, recombination
-    ports heralded on vacuum) is a degree-N polynomial in eta; for N = 1 this
-    reduces to `eta_from_pi`.  Returns [] when unreachable.
+    The joint success probability (`analytic.success_prob`) is a degree-N
+    polynomial in eta, expanded here into monomials for `np.roots`; for
+    N = 1 this reduces to `eta_from_pi`.  Returns [] when unreachable.
     """
     if n_stages == 1:
         try:
             return [eta_from_pi(r, lam, pi)]
         except InfeasibleParameterError:
             return []
-    t2 = math.tanh(r) ** 2
-    q = (1.0 - lam) * t2
-    ch2rho = 1.0 / (1.0 - lam * t2)  # cosh^2(rho)
     n = n_stages
-    # Pi_N(eta) = (cosh^2 rho / cosh^2 r) * sum_j u_j eta^j (1-eta)^(N-j)
-    u = [(math.comb(n, j) * math.factorial(j) / n**j) ** 2 * (q * ch2rho) ** j
-         for j in range(n + 1)]
+    u, ch2rho = _success_weights(n, r, lam)
     target = pi * math.cosh(r) ** 2 / ch2rho
     coeffs = np.zeros(n + 1)
     for j, uj in enumerate(u):
@@ -235,7 +230,7 @@ def purity_for_target_entanglement(eps_target: float, lam: float, pi: float,
         raise ValueError("target entanglement must be positive")
     objective = _make_objective(lam, pi, n_stages)
     sub, vals, runs = _feasible_grid(objective, lam, pi, n_stages)
-    _, eps_min, _ = _minimize_on_grid(objective, sub, vals, runs)
+    r_opt, eps_min, _ = _minimize_on_grid(objective, sub, vals, runs)
     # the r = 0 edge is always feasible and reaches eps = 1 exactly (vacuum
     # input); the log grid cannot contain it
     sub = np.concatenate([[0.0], sub])
@@ -260,6 +255,12 @@ def purity_for_target_entanglement(eps_target: float, lam: float, pi: float,
             roots.append(float(brentq(f, sub[i], sub[i + 1], xtol=1e-12)))
     if abs(diffs[-1]) < 1e-14:
         roots.append(float(sub[-1]))
+    if not roots and (diffs > 0.0).all():
+        # the target lies between the refined optimum and every grid value:
+        # one root on each side of r_opt, inside its grid cell
+        i = int(np.searchsorted(sub, r_opt)) - 1
+        roots = [float(brentq(f, sub[i], r_opt, xtol=1e-12)),
+                 float(brentq(f, r_opt, sub[i + 1], xtol=1e-12))]
     if not roots:
         raise InfeasibleParameterError(
             f"no squeezing reaches eps={eps_target} at lam={lam}, pi={pi}")

@@ -4,7 +4,6 @@ Run with `pytest -v tests/test_acceptance.py` (add -s to see the lines on
 success).  Tolerances are fixed here, not calibrated.
 """
 
-import math
 import time
 
 import numpy as np
@@ -27,19 +26,12 @@ def report(num, name, ok, detail):
     assert ok, line
 
 
-def lossy_state(r, lam, cutoff):
-    st = fock.epr_state(math.tanh(r), ("A", "Ap"), cutoff)
-    st = fock.tensor(st, fock.vacuum(["VL"], [cutoff]))
-    st = fock.apply_beamsplitter(st, ("VL", "Ap"), 1.0 - lam)
-    return fock.rename_modes(st, {"Ap": "B", "VL": "L"})
-
-
 def test_criterion_01_benchmark_formulas():
     t0 = time.perf_counter()
     worst = 0.0
     for r, lam in BENCH_GRID:
         ch = ChannelParams(r, lam)
-        st = lossy_state(r, lam, 25)
+        st = nla.lossy_channel_state(ch, 25)
         res = metrics.epr_criterion(st, "A", "B")
         ana_ba, ana_ab = eps_no_nla(ch)
         pur = fock.purity(fock.partial_trace(st, ["A", "B"]))

@@ -88,6 +88,42 @@ def test_success_prob_linear_in_eta():
     assert np.allclose(diffs, diffs[0], atol=1e-12)
 
 
+@pytest.mark.parametrize("r,lam,eta", [(0.0, 0.3, 0.25), (0.4, 0.2, 0.6),
+                                       (1.3, 0.9, 0.05), (2.5, 0.0, 0.97)])
+def test_success_prob_one_stage_is_the_closed_form(r, lam, eta):
+    ch = ChannelParams(r, lam)
+    assert abs(analytic.success_prob(1, ch, eta)
+               - success_prob_1stage(ch, eta)) <= 1e-15
+
+
+def _norm_inf_sum(n, ch, eta):
+    """The untruncated closed-form branch norm, summed term by term over the
+    (1 + (kappa/N) a'b')^N expansion (each photon pair weighted by
+    cosh^2 rho from the loss ladder)."""
+    p = NlaParams(n, eta, ch)
+    kappa, rho = p.kappa, p.rho
+    scale = (math.cosh(rho) / math.cosh(ch.r)) * ((1.0 - eta) / 2.0) ** (n / 2.0)
+    return scale**2 * sum(
+        (math.comb(n, j) * (kappa / n) ** j * math.factorial(j)) ** 2
+        * math.cosh(rho) ** (2 * j) for j in range(n + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 34, 64])
+@pytest.mark.parametrize("r,lam,eta", [(0.3, 0.3, 0.7), (0.9, 0.6, 0.2),
+                                       (1.5, 0.1, 0.95)])
+def test_success_prob_matches_the_branch_norm_sum(n, r, lam, eta):
+    ch = ChannelParams(r, lam)
+    ref = 2.0**n * _norm_inf_sum(n, ch, eta)
+    assert abs(analytic.success_prob(n, ch, eta) / ref - 1.0) <= 1e-13
+
+
+def test_success_prob_validates():
+    ch = ChannelParams(0.3, 0.3)
+    for n, eta in ((0, 0.5), (2, 0.0), (2, 1.0)):
+        with pytest.raises(ValueError):
+            analytic.success_prob(n, ch, eta)
+
+
 def test_eps_formula_r_to_zero_limit():
     for lam in (0.1, 0.5, 0.9):
         assert eps_opt_formula(1e-8, lam, 0.05) == pytest.approx(1.0, rel=1e-5)
@@ -135,7 +171,6 @@ def test_nla_params_derived_quantities():
     assert p.g == pytest.approx(2.0, abs=1e-15)
     assert p.kappa == pytest.approx(2.0 * math.sqrt(0.7) * math.tanh(0.5), abs=1e-15)
     assert math.tanh(p.rho) == pytest.approx(math.sqrt(0.3) * math.tanh(0.5), abs=1e-15)
-    assert p.xi == pytest.approx(math.cosh(p.rho) / math.cosh(0.5) * 0.1, abs=1e-15)
     with pytest.raises(ValueError):
         NlaParams(0, 0.5, ch)
     with pytest.raises(ValueError):
@@ -159,14 +194,11 @@ def test_record_squeezing_constant():
 @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
 def test_benchmarks_agree_with_simulation_at_tail_rule_cutoff(r, lam):
     # cutoff follows the tail rule rather than a fixed value
-    from nla_distill import fock, metrics
+    from nla_distill import fock, metrics, nla
     chi = math.tanh(r)
     cutoff = max(12, math.ceil(math.log(1e-11) / (2 * math.log(chi))) - 1)
-    st = fock.epr_state(chi, ("A", "Ap"), cutoff)
-    st = fock.tensor(st, fock.vacuum(["VL"], [cutoff]))
-    st = fock.apply_beamsplitter(st, ("VL", "Ap"), 1.0 - lam)
-    st = fock.rename_modes(st, {"Ap": "B", "VL": "L"})
     ch = ChannelParams(r, lam)
+    st = nla.lossy_channel_state(ch, cutoff)
     res = metrics.epr_criterion(st, "A", "B")
     ana_ba, ana_ab = eps_no_nla(ch)
     assert abs(res.eps_b_given_a - ana_ba) < 1e-6

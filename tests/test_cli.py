@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from nla_distill import cli, figures, optimize
+from nla_distill import cli, figures, optimize, verify
 from nla_distill.figures import format_number
 
 # header names are an external contract
@@ -279,7 +279,9 @@ def test_out_of_range_figure_inputs_exit_one(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("flag", [["--cutoff", "0"], ["--tolerance", "0"]])
+@pytest.mark.parametrize("flag", [["--cutoff", "0"],
+                                  ["--cutoff", str(verify.MAX_CUTOFF + 1)],
+                                  ["--tolerance", "0"]])
 def test_verify_rejects_bad_settings_before_running(flag, capsys):
     t0 = time.perf_counter()
     assert cli.main(["verify", *flag]) == 1

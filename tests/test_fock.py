@@ -404,8 +404,12 @@ def test_states_are_immutable():
 
 
 def test_norm_invariant_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceeds 1"):
         fock.PureState(("A",), (1,), np.array([1.0, 1.0], dtype=complex))
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                complex(np.inf, -np.inf)):
+        with pytest.raises(ValueError, match="non-finite"):
+            fock.PureState(("A",), (1,), np.array([0.5, bad], dtype=complex))
 
 
 def test_density_matrix_requires_hermitian():

@@ -7,16 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nla_distill import fock, metrics
+from nla_distill import fock, metrics, nla
 from nla_distill.analytic import ChannelParams, eps_no_nla
 from test_fock import random_states
-
-
-def lossy_epr(r, lam, cutoff):
-    st = fock.epr_state(math.tanh(r), ("A", "Ap"), cutoff)
-    st = fock.tensor(st, fock.vacuum(["VL"], [cutoff]))
-    st = fock.apply_beamsplitter(st, ("VL", "Ap"), 1.0 - lam)
-    return fock.rename_modes(st, {"Ap": "B", "VL": "L"})
 
 
 def test_vacuum_pair_uncorrelated():
@@ -40,7 +33,7 @@ def test_beamsplit_vacua_stay_uncorrelated():
 
 def test_lossy_epr_matches_closed_form():
     r, lam = 0.6, 0.3
-    st = lossy_epr(r, lam, 25)
+    st = nla.lossy_channel_state(ChannelParams(r, lam), 25)
     cv = metrics.conditional_variances(st, "B", "A")
     expect = lam + (1 - lam) / math.cosh(2 * r)
     assert math.sqrt(cv.v_plus * cv.v_minus) == pytest.approx(expect, abs=1e-6)
@@ -58,7 +51,7 @@ def test_pure_epr_criterion_value():
 
 def test_lossy_epr_directionality_and_eq9():
     r, lam = 0.6, 0.3
-    st = lossy_epr(r, lam, 25)
+    st = nla.lossy_channel_state(ChannelParams(r, lam), 25)
     res = metrics.epr_criterion(st, "A", "B")
     ana_ba, ana_ab = eps_no_nla(ChannelParams(r, lam))
     assert res.eps_b_given_a < res.eps_a_given_b
@@ -67,12 +60,13 @@ def test_lossy_epr_directionality_and_eq9():
 
 @pytest.mark.parametrize("r,lam", [(0.3, 0.2), (0.8, 0.5), (0.5, 0.05)])
 def test_directionality_property(r, lam):
-    res = metrics.epr_criterion(lossy_epr(r, lam, 30), "A", "B")
+    st = nla.lossy_channel_state(ChannelParams(r, lam), 30)
+    res = metrics.epr_criterion(st, "A", "B")
     assert res.eps_b_given_a < res.eps_a_given_b
 
 
 def test_gamma_is_the_true_minimizer():
-    st = lossy_epr(0.6, 0.3, 25)
+    st = nla.lossy_channel_state(ChannelParams(0.6, 0.3), 25)
     w = fock.norm_sq(st)
     cv = metrics.conditional_variances(st, "B", "A")
     for sign, v_opt, g_opt in (("+", cv.v_plus, cv.gamma_plus),
@@ -86,7 +80,7 @@ def test_gamma_is_the_true_minimizer():
 
 
 def test_scale_invariance():
-    st = lossy_epr(0.5, 0.2, 20)
+    st = nla.lossy_channel_state(ChannelParams(0.5, 0.2), 20)
     scaled = fock.PureState(st.modes, st.cutoffs, 0.5 * st.amps)
     a = metrics.epr_criterion(st, "A", "B")
     b = metrics.epr_criterion(scaled, "A", "B")
@@ -110,7 +104,7 @@ def test_separable_bound_on_product_states(seed):
 
 
 def test_density_matrix_input_matches_pure():
-    st = lossy_epr(0.5, 0.3, 20)
+    st = nla.lossy_channel_state(ChannelParams(0.5, 0.3), 20)
     dm = fock.partial_trace(st, ["A", "B"])
     a = metrics.epr_criterion(st, "A", "B")
     b = metrics.epr_criterion(dm, "A", "B")
@@ -144,7 +138,7 @@ def test_second_moments_make_no_quadrature_moment_calls(monkeypatch):
         return real(obj, factors)
 
     monkeypatch.setattr(fock, "quadrature_moment", counting)
-    st = lossy_epr(0.5, 0.3, 12)
+    st = nla.lossy_channel_state(ChannelParams(0.5, 0.3), 12)
     res = metrics.epr_criterion(st, "A", "B")
     ba = metrics.conditional_variances(st, "B", "A")
     ab = metrics.conditional_variances(st, "A", "B")

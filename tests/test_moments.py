@@ -115,16 +115,32 @@ def test_commutation_route_matches_simulation(rho):
     its moments must agree with direct Fock simulation."""
     st = fock.epr_state(math.tanh(rho), ("A", "L"), 40)
     z = fock.norm_sq(st)
-    zg = moments.heralded_moment(1, 0.0, rho, [(1.0, ())]).real
-    for sign in ("+", "-"):
-        xa = moments._x_poly("A", sign)
-        sim = fock.quadrature_moment(st, [("A", sign)] * 2) / z
-        alg = moments.heralded_moment(1, 0.0, rho, moments._poly_mul(xa, xa)).real / zg
+    zg = moments.quadrature_moment(1, 0.0, rho, [])
+    for factors in ([("A", "+")] * 2, [("A", "-")] * 2, [("A", "+"), ("L", "+")]):
+        sim = fock.quadrature_moment(st, factors) / z
+        alg = moments.quadrature_moment(1, 0.0, rho, factors) / zg
         assert abs(sim - alg) < 1e-10
-    sim = fock.quadrature_moment(st, [("A", "+"), ("L", "+")]) / z
-    xa, xl = moments._x_poly("A", "+"), moments._x_poly("L", "+")
-    alg = moments.heralded_moment(1, 0.0, rho, moments._poly_mul(xa, xl)).real / zg
-    assert abs(sim - alg) < 1e-10
+
+
+@pytest.mark.parametrize("n_st", [1, 2, 3])
+def test_quadrature_moment_takes_the_fock_spec(n_st):
+    # one factor spec drives both routes on the heralded state
+    ch = ChannelParams(0.3, 0.4)
+    p = NlaParams(n_st, 0.7, ch)
+    st = nla.closed_form_state(n_st, ch, 0.7, 40).state
+    z = fock.norm_sq(st)
+    zg = moments.quadrature_moment(n_st, p.kappa, p.rho, [])
+    assert zg == moments.heralded_moment(n_st, p.kappa, p.rho, [(1.0, ())]).real
+    for factors in ([("B", "+")] * 2, [("B", "-"), ("A", "-")], [("A", "+")],
+                    [("L", "+"), ("B", "-")], [("A", "-"), ("L", "-")]):
+        sim = fock.quadrature_moment(st, factors) / z
+        alg = moments.quadrature_moment(n_st, p.kappa, p.rho, factors) / zg
+        assert abs(sim - alg) < 1e-10, factors
+    xb, xa = moments._x_poly("B", "-"), moments._x_poly("A", "-")
+    assert moments.quadrature_moment(n_st, p.kappa, p.rho,
+                                     [("B", "-"), ("A", "-")]) == \
+        moments.heralded_moment(n_st, p.kappa, p.rho,
+                                moments._poly_mul(xb, xa)).real
 
 
 @pytest.mark.parametrize("n_st,r,lam,eta", [

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nla_distill import fock, metrics, nla, optimize
+from nla_distill import analytic, fock, metrics, nla, optimize
 from nla_distill.analytic import ChannelParams, NlaParams, success_prob_1stage
 
 GRID = [(r, lam, eta) for r in (0.2, 0.3) for lam in (0.2, 0.5)
@@ -179,11 +179,43 @@ def test_dual_stage_pattern_symmetry():
 
 def test_heralded_state_invariant():
     ch = ChannelParams(0.4, 0.2)
-    for hs in (nla.single_stage_circuit(ch, 0.6, 15),
-               nla.dual_stage_circuit(ch, 0.6, 8),
-               nla.closed_form_state(3, ch, 0.6, 15)):
-        assert hs.success_prob == pytest.approx(
-            hs.pattern_count * fock.norm_sq(hs.state), abs=1e-12)
+    for n, hs in ((1, nla.single_stage_circuit(ch, 0.6, 15)),
+                  (2, nla.dual_stage_circuit(ch, 0.6, 8)),
+                  (3, nla.closed_form_state(3, ch, 0.6, 15))):
+        assert hs.n_stages == n and hs.pattern_count == 2**n
+        assert hs.success_prob == 2.0**n * fock.norm_sq(hs.state)
+        assert nla.distill_and_measure(hs).n_stages == n
+
+
+@pytest.mark.parametrize("n,cutoff", [(1, 14), (2, 12), (3, 10), (4, 10)])
+@pytest.mark.parametrize("r,lam,eta", [(0.2, 0.3, 0.37), (0.12, 0.6, 0.81)])
+def test_success_prob_matches_every_circuit(n, cutoff, r, lam, eta):
+    # the source tails (chi^(2(cutoff+1)) < 1e-15) stay below the tolerance
+    ch = ChannelParams(r, lam)
+    circ = nla.scissor_circuit(n, ch, eta, cutoff)
+    assert abs(circ.success_prob - analytic.success_prob(n, ch, eta)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_closed_form_tail_is_the_truncated_branch_norm(n):
+    ch = ChannelParams(0.6, 0.4)
+    small = nla.closed_form_state(n, ch, 0.7, 8)
+    big = nla.closed_form_state(n, ch, 0.7, 60)
+    assert big.state.tail_mass <= 1e-16
+    assert abs(small.state.tail_mass
+               - (fock.norm_sq(big.state) - fock.norm_sq(small.state))) <= 1e-15
+
+
+def test_lossy_channel_state_routes_the_loss_into_l():
+    r, lam = 0.5, 0.3
+    st = nla.lossy_channel_state(ChannelParams(r, lam), 30)
+    assert st.modes == ("A", "B", "L") and st.cutoffs == (30, 30, 30)
+    assert st.tail_mass == pytest.approx(math.tanh(r) ** 62, rel=1e-12)
+    probs = np.abs(st.amps) ** 2
+    mean = [float(np.arange(31) @ probs.sum(axis=tuple({0, 1, 2} - {ax})))
+            for ax in range(3)]
+    sh2 = math.sinh(r) ** 2
+    assert mean == pytest.approx([sh2, (1 - lam) * sh2, lam * sh2], abs=1e-10)
 
 
 def test_distill_and_measure_vacuum_branch():

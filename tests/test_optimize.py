@@ -7,7 +7,8 @@ import pytest
 
 from nla_distill import nla, optimize
 from nla_distill.analytic import (ChannelParams, InfeasibleParameterError,
-                                  NlaParams, eps_ladder, success_prob_1stage)
+                                  NlaParams, eps_ladder, lambda_from_db,
+                                  success_prob_1stage)
 
 
 def test_eta_from_pi_zero_squeezing():
@@ -166,6 +167,26 @@ def test_purity_target_two_stage_succeeds_below_single_floor():
         0.6, 0.5, 1e-2, 2)
     assert res.eps_b_given_a == pytest.approx(0.6, abs=1e-9)
     assert 0 < res.purity <= 1
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_purity_target_between_refined_optimum_and_grid(n):
+    # a target below every grid value but above the refined optimum has its
+    # two roots inside the optimum's grid cells, one on each side
+    lam, pi = lambda_from_db(10.0), 1e-2
+    best = optimize.optimize_entanglement(lam, pi, n)
+    objective = optimize._make_objective(lam, pi, n)
+    grid = np.geomspace(optimize.R_GRID_LO, optimize.R_GRID_HI,
+                        optimize.R_GRID_POINTS)
+    grid_min = min(objective(r)[0] for r in grid)
+    target = 0.5 * (best.eps_b_given_a + grid_min)
+    assert best.eps_b_given_a < target < grid_min
+    _, results = optimize.purity_for_target_entanglement(
+        target, lam, pi, n, full_output=True)
+    roots = [res.r_opt for res in results]
+    assert len(roots) == 2 and roots[0] < best.r_opt < roots[1]
+    for r in roots:
+        assert abs(objective(r)[0] - target) <= 1e-9
 
 
 def test_best_entanglement_vs_stages_known_floors():
