@@ -5,12 +5,20 @@ simulation is checked against.  The two big success-probability-parametrized
 expressions (`eps_opt_formula`, `purity_formula`) are transcribed verbatim and
 never hand-simplified; their correctness is established purely by agreement
 with the independent simulation pipeline.
+
+`eps_opt_formula`, the success weights, the ladder sums behind `eps_ladder`
+and the `ChannelParams` / `NlaParams` fields also take numpy arrays, which is
+how the searches scan a whole grid in one pass.  The elementary functions are
+picked by argument type (`_xp`), so a float argument still goes through
+`math` and returns exactly the value it always did.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "RECORD_SQUEEZING_DB",
@@ -42,15 +50,30 @@ class InfeasibleParameterError(ValueError):
     """Operating point outside the physically reachable domain."""
 
 
+def _xp(x):
+    """numpy for an array argument, math for a float."""
+    return np if isinstance(x, np.ndarray) else math
+
+
+# the truth of a comparison of floats, or of all / any of its array elements
+def _any(mask) -> bool:
+    return mask.any() if isinstance(mask, np.ndarray) else mask
+
+
+def _all(mask) -> bool:
+    return mask.all() if isinstance(mask, np.ndarray) else mask
+
+
 @dataclass(frozen=True)
 class ChannelParams:
-    """Source squeezing r and channel-loss reflectivity lam (lambda)."""
+    """Source squeezing r and channel-loss reflectivity lam (lambda); r may
+    be an array of squeezings."""
 
     r: float
     lam: float
 
     def __post_init__(self):
-        if self.r < 0.0:
+        if _any(self.r < 0.0):
             raise ValueError(f"squeezing parameter r must be >= 0, got {self.r}")
         if not 0.0 <= self.lam < 1.0:
             raise ValueError(f"loss reflectivity must be in [0, 1), got {self.lam}")
@@ -58,12 +81,13 @@ class ChannelParams:
     @property
     def chi(self) -> float:
         """EPR amplitude ratio chi = tanh(r)."""
-        return math.tanh(self.r)
+        return _xp(self.r).tanh(self.r)
 
 
 @dataclass(frozen=True)
 class NlaParams:
-    """Amplifier configuration: stage count and scissor transmissivity."""
+    """Amplifier configuration: stage count and scissor transmissivity (eta
+    may be an array, matching the channel's r)."""
 
     n_stages: int
     eta: float
@@ -72,13 +96,13 @@ class NlaParams:
     def __post_init__(self):
         if self.n_stages < 1:
             raise ValueError("n_stages must be >= 1")
-        if not 0.0 < self.eta < 1.0:
+        if not _all((0.0 < self.eta) & (self.eta < 1.0)):
             raise ValueError(f"eta must be in (0, 1), got {self.eta}")
 
     @property
     def g(self) -> float:
         """Amplitude gain sqrt(eta / (1 - eta))."""
-        return math.sqrt(self.eta / (1.0 - self.eta))
+        return _xp(self.eta).sqrt(self.eta / (1.0 - self.eta))
 
     @property
     def kappa(self) -> float:
@@ -88,7 +112,8 @@ class NlaParams:
     @property
     def rho(self) -> float:
         """Residual decoherence strength: tanh(rho) = sqrt(lam) tanh(r)."""
-        return math.atanh(math.sqrt(self.channel.lam) * self.channel.chi)
+        chi = self.channel.chi
+        return _xp(chi).atanh(math.sqrt(self.channel.lam) * chi)
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +175,14 @@ def eps_opt_formula(r: float, lam: float, pi: float) -> float:
 
     Value of the squared bracket whose minimum over r is the optimized
     entanglement; transcribed term by term from the closed-form expression.
+    r may be an array.
     """
     if pi <= 0.0:
         raise ValueError(f"success probability must be > 0, got {pi}")
-    ch2, ch4 = math.cosh(2.0 * r), math.cosh(4.0 * r)
-    c2, s2 = math.cosh(r) ** 2, math.sinh(r) ** 2
-    t2 = math.tanh(r) ** 2
+    xp = _xp(r)
+    ch2, ch4 = xp.cosh(2.0 * r), xp.cosh(4.0 * r)
+    c2, s2 = xp.cosh(r) ** 2, xp.sinh(r) ** 2
+    t2 = xp.tanh(r) ** 2
     sech2 = 1.0 / c2
 
     den1 = (1.0 + lam) * pi + (1.0 - lam) * pi * ch2
@@ -163,7 +190,7 @@ def eps_opt_formula(r: float, lam: float, pi: float) -> float:
             + 2.0 * (1.0 - lam) * (2.0 + (1.0 - lam) * pi) * ch2
             - (1.0 - lam) ** 2 * pi * ch4
             - 4.0 * lam ** 2 * pi * sech2)
-    if den1 == 0.0 or den2 == 0.0:
+    if _any((den1 == 0.0) | (den2 == 0.0)):
         raise InfeasibleParameterError(
             f"degenerate denominator at (r={r}, lam={lam}, pi={pi})")
 
@@ -224,8 +251,8 @@ def purity_formula(r: float, lam: float, pi: float) -> float:
 def _success_weights(n_stages: int, r: float, lam: float):
     """u_j and cosh^2(rho) of Pi_N(eta) = (cosh^2 rho / cosh^2 r)
     * sum_j u_j eta^j (1-eta)^(N-j), the joint N-stage heralding probability
-    in its all-positive Bernstein form."""
-    t2 = math.tanh(r) ** 2
+    in its all-positive Bernstein form; r may be an array."""
+    t2 = _xp(r).tanh(r) ** 2
     q = (1.0 - lam) * t2
     ch2rho = 1.0 / (1.0 - lam * t2)  # cosh^2(rho)
     n = n_stages
@@ -249,17 +276,20 @@ def success_prob(n_stages: int, params: ChannelParams, eta: float) -> float:
 
 def _ladder(n_stages: int, kappa: float, rho: float):
     """T, and w_j = (N!/(N-j)! (kappa/N)^j)^2 by recurrence (no factorials),
-    up to one common power-of-two factor."""
+    up to one common power-of-two factor (per element when kappa or rho is
+    an array)."""
     if n_stages < 1:
         raise ValueError("n_stages must be >= 1")
     w, wj = [1.0], 1.0
     for j in range(1, n_stages + 1):
-        wj *= ((n_stages - j + 1) * kappa / n_stages) ** 2
-        if wj > 2.0**256:
+        wj = wj * ((n_stages - j + 1) * kappa / n_stages) ** 2
+        over = wj > 2.0**256
+        if _any(over):
             # exact rescale: only ratios of the w_j enter the sums
-            wj, w = math.ldexp(wj, -256), [math.ldexp(x, -256) for x in w]
+            scale = 2.0 ** (-256 * over)
+            wj, w = wj * scale, [x * scale for x in w]
         w.append(wj)
-    return math.tanh(rho) ** 2, w
+    return _xp(rho).tanh(rho) ** 2, w
 
 
 def eps_ladder(n_stages: int, kappa: float, rho: float) -> tuple[float, float]:
@@ -267,6 +297,7 @@ def eps_ladder(n_stages: int, kappa: float, rho: float) -> tuple[float, float]:
 
     First moments vanish and X- mirrors X+, so both products follow from
     <a'a>, <b'b> and <ab>; S_j below is the weight of B holding j photons.
+    kappa and rho may be arrays (of one shape, or one of them a float).
     """
     big_t, w = _ladder(n_stages, kappa, rho)
     n, q = n_stages, 1.0 / (1.0 - big_t)

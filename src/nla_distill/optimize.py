@@ -2,10 +2,16 @@
 best purity at fixed entanglement, and the vanishing-success-rate floor per
 stage count.
 
-The scalar searches use a 200-point logarithmic grid over the source
-squeezing followed by golden-section refinement; the grid guards against the
+Each search scans a 200-point logarithmic grid over the source squeezing
+(`R_GRID`) in one array pass, then refines inside the best grid cell by
+golden section (or `brentq` for a target) on the scalar objective, so every
+reported number comes from the scalar evaluators; the grid guards against the
 (empirically valid) assumption that the objective is unimodal on the feasible
-interval.
+interval.  The grid pass runs the same closed forms on arrays: the linear eta
+inversion and `eps_opt_formula` at one stage; at N >= 2 the eta roots of all
+grid points from one batched eigenvalue call on `np.roots`' companion
+matrices, and eps from the ladder sums (`eps_ladder`, within ~1e-14 of the
+moments engine the scalar objective runs on).
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from scipy.optimize import brentq
 
 from . import moments
 from .analytic import (ChannelParams, InfeasibleParameterError, NlaParams,
-                       _success_weights, eps_ladder, eps_opt_formula,
+                       _success_weights, _xp, eps_ladder, eps_opt_formula,
                        purity_formula, purity_ladder)
 from .nla import DistillationResult
 
@@ -35,16 +41,23 @@ __all__ = [
 R_GRID_LO = 1e-4
 R_GRID_HI = 3.0
 R_GRID_POINTS = 200
+R_GRID = np.geomspace(R_GRID_LO, R_GRID_HI, R_GRID_POINTS)
+R_GRID.flags.writeable = False
+# the floor's kappa grids, widened (by doubling the top) while the minimum
+# sits at the upper edge
+_KAPPA_GRIDS = tuple(np.geomspace(1e-3, hi, R_GRID_POINTS)
+                     for hi in (4.0, 8.0, 16.0, 32.0, 64.0))
 GOLDEN_TOL = 1e-8
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# the N >= 2 searches run on the moments engine, which compiles each stage
+# the N >= 2 searches refine on the moments engine, which compiles each stage
 # count once per process at a cost exponential in N (9 ms at N = 2, 0.35 s at
-# N = 4, 2.1 s and a 170 MB peak at N = 5 on one core of a Xeon server); a
-# search then makes ~200 evaluations of 0.07 to 0.13 ms each
+# N = 4, 2.1 s and a 170 MB peak at N = 5 on one core of a Xeon server); after
+# the array grid pass a search makes ~30 evaluations of 0.07 to 0.13 ms each
+# (about 10 ms per search at N = 2 to 4)
 MAX_SEARCH_STAGES = 4
-# the floor search is O(N^2) in Python: 0.08 s at N = 20, 1.8 s at 100,
-# 3.8 s at 150 and about 32 s at 400 on one core of a Xeon server
+# the floor search is O(N^2): 0.03 s at N = 20, 0.56 s at 100, 1.2 s at 150
+# and about 8 s at 400 on one core of a Xeon server
 MAX_FLOOR_STAGES = 150
 
 
@@ -60,14 +73,21 @@ def eta_from_pi(r: float, lam: float, pi: float) -> float:
     """
     if pi <= 0.0:
         raise ValueError(f"success probability must be > 0, got {pi}")
-    t2 = math.tanh(r) ** 2
-    d = (1.0 - lam * t2) ** 2 * math.cosh(r) ** 2
-    eta = (1.0 - lam * t2 - pi * d) / (1.0 - t2)
+    eta = _linear_eta(r, lam, pi)
     if not 0.0 < eta < 1.0:
         raise InfeasibleParameterError(
             f"success probability {pi} unreachable at (r={r}, lam={lam}): "
             f"eta would be {eta}")
     return eta
+
+
+def _linear_eta(r, lam: float, pi: float):
+    """The eta of the one-stage success probability pi, unchecked; r may be
+    an array."""
+    xp = _xp(r)
+    t2 = xp.tanh(r) ** 2
+    d = (1.0 - lam * t2) ** 2 * xp.cosh(r) ** 2
+    return (1.0 - lam * t2 - pi * d) / (1.0 - t2)
 
 
 def eta_candidates(r: float, lam: float, pi: float, n_stages: int) -> list[float]:
@@ -82,19 +102,44 @@ def eta_candidates(r: float, lam: float, pi: float, n_stages: int) -> list[float
             return [eta_from_pi(r, lam, pi)]
         except InfeasibleParameterError:
             return []
+    roots = np.roots(_level_set_coeffs(r, lam, pi, n_stages)[::-1])
+    return sorted(float(x) for x in roots.real[_in_unit_interval(roots)])
+
+
+def _level_set_coeffs(r, lam: float, pi: float, n_stages: int) -> list:
+    """Monomial coefficients, constant first, of a polynomial in eta whose
+    roots are those of Pi_N(eta) = pi; r may be an array."""
     n = n_stages
     u, ch2rho = _success_weights(n, r, lam)
-    target = pi * math.cosh(r) ** 2 / ch2rho
-    coeffs = np.zeros(n + 1)
+    target = pi * _xp(r).cosh(r) ** 2 / ch2rho
+    coeffs = [0.0] * (n + 1)
     for j, uj in enumerate(u):
         # expand eta^j (1-eta)^(N-j)
         for k in range(n - j + 1):
             coeffs[j + k] += uj * math.comb(n - j, k) * (-1.0) ** k
     coeffs[0] -= target
-    roots = np.roots(coeffs[::-1])
-    out = sorted(float(z.real) for z in roots
-                 if abs(z.imag) < 1e-9 and 1e-12 < z.real < 1.0 - 1e-12)
-    return out
+    return coeffs
+
+
+def _in_unit_interval(roots: np.ndarray) -> np.ndarray:
+    """The real roots strictly inside (0, 1), as a mask."""
+    z = roots.real
+    return (abs(roots.imag) < 1e-9) & (1e-12 < z) & (z < 1.0 - 1e-12)
+
+
+def _grid_etas(lam: float, pi: float, n_stages: int) -> np.ndarray:
+    """`eta_candidates` at every `R_GRID` point: one ascending row per point,
+    NaN where a root is missing."""
+    if n_stages == 1:
+        eta = _linear_eta(R_GRID, lam, pi)
+        return np.where((0.0 < eta) & (eta < 1.0), eta, np.nan)[:, None]
+    # np.roots' companion matrices, one per grid point, in one eigvals call
+    p = np.stack(_level_set_coeffs(R_GRID, lam, pi, n_stages)[::-1], axis=-1)
+    a = np.zeros((R_GRID_POINTS, n_stages, n_stages))
+    a[:, 0, :] = -p[:, 1:] / p[:, :1]
+    a[:, range(1, n_stages), range(n_stages - 1)] = 1.0
+    roots = np.linalg.eigvals(a)
+    return np.sort(np.where(_in_unit_interval(roots), roots.real, np.nan), axis=1)
 
 
 def _golden_min(f: Callable[[float], float], lo: float, hi: float,
@@ -117,7 +162,8 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float,
 
 def _make_objective(lam: float, pi: float,
                     n_stages: int) -> Callable[[float], tuple[float, float]]:
-    """Objective r -> (eps_B|A, eta) minimized over the eta level set."""
+    """Objective r -> (eps_B|A, eta) minimized over the eta level set;
+    (inf, nan) where no eta is feasible."""
 
     def objective(r: float) -> tuple[float, float]:
         best = (math.inf, math.nan)
@@ -138,29 +184,45 @@ def _make_objective(lam: float, pi: float,
     return objective
 
 
-def _feasible_grid(objective, lam: float, pi: float, n_stages: int
-                   ) -> tuple[np.ndarray, list[tuple[float, float]], np.ndarray]:
-    """Feasible grid points, objective values, and run labels.
+def _grid_values(lam: float, pi: float,
+                 n_stages: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_make_objective` at every `R_GRID` point in one array pass: eps and
+    eta arrays, (inf, nan) where no eta is feasible."""
+    etas = _grid_etas(lam, pi, n_stages)
+    i, j = np.nonzero(~np.isnan(etas))
+    e = np.full(etas.shape, np.inf)
+    if n_stages == 1:
+        e[i, j] = eps_opt_formula(R_GRID[i], lam, pi)
+    else:
+        p = NlaParams(n_stages, etas[i, j], ChannelParams(R_GRID[i], lam))
+        e[i, j] = eps_ladder(n_stages, p.kappa, p.rho)[0]
+    e[~(e < np.inf)] = np.inf  # the objective keeps an eta only if eps < inf
+    rows, best = np.arange(R_GRID_POINTS), np.argmin(e, axis=1)
+    eps = e[rows, best]
+    return eps, np.where(eps < np.inf, etas[rows, best], np.nan)
 
-    A grid point is feasible when the objective finds a transmissivity there
-    (its eta is not NaN).  The feasible set is usually a single interval in r,
-    but a second pocket can open at large squeezing (the gain inversion
-    re-enters (0, 1) on its way down), so bracketing is only ever done inside
-    one contiguous run.
+
+def _feasible_grid(eps: np.ndarray, eta: np.ndarray, lam: float, pi: float,
+                   n_stages: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Feasible `R_GRID` points, their objective values, and run labels.
+
+    ``eps`` and ``eta`` hold the objective at every grid point; a point is
+    feasible when its eta is not NaN.  The feasible set is usually a single
+    interval in r, but a second pocket can open at large squeezing (the gain
+    inversion re-enters (0, 1) on its way down), so bracketing is only ever
+    done inside one contiguous run.
     """
-    grid = np.geomspace(R_GRID_LO, R_GRID_HI, R_GRID_POINTS)
-    vals = [objective(r) for r in grid]
-    idx = np.flatnonzero([not math.isnan(eta) for _, eta in vals])
+    idx = np.flatnonzero(~np.isnan(eta))
     if not idx.size:
         raise InfeasibleParameterError(
             f"no squeezing in [{R_GRID_LO}, {R_GRID_HI}] reaches success "
             f"probability {pi} at lam={lam} with {n_stages} stage(s)")
     runs = np.concatenate([[0], np.cumsum(np.diff(idx) != 1)])
-    return grid[idx], [vals[i] for i in idx], runs
+    return R_GRID[idx], eps[idx], runs
 
 
-def _minimize_on_grid(objective, sub, vals, runs) -> tuple[float, float, float]:
-    k = int(np.argmin([v[0] for v in vals]))
+def _minimize_on_grid(objective, sub, eps, runs) -> tuple[float, float, float]:
+    k = int(np.argmin(eps))
     in_run = np.flatnonzero(runs == runs[k])
     lo = sub[max(k - 1, in_run[0])]
     hi = sub[min(k + 1, in_run[-1])]
@@ -169,7 +231,7 @@ def _minimize_on_grid(objective, sub, vals, runs) -> tuple[float, float, float]:
     eps_opt, eta_opt = objective(r_opt)
     if not math.isfinite(eps_opt):  # boundary roundoff: fall back to grid point
         r_opt = sub[k]
-        eps_opt, eta_opt = vals[k]
+        eps_opt, eta_opt = objective(r_opt)
     return r_opt, eps_opt, eta_opt
 
 
@@ -182,8 +244,9 @@ def optimize_entanglement(lam: float, pi: float,
     """
     _validate_domain(lam, pi, n_stages)
     objective = _make_objective(lam, pi, n_stages)
-    sub, vals, runs = _feasible_grid(objective, lam, pi, n_stages)
-    r_opt, eps_opt, eta_opt = _minimize_on_grid(objective, sub, vals, runs)
+    sub, eps, runs = _feasible_grid(*_grid_values(lam, pi, n_stages),
+                                    lam, pi, n_stages)
+    r_opt, eps_opt, eta_opt = _minimize_on_grid(objective, sub, eps, runs)
     return _finalize(r_opt, eta_opt, eps_opt, lam, pi, n_stages)
 
 
@@ -229,32 +292,31 @@ def purity_for_target_entanglement(eps_target: float, lam: float, pi: float,
     if eps_target <= 0.0:
         raise ValueError("target entanglement must be positive")
     objective = _make_objective(lam, pi, n_stages)
-    sub, vals, runs = _feasible_grid(objective, lam, pi, n_stages)
-    r_opt, eps_min, _ = _minimize_on_grid(objective, sub, vals, runs)
+    sub, eps, runs = _feasible_grid(*_grid_values(lam, pi, n_stages),
+                                    lam, pi, n_stages)
+    if (eps > eps_target).all():
+        # only then can the target lie below the optimum, or between the
+        # refined optimum and every grid value (the straddle below, whose
+        # condition implies this one, reads r_opt)
+        r_opt, eps_min, _ = _minimize_on_grid(objective, sub, eps, runs)
+        if eps_target < eps_min:
+            raise UnachievableTargetError(
+                f"target {eps_target} below the optimum {eps_min:.6f} "
+                f"reachable at lam={lam}, pi={pi}, {n_stages} stage(s)")
     # the r = 0 edge is always feasible and reaches eps = 1 exactly (vacuum
     # input); the log grid cannot contain it
     sub = np.concatenate([[0.0], sub])
-    vals = [objective(0.0)] + vals
+    eps_vals = np.concatenate([[objective(0.0)[0]], eps])
     runs = np.concatenate([[runs[0]], runs])
-    eps_vals = np.array([v[0] for v in vals])
-    if eps_target < eps_min:
-        raise UnachievableTargetError(
-            f"target {eps_target} below the optimum {eps_min:.6f} reachable "
-            f"at lam={lam}, pi={pi}, {n_stages} stage(s)")
 
-    roots: list[float] = []
     f = lambda r: objective(r)[0] - eps_target
     diffs = eps_vals - eps_target
-    for i in range(len(sub) - 1):
-        if runs[i] != runs[i + 1]:
-            continue  # never bridge disjoint feasible pockets
-        lo_v, hi_v = diffs[i], diffs[i + 1]
-        if abs(lo_v) < 1e-14:
-            roots.append(float(sub[i]))
-        elif lo_v * hi_v < 0.0:
-            roots.append(float(brentq(f, sub[i], sub[i + 1], xtol=1e-12)))
-    if abs(diffs[-1]) < 1e-14:
-        roots.append(float(sub[-1]))
+    same_run = runs[:-1] == runs[1:]  # never bridge disjoint feasible pockets
+    on_grid = abs(diffs) < 1e-14
+    roots = [float(r) for r in sub[np.append(same_run, True) & on_grid]]
+    crossed = same_run & ~on_grid[:-1] & (diffs[:-1] * diffs[1:] < 0.0)
+    roots += [float(brentq(f, sub[i], sub[i + 1], xtol=1e-12))
+              for i in np.flatnonzero(crossed)]
     if not roots and (diffs > 0.0).all():
         # the target lies between the refined optimum and every grid value:
         # one root on each side of r_opt, inside its grid cell
@@ -293,14 +355,10 @@ def best_entanglement_vs_stages(n_max: int) -> list[tuple[int, float, float]]:
         def eps_of(kappa: float, n=n) -> float:
             return eps_ladder(n, kappa, 0.0)[0]
 
-        hi = 4.0
-        while True:
-            grid = np.geomspace(1e-3, hi, R_GRID_POINTS)
-            vals = [eps_of(k) for k in grid]
-            k = int(np.argmin(vals))
-            if k < len(grid) - 2 or hi >= 64.0:
+        for grid in _KAPPA_GRIDS:
+            k = int(np.argmin(eps_of(grid)))
+            if k < len(grid) - 2:
                 break
-            hi *= 2.0
         kappa_best = _golden_min(eps_of, grid[max(k - 1, 0)],
                                  grid[min(k + 1, len(grid) - 1)], GOLDEN_TOL)
         out.append((n, eps_of(kappa_best), kappa_best))

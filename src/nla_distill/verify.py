@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import fock, metrics, moments, nla, optimize
 from .analytic import (ChannelParams, NlaParams, eps_infinity, eps_no_nla,
                        eps_opt_formula, purity_formula, purity_no_nla,
@@ -186,8 +188,9 @@ def _circuit_minimum(lam: float, pi: float) -> float:
                                       _auto_cutoff(r))
         return metrics.epr_criterion(hs.state, "A", "B").eps_b_given_a, etas[0]
 
-    sub, vals, runs = optimize._feasible_grid(objective, lam, pi, 1)
-    return optimize._minimize_on_grid(objective, sub, vals, runs)[1]
+    eps, eta = np.array([objective(r) for r in optimize.R_GRID]).T
+    sub, eps, runs = optimize._feasible_grid(eps, eta, lam, pi, 1)
+    return optimize._minimize_on_grid(objective, sub, eps, runs)[1]
 
 
 def _check_minimum() -> CheckResult:

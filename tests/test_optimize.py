@@ -55,8 +55,7 @@ def test_optimize_entanglement_soundness():
         val = obj(res.r_opt + delta)[0]
         assert val >= res.eps_b_given_a - 1e-10
     # no grid point undercuts the reported optimum
-    grid = np.geomspace(optimize.R_GRID_LO, optimize.R_GRID_HI, 200)
-    for r in grid:
+    for r in optimize.R_GRID:
         assert obj(r)[0] >= res.eps_b_given_a - 1e-8
 
 
@@ -116,9 +115,10 @@ def test_refined_optimum_undercuts_the_grid(n, lam, pi):
     # best grid point; were it not, the refined optimum could land above it
     # ((0.3, 1e-2) at two stages has a second feasible pocket)
     objective = optimize._make_objective(lam, pi, n)
-    _, vals, _ = optimize._feasible_grid(objective, lam, pi, n)
+    eps, eta = np.array([objective(r) for r in optimize.R_GRID]).T
+    _, grid_eps, _ = optimize._feasible_grid(eps, eta, lam, pi, n)
     res = optimize.optimize_entanglement(lam, pi, n)
-    assert res.eps_b_given_a <= min(v[0] for v in vals)
+    assert res.eps_b_given_a <= grid_eps.min()
 
 
 def test_optimize_rejects_bad_domain():
@@ -176,9 +176,7 @@ def test_purity_target_between_refined_optimum_and_grid(n):
     lam, pi = lambda_from_db(10.0), 1e-2
     best = optimize.optimize_entanglement(lam, pi, n)
     objective = optimize._make_objective(lam, pi, n)
-    grid = np.geomspace(optimize.R_GRID_LO, optimize.R_GRID_HI,
-                        optimize.R_GRID_POINTS)
-    grid_min = min(objective(r)[0] for r in grid)
+    grid_min = min(objective(r)[0] for r in optimize.R_GRID)
     target = 0.5 * (best.eps_b_given_a + grid_min)
     assert best.eps_b_given_a < target < grid_min
     _, results = optimize.purity_for_target_entanglement(
@@ -214,9 +212,10 @@ def test_fully_infeasible_grid_raises():
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_each_probed_squeezing_is_scanned_once(n, monkeypatch):
-    # the grid scan reads feasibility off the objective's own eta, so no
-    # squeezing is handed to eta_candidates twice
+def test_scalar_probes_are_the_refinement_only(n, monkeypatch):
+    # the grid is scanned as arrays, so the scalar eta_candidates only sees
+    # the refinement's squeezings, each once in the golden search (the target
+    # search re-reads eta at each brentq root)
     probed = []
     real = optimize.eta_candidates
 
@@ -226,5 +225,22 @@ def test_each_probed_squeezing_is_scanned_once(n, monkeypatch):
 
     monkeypatch.setattr(optimize, "eta_candidates", counting)
     optimize.optimize_entanglement(0.6, 1e-2, n)
-    assert len(probed) >= optimize.R_GRID_POINTS
+    assert 0 < len(probed) < optimize.R_GRID_POINTS
     assert len(probed) == len(set(probed))
+    probed.clear()
+    optimize.purity_for_target_entanglement(0.9, 0.6, 1e-2, n)
+    assert 0 < len(probed) < optimize.R_GRID_POINTS
+
+
+def test_target_search_refines_the_optimum_only_above_the_grid(monkeypatch):
+    # the refined optimum (eps_min, r_opt) is read only when every grid value
+    # lies above the target, so only then is it searched for
+    calls = []
+    real = optimize._minimize_on_grid
+    monkeypatch.setattr(optimize, "_minimize_on_grid",
+                        lambda *a: calls.append(a) or real(*a))
+    optimize.purity_for_target_entanglement(0.9, 0.6, 1e-2, 1)
+    assert not calls
+    with pytest.raises(optimize.UnachievableTargetError):
+        optimize.purity_for_target_entanglement(0.6, 0.5, 0.1, 1)
+    assert len(calls) == 1
