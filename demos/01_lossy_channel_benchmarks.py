@@ -7,8 +7,8 @@ Every closed form is cross-checked against the truncated-Fock simulation.
 """
 
 from nla_distill import (ChannelParams, epr_criterion, eps_infinity,
-                         eps_no_nla, lossy_channel_state, partial_trace,
-                         purity, purity_no_nla, purity_tradeoff)
+                         eps_no_nla, lossy_channel_state, purity,
+                         purity_no_nla, purity_tradeoff)
 
 CUTOFF = 25
 
@@ -21,7 +21,7 @@ for r in (0.3, 0.6, 1.0):
         ch = ChannelParams(r, lam)
         st = lossy_channel_state(ch, CUTOFF)
         eps_sim = epr_criterion(st, "A", "B").eps_b_given_a
-        pur_sim = purity(partial_trace(st, ["A", "B"]))
+        pur_sim = purity(st, ["A", "B"])
         print(f"{r:5.2f} {lam:5.2f} | {eps_sim:10.6f} {eps_no_nla(ch)[0]:10.6f} "
               f"| {pur_sim:10.6f} {purity_no_nla(ch):11.6f}")
 

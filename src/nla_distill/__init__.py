@@ -11,7 +11,7 @@ from .analytic import (RECORD_SQUEEZING_DB, ChannelParams,
                        lambda_from_db, purity_formula, purity_ladder,
                        purity_no_nla, purity_tradeoff, r_from_squeeze_db,
                        squeeze_db_from_r, success_prob, success_prob_1stage)
-from .fock import (DensityMatrix, PureState, TailMassError, apply_beamsplitter,
+from .fock import (PureState, TailMassError, apply_beamsplitter,
                    apply_single_mode_squeeze, debug_serialize, epr_state,
                    fidelity, fock_state, herald_beamsplitter, norm_sq,
                    partial_trace, project_fock, purity, quadrature_moment,
@@ -35,7 +35,7 @@ __all__ = [
     "eps_ladder", "purity_ladder",
     "lambda_from_db", "db_from_lambda", "r_from_squeeze_db",
     "squeeze_db_from_r",
-    "PureState", "DensityMatrix", "vacuum", "fock_state", "epr_state", "tensor",
+    "PureState", "vacuum", "fock_state", "epr_state", "tensor",
     "apply_beamsplitter", "apply_single_mode_squeeze", "herald_beamsplitter",
     "project_fock", "partial_trace", "quadrature_moment", "norm_sq", "purity",
     "fidelity", "debug_serialize", "rename_modes", "reorder_modes",

@@ -26,7 +26,7 @@ from .analytic import (RECORD_SQUEEZING_DB, ChannelParams, db_from_lambda,
 
 __all__ = ["FIGURES", "figure_rows", "figure_params", "format_number",
            "write_csv", "write_svg", "DEFAULT_PIS", "DEFAULT_LAMBDA_DB",
-           "FIG4_EPS_TARGETS"]
+           "FIG4_EPS_TARGETS", "MAX_SWEEP_POINTS"]
 
 DEFAULT_PIS = (1e-1, 1e-2, 1e-3, 1e-4)
 DEFAULT_LAMBDA_DB = (0.5, 40.0, 0.5)          # min, max, step
@@ -34,6 +34,11 @@ FIG3_LAMBDAS = tuple(i / 100.0 for i in range(100))
 FIG3_SQUEEZE_DB = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0, RECORD_SQUEEZING_DB)
 FIG4_EPS_TARGETS = tuple(round(1.0 - 0.11 * k, 2) for k in range(10))
 FIG10_PIS = (1e-1, 1e-4)
+# (loss, pi) points in one sweep; the default grids have 320.  A point costs
+# about 0.4 ms at one stage and 7 ms at two (fig10 runs four searches per
+# point, 13 ms) on one core of a Xeon server, so the cap bounds a sweep at
+# about 70 s of fig8 work, or 2 min of fig10, before the worker pool divides it
+MAX_SWEEP_POINTS = 10_000
 
 _SWEEP = {"lambda_db": DEFAULT_LAMBDA_DB, "pi": DEFAULT_PIS}
 # the inputs that shape each figure's rows, with their defaults; fig3 and
@@ -51,12 +56,25 @@ _DEFAULTS = {
 FIGURES = tuple(_DEFAULTS)
 
 
-def _db_range(spec: tuple[float, float, float]) -> list[float]:
+def _db_count(spec: tuple[float, float, float]) -> int:
+    """Points on the loss axis (MIN, MAX, STEP) in dB, after checking that
+    every loss on it is a reflectivity in [0, 1) and the count is in bounds."""
     lo, hi, step = spec
-    if step <= 0 or hi < lo:
+    if not all(math.isfinite(x) for x in spec) or step <= 0 or hi < lo:
         raise ValueError(f"bad loss-dB range {spec}")
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + i * step for i in range(n)]
+    if lo < 0.0 or lambda_from_db(hi) >= 1.0:
+        raise ValueError(f"loss-dB range {spec}: losses must be >= 0 dB "
+                         "and leave a reflectivity below 1")
+    span = (hi - lo) / step + 1e-9
+    if span >= MAX_SWEEP_POINTS:
+        raise ValueError(f"loss-dB range {spec} has more than "
+                         f"{MAX_SWEEP_POINTS} points")
+    return int(math.floor(span)) + 1
+
+
+def _db_range(spec: tuple[float, float, float]) -> list[float]:
+    lo, _, step = spec
+    return [lo + i * step for i in range(_db_count(spec))]
 
 
 def _pmap(fn, items: Sequence, workers: int) -> list:
@@ -195,9 +213,12 @@ def figure_params(name: str, *, lambda_db=None, pi=None,
     p = {k: d if given[k] is None else given[k] for k, d in _DEFAULTS[name].items()}
     if "pi" in p:
         p["lambda_db"], p["pi"] = tuple(p["lambda_db"]), tuple(p["pi"])
-        _db_range(p["lambda_db"])
         if not p["pi"] or not all(0.0 < x <= 1.0 for x in p["pi"]):
             raise ValueError(f"success probabilities must be in (0, 1]: {p['pi']}")
+        if _db_count(p["lambda_db"]) * len(p["pi"]) > MAX_SWEEP_POINTS:
+            raise ValueError(f"sweep of {p['lambda_db']} x {len(p['pi'])} "
+                             f"success probabilities exceeds "
+                             f"{MAX_SWEEP_POINTS} points")
     if not 0.0 < p.get("eps_target", 1.0) <= 1.0:
         raise ValueError(f"eps_target must be in (0, 1], got {p['eps_target']}")
     if not 1 <= p.get("max_stages", 1) <= optimize.MAX_FLOOR_STAGES:

@@ -16,14 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
 __all__ = [
     "PureState",
-    "DensityMatrix",
     "TailMassError",
     "vacuum",
     "fock_state",
@@ -47,11 +46,8 @@ __all__ = [
 # Numerical slack on the "norm <= 1" invariant; heralded branches may sit
 # exactly at the boundary up to roundoff.
 _NORM_SLACK = 1e-12
-_HERMITIAN_TOL = 1e-10
-_TRACE_SLACK = 1e-10
 
 ModeLabel = str
-StateLike = Union["PureState", "DensityMatrix"]
 
 
 class TailMassError(RuntimeError):
@@ -103,47 +99,6 @@ class PureState:
 
     def cutoff_of(self, mode: ModeLabel) -> int:
         return self.cutoffs[self.axis(mode)]
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian operator over the joint truncated Fock basis.
-
-    ``matrix`` is indexed by the row-major flattening of the multi-index.
-    Positivity holds by construction for everything this package produces
-    (all density matrices come from partial traces of pure states).
-    """
-
-    modes: tuple[ModeLabel, ...]
-    cutoffs: tuple[int, ...]
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        dim = int(np.prod([c + 1 for c in self.cutoffs]))
-        if self.matrix.shape != (dim, dim):
-            raise ValueError(f"matrix shape {self.matrix.shape} != {(dim, dim)}")
-        mat = np.ascontiguousarray(self.matrix, dtype=np.complex128)
-        if mat is not self.matrix:
-            object.__setattr__(self, "matrix", mat)
-        if not np.all(np.isfinite(self.matrix)):
-            raise ValueError("non-finite matrix entry")
-        herm_err = float(np.abs(self.matrix - self.matrix.conj().T).max())
-        if herm_err > _HERMITIAN_TOL:
-            raise ValueError(f"matrix not Hermitian (max deviation {herm_err})")
-        tr = float(np.trace(self.matrix).real)
-        if not 0.0 < tr <= 1.0 + _TRACE_SLACK:
-            raise ValueError(f"trace {tr} outside (0, 1]")
-        self.matrix.flags.writeable = False
-
-    def axis(self, mode: ModeLabel) -> int:
-        try:
-            return self.modes.index(mode)
-        except ValueError:
-            raise ValueError(f"mode {mode!r} not in {self.modes}") from None
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
 
 
 # ---------------------------------------------------------------------------
@@ -438,36 +393,30 @@ def project_fock(state: PureState, mode: ModeLabel, n: int) -> PureState:
     return PureState(modes, cutoffs, amps, tail_mass=state.tail_mass)
 
 
-def partial_trace(obj: StateLike, keep: Sequence[ModeLabel]) -> DensityMatrix:
-    """Reduce to the modes in ``keep`` (in the object's own mode order)."""
+def _kept_by_traced(state: PureState, keep: Sequence[ModeLabel]) -> np.ndarray:
+    """Amplitudes as a (kept x traced) matrix, kept modes in the state's order."""
     keep = list(keep)
     if not keep:
         raise ValueError("keep must be nonempty")
-    missing = [m for m in keep if m not in obj.modes]
+    missing = [m for m in keep if m not in state.modes]
     if missing:
         raise ValueError(f"keep contains unknown modes {missing}")
-    kept = tuple(m for m in obj.modes if m in keep)
-    cutoffs = tuple(obj.cutoffs[obj.axis(m)] for m in kept)
-    dim_keep = int(np.prod([c + 1 for c in cutoffs]))
-
-    if isinstance(obj, PureState):
-        perm = [obj.axis(m) for m in kept] + \
-               [i for i, m in enumerate(obj.modes) if m not in keep]
-        mat = np.transpose(obj.amps, perm).reshape(dim_keep, -1)
-        rho = mat @ mat.conj().T
-    else:
-        k = len(obj.modes)
-        dims = [c + 1 for c in obj.cutoffs]
-        tens = obj.matrix.reshape(dims + dims)
-        trace_ax = [i for i in range(k) if obj.modes[i] not in keep]
-        for ax in sorted(trace_ax, reverse=True):
-            tens = np.trace(tens, axis1=ax, axis2=ax + tens.ndim // 2)
-        rho = tens.reshape(dim_keep, dim_keep)
-    rho = 0.5 * (rho + rho.conj().T)  # scrub roundoff asymmetry
-    return DensityMatrix(kept, cutoffs, rho)
+    kept = [i for i, m in enumerate(state.modes) if m in keep]
+    traced = [i for i, m in enumerate(state.modes) if m not in keep]
+    dim_keep = math.prod(state.amps.shape[i] for i in kept)
+    return np.transpose(state.amps, kept + traced).reshape(dim_keep, -1)
 
 
-def _validate_factors(obj: StateLike, factors) -> list[tuple[int, str, int]]:
+def partial_trace(state: PureState, keep: Sequence[ModeLabel]) -> np.ndarray:
+    """Reduced matrix of the modes in ``keep`` (in the state's own mode order),
+    Hermitian, indexed by the row-major flattening of their multi-index; its
+    trace is the state's squared norm."""
+    mat = _kept_by_traced(state, keep)
+    rho = mat @ mat.conj().T
+    return 0.5 * (rho + rho.conj().T)  # scrub roundoff asymmetry
+
+
+def _validate_factors(state: PureState, factors) -> list[tuple[int, str, int]]:
     factors = list(factors)
     if not 1 <= len(factors) <= 2:
         raise ValueError("spec must contain one or two quadrature factors")
@@ -477,10 +426,10 @@ def _validate_factors(obj: StateLike, factors) -> list[tuple[int, str, int]]:
             mode, sign = item
         except Exception:
             raise ValueError(f"malformed quadrature factor {item!r}") from None
-        ax = obj.axis(mode)
+        ax = state.axis(mode)
         if sign not in ("+", "-"):
             raise ValueError(f"quadrature sign must be '+' or '-', got {sign!r}")
-        out.append((ax, sign, obj.cutoffs[ax] + 1))
+        out.append((ax, sign, state.cutoffs[ax] + 1))
     return out
 
 
@@ -489,7 +438,7 @@ def _padded(arr: np.ndarray, pad: dict) -> np.ndarray:
     return np.pad(arr, width) if any(p for _, p in width) else arr
 
 
-def quadrature_moment(obj: StateLike, factors) -> float:
+def quadrature_moment(state: PureState, factors) -> float:
     """Expectation of a product of quadratures X^+/X^- on named modes.
 
     ``factors`` is a sequence of (mode, sign) pairs, at most two, e.g.
@@ -497,37 +446,37 @@ def quadrature_moment(obj: StateLike, factors) -> float:
     exact: each involved mode is temporarily given one slot of headroom per
     factor, so moments are correct even when population touches the cutoff.
     The value is *not* normalized: for a subnormalized branch it returns
-    <psi|O|psi> (or Tr[rho O]); divide by the squared norm or trace as needed.
+    <psi|O|psi>; divide by the squared norm as needed.
     """
-    parsed = _validate_factors(obj, factors)
+    parsed = _validate_factors(state, factors)
     pad = {}
     for ax, _, _ in parsed:
         pad[ax] = pad.get(ax, 0) + 1
-    if isinstance(obj, PureState):
-        psi = _padded(obj.amps, pad)
-        phi = psi
-        for ax, sign, dim in reversed(parsed):
-            phi = _apply_single_mode(phi, _quadrature(dim + pad[ax], sign), ax)
-        return float(np.vdot(psi, phi).real)
-    k = len(obj.modes)
-    dims = [c + 1 for c in obj.cutoffs]
-    pad_both = dict(pad)
-    pad_both.update({ax + k: p for ax, p in pad.items()})
-    tens = _padded(obj.matrix.reshape(dims + dims), pad_both)
+    psi = _padded(state.amps, pad)
+    phi = psi
     for ax, sign, dim in reversed(parsed):
-        tens = _apply_single_mode(tens, _quadrature(dim + pad[ax], sign), ax)
-    d = int(np.prod([d + pad.get(ax, 0) for ax, d in enumerate(dims)]))
-    return float(np.trace(tens.reshape(d, d)).real)
+        phi = _apply_single_mode(phi, _quadrature(dim + pad[ax], sign), ax)
+    return float(np.vdot(psi, phi).real)
 
 
 def norm_sq(state: PureState) -> float:
     return float(np.vdot(state.amps, state.amps).real)
 
 
-def purity(dm: DensityMatrix) -> float:
-    """Tr(rho^2) of the trace-normalized operator."""
-    tr = dm.trace
-    return float(np.vdot(dm.matrix, dm.matrix).real) / (tr * tr)
+def purity(state: PureState, keep: Sequence[ModeLabel]) -> float:
+    """Tr(rho^2) of the trace-normalized reduced state of the modes in ``keep``.
+
+    With M the (kept x traced) amplitude matrix, rho = M M' shares its nonzero
+    spectrum with M' M, so the smaller of the two Gram matrices G gives
+    Tr(rho^2) / Tr(rho)^2 = |G|_F^2 / Tr(G)^2 without forming rho itself.
+    """
+    mat = _kept_by_traced(state, keep)
+    if mat.shape[0] <= mat.shape[1]:
+        gram = mat @ mat.conj().T
+    else:
+        gram = mat.conj().T @ mat
+    tr = float(np.trace(gram).real)
+    return float(np.vdot(gram, gram).real) / (tr * tr)
 
 
 def fidelity(a: PureState, b: PureState) -> float:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import ModeLabel, PureState, StateLike
+from .fock import ModeLabel, PureState
 
 __all__ = ["ConditionalVariancePair", "EprResult", "conditional_variances",
            "epr_criterion"]
@@ -45,31 +45,25 @@ def _lower(arr: np.ndarray, ax: int) -> np.ndarray:
             * np.roll(arr, -1, axis=ax))
 
 
-def _second_moments(obj: StateLike, target: ModeLabel, conditioner: ModeLabel):
+def _second_moments(state: PureState, target: ModeLabel, conditioner: ModeLabel):
     """(sign, Var_t, Var_c, Cov) for X+ and X-, first moments subtracted and
     the state normalized, so subnormalized and displaced states alike work.
 
     One pass of shifted-slice ladder sums, exact at the cutoff: <a>, <a^2>,
-    <a'a> per mode, <a_t a_c>, <a_t' a_c>.  A density matrix enters as bra rho
-    and ket identity, so <bra|O|ket> = Tr(rho O) for the Hermitian rho."""
+    <a'a> per mode, <a_t a_c>, <a_t' a_c>."""
     if target == conditioner:
         raise ValueError("target and conditioner must differ")
-    t, c = obj.axis(target), obj.axis(conditioner)
-    if isinstance(obj, PureState):
-        bra = ket = obj.amps
-    else:
-        bra = obj.matrix.reshape([d + 1 for d in obj.cutoffs] + [-1])
-        ket = np.eye(bra.shape[-1]).reshape(bra.shape)
-    w = float(np.vdot(bra, ket).real)   # squared norm or trace
+    t, c = state.axis(target), state.axis(conditioner)
+    psi = state.amps
+    w = float(np.vdot(psi, psi).real)
     if w <= _DEGENERATE_VAR:
         raise ValueError("state has (near-)zero norm; nothing to normalize")
-    low = {ax: _lower(ket, ax) for ax in (t, c)}
-    low_bra = low if bra is ket else {ax: _lower(bra, ax) for ax in (t, c)}
-    a = [np.vdot(bra, low[ax]) for ax in (t, c)]
-    a2 = [np.vdot(bra, _lower(low[ax], ax)) for ax in (t, c)]
-    n = [np.vdot(low_bra[ax], low[ax]).real for ax in (t, c)]
-    aa = np.vdot(bra, _lower(low[t], c)).real
-    ada = np.vdot(low_bra[t], low[c]).real
+    low = {ax: _lower(psi, ax) for ax in (t, c)}
+    a = [np.vdot(psi, low[ax]) for ax in (t, c)]
+    a2 = [np.vdot(psi, _lower(low[ax], ax)) for ax in (t, c)]
+    n = [np.vdot(low[ax], low[ax]).real for ax in (t, c)]
+    aa = np.vdot(psi, _lower(low[t], c)).real
+    ada = np.vdot(low[t], low[c]).real
     out = []
     for sign, s in (("+", 1.0), ("-", -1.0)):
         mean = [2.0 * (x.real if s > 0 else x.imag) / w for x in a]
@@ -87,7 +81,7 @@ def _conditioned(sign: str, var_t: float, var_c: float,
     return var_t - cov * cov / var_c, cov / var_c
 
 
-def conditional_variances(obj: StateLike, target: ModeLabel,
+def conditional_variances(state: PureState, target: ModeLabel,
                           conditioner: ModeLabel) -> ConditionalVariancePair:
     """min_gamma Var(X_target - gamma X_conditioner) for both quadratures.
 
@@ -95,17 +89,17 @@ def conditional_variances(obj: StateLike, target: ModeLabel,
     input is normalized internally).
     """
     (v_plus, g_plus), (v_minus, g_minus) = (
-        _conditioned(*m) for m in _second_moments(obj, target, conditioner))
+        _conditioned(*m) for m in _second_moments(state, target, conditioner))
     return ConditionalVariancePair(v_plus=v_plus, v_minus=v_minus,
                                    gamma_plus=g_plus, gamma_minus=g_minus)
 
 
-def epr_criterion(obj: StateLike, a: ModeLabel, b: ModeLabel) -> EprResult:
+def epr_criterion(state: PureState, a: ModeLabel, b: ModeLabel) -> EprResult:
     """EPR products in both directions; eps_B|A conditions B's variance on A.
 
     Each quadrature moment is computed once and serves both directions.
     """
-    moments = _second_moments(obj, b, a)
+    moments = _second_moments(state, b, a)
     ba = [_conditioned(s, vb, va, cov)[0] for s, vb, va, cov in moments]
     ab = [_conditioned(s, va, vb, cov)[0] for s, vb, va, cov in moments]
     return EprResult(eps_b_given_a=ba[0] * ba[1], eps_a_given_b=ab[0] * ab[1])

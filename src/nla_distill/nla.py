@@ -223,11 +223,10 @@ def distill_and_measure(heralded: HeraldedState) -> DistillationResult:
     """Trace out the loss mode and evaluate the entanglement/purity figures."""
     st = heralded.state
     res = metrics.epr_criterion(st, "A", "B")
-    rho_ab = fock.partial_trace(st, ["A", "B"])
     return DistillationResult(
         eps_b_given_a=res.eps_b_given_a,
         eps_a_given_b=res.eps_a_given_b,
-        purity=fock.purity(rho_ab),
+        purity=fock.purity(st, ["A", "B"]),
         success_prob=heralded.success_prob,
         n_stages=heralded.n_stages,
     )

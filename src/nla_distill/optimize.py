@@ -309,7 +309,12 @@ def purity_for_target_entanglement(eps_target: float, lam: float, pi: float,
     eps_vals = np.concatenate([[objective(0.0)[0]], eps])
     runs = np.concatenate([[runs[0]], runs])
 
-    f = lambda r: objective(r)[0] - eps_target
+    etas = {}  # brentq returns a squeezing it probed: its eta is kept here
+
+    def f(r: float) -> float:
+        e, etas[r] = objective(r)
+        return e - eps_target
+
     diffs = eps_vals - eps_target
     same_run = runs[:-1] == runs[1:]  # never bridge disjoint feasible pockets
     on_grid = abs(diffs) < 1e-14
@@ -334,7 +339,7 @@ def purity_for_target_entanglement(eps_target: float, lam: float, pi: float,
 
     results = []
     for r in roots:
-        _, eta = objective(r)
+        eta = etas[r] if r in etas else objective(r)[1]
         res = _finalize(r, eta, eps_target, lam, pi, n_stages)
         results.append(res)
     best = max(results, key=lambda dr: dr.purity)

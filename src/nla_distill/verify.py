@@ -23,10 +23,11 @@ __all__ = ["CheckResult", "run_all", "TAIL_BUDGET", "DEFAULT_CUTOFF",
 
 TAIL_BUDGET = 1e-10
 DEFAULT_CUTOFF = 25  # Fock cutoff of the lossy-channel benchmark checks
-# the benchmark checks form (c+1)^2 x (c+1)^2 density matrices, so memory
-# grows as (c+1)^4: they peak at 104 MB resident at 25 and 372 MB at 48,
-# and one matrix alone needs 4.4 GB at 128
-MAX_CUTOFF = 48
+# also the cap of the suite's own circuits (`_auto_cutoff`); the benchmark
+# checks hold (c+1)^3 amplitudes and read purity from a (c+1) x (c+1) Gram
+# matrix, so the suite takes 1.6 s and 410 MB resident at 48 and 5.0 s and
+# 580 MB at 128 on a 2-core host
+MAX_CUTOFF = 128
 
 _BENCH_GRID = [(r, lam) for r in (0.2, 0.5, 0.7) for lam in (0.1, 0.3, 0.6)]
 _CIRCUIT_GRID = [(r, lam, eta) for r in (0.2, 0.3) for lam in (0.2, 0.5)
@@ -49,13 +50,13 @@ class CheckResult:
 
 def _auto_cutoff(r: float) -> int:
     """Source cutoff whose EPR tail stays near 1e-11, below the tail budget,
-    capped at 128 and quantized for operator-cache reuse."""
+    capped at MAX_CUTOFF and quantized for operator-cache reuse."""
     chi = math.tanh(r)
     if chi < 0.05:
         need = 12
     else:
         need = max(12, math.ceil(math.log(1e-11) / (2.0 * math.log(chi))) - 1)
-    return int(math.ceil(min(need, 128) / 8.0) * 8)
+    return int(math.ceil(min(need, MAX_CUTOFF) / 8.0) * 8)
 
 
 def _check_benchmarks(cutoff: int, tail: list) -> list[CheckResult]:
@@ -68,7 +69,7 @@ def _check_benchmarks(cutoff: int, tail: list) -> list[CheckResult]:
         ana_ba, ana_ab = eps_no_nla(ch)
         e_ba = max(e_ba, abs(res.eps_b_given_a - ana_ba))
         e_ab = max(e_ab, abs(res.eps_a_given_b - ana_ab))
-        p = fock.purity(fock.partial_trace(st, ["A", "B"]))
+        p = fock.purity(st, ["A", "B"])
         pur = max(pur, abs(p - purity_no_nla(ch)))
     return [CheckResult("benchmark_eps_b_given_a_vs_sim", e_ba, 1e-6),
             CheckResult("benchmark_eps_a_given_b_vs_sim", e_ab, 1e-6),

@@ -271,7 +271,16 @@ def test_fig10_defaults_to_its_own_success_probabilities(tmp_path):
                                   ["fig9", "--eps-target", "1.01"],
                                   ["fig10", "--eps-target", "2"],
                                   ["fig6", "--workers", "0"],
-                                  ["fig8", "--workers", "-3"]])
+                                  ["fig8", "--workers", "-3"],
+                                  ["fig6", "--lambda-db", "0", "inf", "1"],
+                                  ["fig7", "--lambda-db", "nan", "5", "1"],
+                                  ["fig8", "--lambda-db", "0", "5", "inf"],
+                                  ["fig9", "--lambda-db", "-1", "5", "1"],
+                                  ["fig6", "--lambda-db", "0", "170", "1"],
+                                  ["fig10", "--lambda-db", "0.5", "40", "1e-7"],
+                                  ["fig8", "--lambda-db", "0", "160", "0.1",
+                                   "--pi", "0.1", "0.2", "0.3", "0.4", "0.5",
+                                   "0.6", "0.7"]])
 def test_out_of_range_figure_inputs_exit_one(argv, tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert cli.main([argv[0], "-o", str(out), *argv[1:]]) == 1
@@ -288,6 +297,10 @@ def test_verify_rejects_bad_settings_before_running(flag, capsys):
     assert time.perf_counter() - t0 < 1.0
     err = capsys.readouterr()
     assert "error:" in err.err and err.out == ""
+
+
+def test_verify_circuit_cutoffs_share_the_cutoff_cap():
+    assert verify._auto_cutoff(3.0) == verify.MAX_CUTOFF
 
 
 def test_figure_params_own_defaults_and_ranges():

@@ -1,5 +1,6 @@
 """Fock-core: constructors, unitaries, projection, tracing, moments."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nla_distill import fock
+from nla_distill import fock, nla
+from nla_distill.analytic import ChannelParams
 
 
 @st.composite
@@ -292,35 +294,51 @@ def test_project_requires_known_mode():
 def test_partial_trace_full_keep_is_projector():
     st = fock.epr_state(0.6, ("M", "N"), 6)
     dm = fock.partial_trace(st, ["M", "N"])
-    assert fock.purity(dm) == pytest.approx(1.0, abs=1e-12)
-    assert dm.trace == pytest.approx(fock.norm_sq(st), abs=1e-12)
+    assert fock.purity(st, ["M", "N"]) == pytest.approx(1.0, abs=1e-12)
+    assert np.trace(dm).real == pytest.approx(fock.norm_sq(st), abs=1e-12)
 
 
 def test_partial_trace_epr_gives_thermal_diagonal():
     chi = 0.5
     st = fock.epr_state(chi, ("M", "N"), 20)
     dm = fock.partial_trace(st, ["M"])
-    diag = np.diag(dm.matrix).real
+    diag = np.diag(dm).real
     expect = (1 - chi * chi) * chi ** (2 * np.arange(21))
     assert np.allclose(diag, expect, atol=1e-12)
-    off = dm.matrix - np.diag(np.diag(dm.matrix))
+    off = dm - np.diag(np.diag(dm))
     assert np.abs(off).max() < 1e-14
-
-
-def test_partial_trace_of_density_matrix():
-    st = fock.epr_state(0.4, ("M", "N"), 8)
-    rho = fock.partial_trace(st, ["M", "N"])
-    reduced = fock.partial_trace(rho, ["M"])
-    direct = fock.partial_trace(st, ["M"])
-    assert np.allclose(reduced.matrix, direct.matrix, atol=1e-12)
 
 
 def test_partial_trace_requires_subset():
     st = fock.vacuum(["A", "B"], [2, 2])
-    with pytest.raises(ValueError):
-        fock.partial_trace(st, ["A", "Z"])
-    with pytest.raises(ValueError):
-        fock.partial_trace(st, [])
+    for reduce in (fock.partial_trace, fock.purity):
+        with pytest.raises(ValueError):
+            reduce(st, ["A", "Z"])
+        with pytest.raises(ValueError):
+            reduce(st, [])
+
+
+def assert_purity_matches_partial_trace(state):
+    """Gram-matrix purity against Tr rho^2 / (Tr rho)^2 of the reduced matrix,
+    for every nonempty kept subset (both Gram orientations occur)."""
+    for k in range(1, len(state.modes) + 1):
+        for keep in itertools.combinations(state.modes, k):
+            rho = fock.partial_trace(state, keep)
+            tr = np.trace(rho).real
+            ref = np.vdot(rho, rho).real / (tr * tr)
+            assert abs(fock.purity(state, keep) - ref) <= 1e-14
+
+
+@settings(max_examples=60)
+@given(state=random_states())
+def test_purity_matches_partial_trace_reference(state):
+    assert_purity_matches_partial_trace(state)
+
+
+def test_purity_of_heralded_branch_matches_partial_trace_reference():
+    hs = nla.single_stage_circuit(ChannelParams(0.5, 0.3), 0.7, 12)
+    assert fock.norm_sq(hs.state) < 0.5  # subnormalized
+    assert_purity_matches_partial_trace(hs.state)
 
 
 def test_quadrature_first_moment_vacuum():
@@ -353,14 +371,6 @@ def test_quadrature_moment_exact_at_cutoff_boundary():
     assert fock.quadrature_moment(st, [("A", "+")] * 2) == pytest.approx(3.0, abs=1e-14)
 
 
-def test_quadrature_moment_on_density_matrix():
-    st = fock.epr_state(0.5, ("M", "N"), 20)
-    dm = fock.partial_trace(st, ["M", "N"])
-    pure = fock.quadrature_moment(st, [("M", "+"), ("N", "+")])
-    mixed = fock.quadrature_moment(dm, [("M", "+"), ("N", "+")])
-    assert abs(pure - mixed) < 1e-10
-
-
 def test_quadrature_moment_rejects_malformed_spec():
     v = fock.vacuum(["A"], [4])
     with pytest.raises(ValueError):
@@ -374,9 +384,11 @@ def test_quadrature_moment_rejects_malformed_spec():
 
 
 def test_purity_maximally_mixed_two_level():
-    mat = np.diag([0.5, 0.5]).astype(complex)
-    dm = fock.DensityMatrix(("A",), (1,), mat)
-    assert fock.purity(dm) == pytest.approx(0.5, abs=1e-15)
+    # either half of a Bell pair is maximally mixed
+    amps = np.diag([1.0, 1.0]).astype(complex) / math.sqrt(2.0)
+    bell = fock.PureState(("A", "B"), (1, 1), amps)
+    for keep in (["A"], ["B"]):
+        assert fock.purity(bell, keep) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_operations_are_bit_deterministic():
@@ -410,9 +422,3 @@ def test_norm_invariant_enforced():
                 complex(np.inf, -np.inf)):
         with pytest.raises(ValueError, match="non-finite"):
             fock.PureState(("A",), (1,), np.array([0.5, bad], dtype=complex))
-
-
-def test_density_matrix_requires_hermitian():
-    mat = np.array([[0.5, 0.2], [0.0, 0.5]], dtype=complex)
-    with pytest.raises(ValueError):
-        fock.DensityMatrix(("A",), (1,), mat)

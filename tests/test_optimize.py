@@ -214,8 +214,8 @@ def test_fully_infeasible_grid_raises():
 @pytest.mark.parametrize("n", [1, 2])
 def test_scalar_probes_are_the_refinement_only(n, monkeypatch):
     # the grid is scanned as arrays, so the scalar eta_candidates only sees
-    # the refinement's squeezings, each once in the golden search (the target
-    # search re-reads eta at each brentq root)
+    # the refinement's squeezings, each once: the target search keeps the eta
+    # of every squeezing brentq probes, and each root is one of them
     probed = []
     real = optimize.eta_candidates
 
@@ -230,6 +230,7 @@ def test_scalar_probes_are_the_refinement_only(n, monkeypatch):
     probed.clear()
     optimize.purity_for_target_entanglement(0.9, 0.6, 1e-2, n)
     assert 0 < len(probed) < optimize.R_GRID_POINTS
+    assert len(probed) == len(set(probed))
 
 
 def test_target_search_refines_the_optimum_only_above_the_grid(monkeypatch):
