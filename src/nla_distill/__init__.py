@@ -11,11 +11,11 @@ from .analytic import (RECORD_SQUEEZING_DB, ChannelParams,
                        lambda_from_db, purity_formula, purity_ladder,
                        purity_no_nla, purity_tradeoff, r_from_squeeze_db,
                        squeeze_db_from_r, success_prob, success_prob_1stage)
-from .fock import (PureState, TailMassError, apply_beamsplitter,
-                   apply_single_mode_squeeze, debug_serialize, epr_state,
-                   fidelity, fock_state, herald_beamsplitter, norm_sq,
-                   partial_trace, project_fock, purity, quadrature_moment,
-                   rename_modes, reorder_modes, tensor, vacuum)
+from .fock import (PureState, apply_beamsplitter, apply_single_mode_squeeze,
+                   debug_serialize, epr_state, fidelity, fock_state,
+                   herald_beamsplitter, norm_sq, partial_trace, project_fock,
+                   purity, quadrature_moment, rename_modes, reorder_modes,
+                   tensor, vacuum)
 from .metrics import (ConditionalVariancePair, EprResult,
                       conditional_variances, epr_criterion)
 from .nla import (DistillationResult, HeraldedState, closed_form_state,
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RECORD_SQUEEZING_DB", "ChannelParams", "NlaParams",
-    "InfeasibleParameterError", "UnachievableTargetError", "TailMassError",
+    "InfeasibleParameterError", "UnachievableTargetError",
     "eps_no_nla", "eps_infinity", "purity_no_nla", "purity_tradeoff",
     "success_prob_1stage", "success_prob", "eps_opt_formula", "purity_formula",
     "eps_ladder", "purity_ladder",

@@ -66,7 +66,7 @@ def _run_point(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    results = verify.run_all(cutoff=args.cutoff, tail_budget=args.tolerance)
+    results = verify.run_all()
     width = max(len(r.name) for r in results)
     ok = True
     for r in results:
@@ -111,12 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stages", type=int, default=1,
                    help=f"stage count, 1 to {optimize.MAX_SEARCH_STAGES}")
 
-    p = sub.add_parser("verify", help="run the oracle suite")
-    p.add_argument("--cutoff", type=int, default=verify.DEFAULT_CUTOFF,
-                   help=("Fock cutoff for the lossy-channel checks, 1 to "
-                         f"{verify.MAX_CUTOFF}"))
-    p.add_argument("--tolerance", type=float, default=verify.TAIL_BUDGET,
-                   help="truncation tail-mass budget")
+    sub.add_parser("verify", help="run the oracle suite")
     return parser
 
 

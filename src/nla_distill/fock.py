@@ -7,8 +7,8 @@ states are allowed (they arise from heralding); the squared norm of a
 projected branch is the probability of the outcome.
 
 Every constructor and unitary reports truncation losses through the
-``tail_mass`` field of the returned state, so downstream consumers can refuse
-results that leaked more population than their tolerance allows.
+``tail_mass`` field of the returned state, so downstream consumers can count
+the leaked population against their budget.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import scipy.linalg
 
 __all__ = [
     "PureState",
-    "TailMassError",
     "vacuum",
     "fock_state",
     "epr_state",
@@ -48,10 +47,6 @@ __all__ = [
 _NORM_SLACK = 1e-12
 
 ModeLabel = str
-
-
-class TailMassError(RuntimeError):
-    """A result leaked more truncated population than the tolerance allows."""
 
 
 @dataclass(frozen=True)

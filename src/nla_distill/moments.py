@@ -13,11 +13,11 @@ no code path (and no truncation) with the Fock-tensor simulation.
 Which expanded words survive, and their vacuum values, depend only on the
 stage count and the middle words, so each such pair is compiled once per
 process into its nonzero terms; a call then only multiplies in kappa,
-cosh(rho) and sinh(rho).  Measured on one core of a Xeon server (Python
-3.11): compiling the six distinct middles of `eps_via_moments` costs
-1.3 ms / 9 ms / 56 ms / 0.35 s at N = 1 / 2 / 3 / 4 (the expansion is still
-exponential in N), after which one `eps_via_moments` call costs
-0.06 / 0.07 / 0.10 / 0.13 ms.
+cosh(rho) and sinh(rho).  Measured on one core of a 2-core Xeon host
+(Python 3.11, medians of 7 fresh processes): compiling the four distinct
+middles of `eps_via_moments` costs 1.6 ms / 11 ms / 62 ms / 0.35 s at
+N = 1 / 2 / 3 / 4 (the expansion is still exponential in N), after which
+one `eps_via_moments` call costs 0.06 / 0.07 / 0.09 / 0.11 ms.
 """
 
 from __future__ import annotations
@@ -151,15 +151,17 @@ def quadrature_moment(n_stages: int, kappa: float, rho: float,
 
 
 def eps_via_moments(n_stages: int, kappa: float, rho: float) -> float:
-    """eps_B|A of the heralded state, from ladder algebra alone."""
+    """eps_B|A of the heralded state, from ladder algebra alone.
+
+    First moments vanish: a one-factor word sandwiched between the state's
+    even-length words has odd length, hence vacuum value 0, so the
+    (co)variances are the plain second moments.
+    """
     z = quadrature_moment(n_stages, kappa, rho, [])
     prod = 1.0
     for sign in ("+", "-"):
-        mb, ma, mab, fb, fa = (
+        mb, ma, mab = (
             quadrature_moment(n_stages, kappa, rho, [(m, sign) for m in modes]) / z
-            for modes in ("BB", "AA", "BA", "B", "A"))
-        var_b = mb - fb * fb
-        var_a = ma - fa * fa
-        cov = mab - fa * fb
-        prod *= var_b - cov * cov / var_a
+            for modes in ("BB", "AA", "BA"))
+        prod *= mb - mab * mab / ma
     return prod

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import fock, metrics
 from .analytic import ChannelParams, NlaParams, success_prob
-from .fock import TailMassError
 
 __all__ = [
     "HeraldedState",
@@ -117,8 +116,7 @@ def lossy_channel_state(channel: ChannelParams, cutoff: int) -> fock.PureState:
 
 
 def scissor_circuit(n_stages: int, channel: ChannelParams, eta: float,
-                    cutoff: int, patterns=None,
-                    tail_budget: float | None = None) -> HeraldedState:
+                    cutoff: int, patterns=None) -> HeraldedState:
     """Full circuit: EPR source, loss on one arm, the lossy arm split evenly
     over N scissors and coherently recombined (Ralph & Lund's N-splitter
     generalized scissor).
@@ -128,8 +126,8 @@ def scissor_circuit(n_stages: int, channel: ChannelParams, eta: float,
     into the success probability.  ``patterns`` holds each scissor's detection
     pattern in that order (all (1,0) when None; 2^N symmetric combinations).
     Only the source truncation clips: ancillas hold one photon, the scissor
-    outputs N together.  A ``tail_budget`` turns excess truncation loss into
-    a TailMassError.
+    outputs N together.  The returned state's ``tail_mass`` is that clipped
+    population; the caller picks the cutoff and judges the tail.
     """
     NlaParams(n_stages, eta, channel)  # validates the stage count and eta
     n = n_stages
@@ -147,22 +145,19 @@ def scissor_circuit(n_stages: int, channel: ChannelParams, eta: float,
         st = fock.apply_beamsplitter(st, (out, f"P{k}"), _arm_transmissivity(n, k))
         st = fock.project_fock(st, f"P{k}", 0)
     st = fock.reorder_modes(fock.rename_modes(st, {out: "B"}), ("A", "B", "L"))
-    if tail_budget is not None and st.tail_mass > tail_budget:
-        raise TailMassError(f"truncation tail {st.tail_mass:.3e} exceeds budget "
-                            f"{tail_budget:.0e}; raise the cutoff")
     return HeraldedState(st, n)
 
 
 def single_stage_circuit(channel: ChannelParams, eta: float, cutoff: int,
-                         pattern=(1, 0), tail_budget=None) -> HeraldedState:
+                         pattern=(1, 0)) -> HeraldedState:
     """One scissor on the lossy arm: ``scissor_circuit(1, ...)``."""
-    return scissor_circuit(1, channel, eta, cutoff, [pattern], tail_budget)
+    return scissor_circuit(1, channel, eta, cutoff, [pattern])
 
 
 def dual_stage_circuit(channel: ChannelParams, eta: float, cutoff: int,
-                       patterns=None, tail_budget=None) -> HeraldedState:
+                       patterns=None) -> HeraldedState:
     """Two scissors on the evenly split lossy arm: ``scissor_circuit(2, ...)``."""
-    return scissor_circuit(2, channel, eta, cutoff, patterns, tail_budget)
+    return scissor_circuit(2, channel, eta, cutoff, patterns)
 
 
 def closed_form_state(n_stages: int, channel: ChannelParams, eta: float,
@@ -189,21 +184,13 @@ def closed_form_state(n_stages: int, channel: ChannelParams, eta: float,
         for j in range(n + 1):
             if nl + j > cutoff:
                 break
-            amps[nl + j, j, nl] = base * coef[j] * math.sqrt(_ff(nl + j, nl))
+            amps[nl + j, j, nl] = base * coef[j] * math.sqrt(math.perm(nl + j, j))
     # the untruncated branch holds one pattern's share of the success rate
     norm_inf = success_prob(n, channel, eta) / 2.0**n
     tail = max(norm_inf - float(np.vdot(amps, amps).real), 0.0)
     state = fock.PureState(("A", "B", "L"), (cutoff, n, cutoff), amps,
                            tail_mass=tail)
     return HeraldedState(state, n)
-
-
-def _ff(top: int, bot: int) -> float:
-    """Falling-factorial ratio top! / bot!."""
-    out = 1.0
-    for k in range(bot + 1, top + 1):
-        out *= k
-    return out
 
 
 def truncated_pair_state(n_stages: int, kappa: float) -> fock.PureState:

@@ -3,7 +3,9 @@
 Every closed form is checked against the independent Fock-space simulation
 (and the ladder-algebra moment engine) at fixed tolerances; each check
 reports its name, the measured error, and the tolerance it must meet.
-Results whose truncation tail exceeds the tail budget are refused outright.
+Every Fock state a check builds reports its truncation tail to the last
+line, `truncation_tail_budget`; a run whose worst tail exceeds TAIL_BUDGET
+fails the budget check.
 """
 
 from __future__ import annotations
@@ -18,15 +20,11 @@ from .analytic import (ChannelParams, NlaParams, eps_infinity, eps_no_nla,
                        eps_opt_formula, purity_formula, purity_no_nla,
                        purity_tradeoff, success_prob_1stage)
 
-__all__ = ["CheckResult", "run_all", "TAIL_BUDGET", "DEFAULT_CUTOFF",
-           "MAX_CUTOFF"]
+__all__ = ["CheckResult", "run_all", "TAIL_BUDGET", "MAX_CUTOFF"]
 
 TAIL_BUDGET = 1e-10
-DEFAULT_CUTOFF = 25  # Fock cutoff of the lossy-channel benchmark checks
-# also the cap of the suite's own circuits (`_auto_cutoff`); the benchmark
-# checks hold (c+1)^3 amplitudes and read purity from a (c+1) x (c+1) Gram
-# matrix, so the suite takes 1.6 s and 410 MB resident at 48 and 5.0 s and
-# 580 MB at 128 on a 2-core host
+# largest cutoff of a circuit the suite builds: a squeezing whose tail rule
+# (`_auto_cutoff`) asks for more lies outside the circuit route
 MAX_CUTOFF = 128
 
 _BENCH_GRID = [(r, lam) for r in (0.2, 0.5, 0.7) for lam in (0.1, 0.3, 0.6)]
@@ -49,21 +47,21 @@ class CheckResult:
 
 
 def _auto_cutoff(r: float) -> int:
-    """Source cutoff whose EPR tail stays near 1e-11, below the tail budget,
-    capped at MAX_CUTOFF and quantized for operator-cache reuse."""
+    """Source cutoff whose EPR tail stays at most 1e-11, below the tail
+    budget, quantized for operator-cache reuse."""
     chi = math.tanh(r)
     if chi < 0.05:
         need = 12
     else:
         need = max(12, math.ceil(math.log(1e-11) / (2.0 * math.log(chi))) - 1)
-    return int(math.ceil(min(need, MAX_CUTOFF) / 8.0) * 8)
+    return int(math.ceil(need / 8.0) * 8)
 
 
-def _check_benchmarks(cutoff: int, tail: list) -> list[CheckResult]:
+def _check_benchmarks(tail: list) -> list[CheckResult]:
     e_ba = e_ab = pur = 0.0
     for r, lam in _BENCH_GRID:
         ch = ChannelParams(r, lam)
-        st = nla.lossy_channel_state(ch, cutoff)
+        st = nla.lossy_channel_state(ch, _auto_cutoff(r))
         tail.append(st.tail_mass)
         res = metrics.epr_criterion(st, "A", "B")
         ana_ba, ana_ab = eps_no_nla(ch)
@@ -86,7 +84,7 @@ def _check_limits() -> list[CheckResult]:
             CheckResult("purity_tradeoff_eliminant", elim, 1e-12)]
 
 
-def _check_epr_identity() -> CheckResult:
+def _check_epr_identity(tail: list) -> CheckResult:
     worst = 0.0
     for r in (0.2, 0.5, 0.8):
         cut = fock.squeeze_cutoff_envelope(r)
@@ -94,8 +92,9 @@ def _check_epr_identity() -> CheckResult:
         st = fock.apply_single_mode_squeeze(st, "C", r)
         st = fock.apply_single_mode_squeeze(st, "D", -r)
         st = fock.apply_beamsplitter(st, ("C", "D"), 0.5)
-        worst = max(worst, 1.0 - fock.fidelity(
-            st, fock.epr_state(math.tanh(r), ("C", "D"), cut)))
+        epr = fock.epr_state(math.tanh(r), ("C", "D"), cut)
+        tail.extend([st.tail_mass, epr.tail_mass])
+        worst = max(worst, 1.0 - fock.fidelity(st, epr))
     return CheckResult("squeezer_beamsplitter_epr_identity", worst, 1e-8)
 
 
@@ -103,28 +102,32 @@ def _check_circuits(tail: list) -> list[CheckResult]:
     f1 = f2 = dpi = 0.0
     for r, lam, eta in _CIRCUIT_GRID:
         ch = ChannelParams(r, lam)
-        c1 = nla.single_stage_circuit(ch, eta, 20)
-        k1 = nla.closed_form_state(1, ch, eta, 20)
-        tail.extend([c1.state.tail_mass, k1.state.tail_mass])
+        cut = _auto_cutoff(r)
+        c1 = nla.single_stage_circuit(ch, eta, cut)
+        k1 = nla.closed_form_state(1, ch, eta, cut)
+        c2 = nla.dual_stage_circuit(ch, eta, cut)
+        k2 = nla.closed_form_state(2, ch, eta, cut)
+        tail.extend(h.state.tail_mass for h in (c1, k1, c2, k2))
         f1 = max(f1, 1.0 - fock.fidelity(c1.state, k1.state))
         dpi = max(dpi, abs(success_prob_1stage(ch, eta) - c1.success_prob))
-        c2 = nla.dual_stage_circuit(ch, eta, 8)
-        k2 = nla.closed_form_state(2, ch, eta, 8)
         f2 = max(f2, 1.0 - fock.fidelity(c2.state, k2.state))
     return [CheckResult("single_stage_circuit_vs_closed_form", f1, 1e-10),
             CheckResult("dual_stage_circuit_vs_closed_form", f2, 1e-8),
             CheckResult("success_prob_vs_heralding", dpi, 1e-10)]
 
 
-def _check_patterns() -> list[CheckResult]:
+def _check_patterns(tail: list) -> list[CheckResult]:
     ch = ChannelParams(0.3, 0.3)
-    base1 = nla.single_stage_circuit(ch, 0.7, 12)
-    alt1 = nla.single_stage_circuit(ch, 0.7, 12, pattern=(0, 1))
-    base2 = nla.dual_stage_circuit(ch, 0.7, 8)
+    cut = _auto_cutoff(ch.r)
+    base1 = nla.single_stage_circuit(ch, 0.7, cut)
+    alt1 = nla.single_stage_circuit(ch, 0.7, cut, pattern=(0, 1))
+    base2 = nla.dual_stage_circuit(ch, 0.7, cut)
+    tail.extend(h.state.tail_mass for h in (base1, alt1, base2))
     dn = abs(fock.norm_sq(alt1.state) - fock.norm_sq(base1.state))
     df = 1.0 - fock.fidelity(alt1.state, base1.state)
     for pats in (((1, 0), (0, 1)), ((0, 1), (1, 0)), ((0, 1), (0, 1))):
-        alt2 = nla.dual_stage_circuit(ch, 0.7, 8, patterns=pats)
+        alt2 = nla.dual_stage_circuit(ch, 0.7, cut, patterns=pats)
+        tail.append(alt2.state.tail_mass)
         dn = max(dn, abs(fock.norm_sq(alt2.state) - fock.norm_sq(base2.state)))
         df = max(df, 1.0 - fock.fidelity(alt2.state, base2.state))
     return [CheckResult("pattern_norm_symmetry", dn, 1e-12),
@@ -139,7 +142,7 @@ def _check_eta_roundtrip() -> CheckResult:
     return CheckResult("eta_inversion_roundtrip", worst, 1e-12)
 
 
-def _check_commutation() -> CheckResult:
+def _check_commutation(tail: list) -> CheckResult:
     """Moments of the pair-creation state two ways: ladder-algebra recursion
     (the commutation identity route) against the Fock simulation."""
     worst = 0.0
@@ -147,6 +150,7 @@ def _check_commutation() -> CheckResult:
     pair_word = [(1.0, (("A", False), ("L", False)))]       # a l
     for rho in (0.2, 0.5):
         st = fock.epr_state(math.tanh(rho), ("A", "L"), 40)
+        tail.append(st.tail_mass)
         z = fock.norm_sq(st)
         zg = moments.quadrature_moment(1, 0.0, rho, [])
         for factors in ([("A", "+")] * 2, [("A", "-")] * 2,
@@ -167,8 +171,7 @@ def _check_formulas(tail: list) -> list[CheckResult]:
     for r, lam, eta in _FORMULA_GRID:
         ch = ChannelParams(r, lam)
         pi = success_prob_1stage(ch, eta)
-        cutoff = _auto_cutoff(r)
-        hs = nla.single_stage_circuit(ch, eta, cutoff)
+        hs = nla.single_stage_circuit(ch, eta, _auto_cutoff(r))
         tail.append(hs.state.tail_mass)
         res = nla.distill_and_measure(hs)
         de = max(de, abs(res.eps_b_given_a - eps_opt_formula(r, lam, pi)))
@@ -177,16 +180,19 @@ def _check_formulas(tail: list) -> list[CheckResult]:
             CheckResult("purity_formula_pointwise_vs_sim", dp, 1e-6)]
 
 
-def _circuit_minimum(lam: float, pi: float) -> float:
+def _circuit_minimum(lam: float, pi: float, tail: list) -> float:
     """Minimum over r of eps_B|A simulated on the single-stage circuit, found
-    by the closed-form search's grid scan and golden refinement."""
+    by the closed-form search's grid scan and golden refinement.  A squeezing
+    with no eta root, or whose tail rule needs a cutoff past MAX_CUTOFF, is
+    outside the circuit route and scores (inf, nan)."""
 
     def objective(r: float) -> tuple[float, float]:
         etas = optimize.eta_candidates(r, lam, pi, 1)  # at most one root
-        if not etas:
+        cutoff = _auto_cutoff(r)
+        if not etas or cutoff > MAX_CUTOFF:
             return math.inf, math.nan
-        hs = nla.single_stage_circuit(ChannelParams(r, lam), etas[0],
-                                      _auto_cutoff(r))
+        hs = nla.single_stage_circuit(ChannelParams(r, lam), etas[0], cutoff)
+        tail.append(hs.state.tail_mass)
         return metrics.epr_criterion(hs.state, "A", "B").eps_b_given_a, etas[0]
 
     eps, eta = np.array([objective(r) for r in optimize.R_GRID]).T
@@ -194,20 +200,22 @@ def _circuit_minimum(lam: float, pi: float) -> float:
     return optimize._minimize_on_grid(objective, sub, eps, runs)[1]
 
 
-def _check_minimum() -> CheckResult:
+def _check_minimum(tail: list) -> CheckResult:
     worst = 0.0
     for lam, pi in _MIN_POINTS:
         closed = optimize.optimize_entanglement(lam, pi, 1)
-        worst = max(worst, abs(closed.eps_b_given_a - _circuit_minimum(lam, pi)))
+        worst = max(worst, abs(closed.eps_b_given_a
+                               - _circuit_minimum(lam, pi, tail)))
     return CheckResult("eps_formula_minimum_vs_sim", worst, 1e-5)
 
 
-def _check_moments_engine() -> CheckResult:
+def _check_moments_engine(tail: list) -> CheckResult:
     worst = 0.0
     for n_st, r, lam, eta in ((1, 0.5, 0.3, 0.8), (2, 0.3, 0.3, 0.7)):
         ch = ChannelParams(r, lam)
         p = NlaParams(n_st, eta, ch)
         hs = nla.closed_form_state(n_st, ch, eta, 40)
+        tail.append(hs.state.tail_mass)
         sim = metrics.epr_criterion(hs.state, "A", "B").eps_b_given_a
         alg = moments.eps_via_moments(n_st, p.kappa, p.rho)
         worst = max(worst, abs(sim - alg))
@@ -223,25 +231,21 @@ def _check_floors() -> list[CheckResult]:
             CheckResult("dual_stage_floor_kappa", abs(k2 - 0.59), 1e-2)]
 
 
-def run_all(cutoff: int = DEFAULT_CUTOFF,
-            tail_budget: float = TAIL_BUDGET) -> list[CheckResult]:
-    """Run every oracle check; the tail budget applies to all states built."""
-    if not 1 <= cutoff <= MAX_CUTOFF:
-        raise ValueError(f"cutoff must be 1 to {MAX_CUTOFF}, got {cutoff}")
-    if not tail_budget > 0.0:
-        raise ValueError(f"tolerance must be > 0, got {tail_budget}")
+def run_all() -> list[CheckResult]:
+    """Run every oracle check; the last line is the worst truncation tail of
+    every state the checks built, against TAIL_BUDGET."""
     tails: list[float] = []
     out: list[CheckResult] = []
-    out += _check_benchmarks(cutoff, tails)
+    out += _check_benchmarks(tails)
     out += _check_limits()
-    out.append(_check_epr_identity())
+    out.append(_check_epr_identity(tails))
     out += _check_circuits(tails)
-    out += _check_patterns()
+    out += _check_patterns(tails)
     out.append(_check_eta_roundtrip())
-    out.append(_check_commutation())
+    out.append(_check_commutation(tails))
     out += _check_formulas(tails)
-    out.append(_check_minimum())
-    out.append(_check_moments_engine())
+    out.append(_check_minimum(tails))
+    out.append(_check_moments_engine(tails))
     out += _check_floors()
-    out.append(CheckResult("truncation_tail_budget", max(tails), tail_budget))
+    out.append(CheckResult("truncation_tail_budget", max(tails), TAIL_BUDGET))
     return out

@@ -111,7 +111,7 @@ def test_criterion_08_eps_formula_minimum():
         for pi in (1e-1, 1e-3):
             a = optimize.optimize_entanglement(lam, pi, 1)
             worst = max(worst, abs(a.eps_b_given_a
-                                   - verify._circuit_minimum(lam, pi)))
+                                   - verify._circuit_minimum(lam, pi, [])))
     report(8, "entanglement-formula-minimum", worst <= 1e-5,
            f"max |closed - simulated| {worst:.2e} <= 1e-5")
 

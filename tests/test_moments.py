@@ -82,6 +82,34 @@ def test_compiled_moments_are_bit_identical_to_word_expansion(n, kappa, rho):
         assert got == moments.eps_via_moments(n, kappa, rho)
 
 
+def _eps_with_first_moments(n_stages, kappa, rho):
+    """eps_via_moments as written before the zero first moments were dropped."""
+    qm = moments.quadrature_moment
+    z = qm(n_stages, kappa, rho, [])
+    prod = 1.0
+    for sign in ("+", "-"):
+        mb, ma, mab, fb, fa = (
+            qm(n_stages, kappa, rho, [(m, sign) for m in modes]) / z
+            for modes in ("BB", "AA", "BA", "B", "A"))
+        var_b = mb - fb * fb
+        var_a = ma - fa * fa
+        cov = mab - fa * fb
+        prod *= var_b - cov * cov / var_a
+    return prod
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), kappa=st.floats(0.0, 3.0), rho=st.floats(0.0, 2.0))
+def test_first_moments_vanish_so_eps_drops_them(n, kappa, rho):
+    # a one-symbol middle makes every sandwiched word odd: no plan term
+    for mode in "ABL":
+        assert moments._plan(n, (((mode, False),), ((mode, True),))) == ()
+        for sign in "+-":
+            assert moments.quadrature_moment(n, kappa, rho, [(mode, sign)]) == 0.0
+    assert moments.eps_via_moments(n, kappa, rho) == \
+        _eps_with_first_moments(n, kappa, rho)
+
+
 def test_vacuum_expectation_basics():
     assert moments.vacuum_expectation(()) == 1.0
     assert moments.vacuum_expectation((A,)) == 0.0

@@ -255,17 +255,6 @@ def test_truncated_pair_state_is_normalized():
     assert st.cutoffs == (5, 5)
 
 
-def test_circuit_tail_budget_enforced():
-    from nla_distill.fock import TailMassError
-    ch = ChannelParams(0.9, 0.3)  # heavy tail at a tiny cutoff
-    with pytest.raises(TailMassError):
-        nla.single_stage_circuit(ch, 0.6, 4, tail_budget=1e-10)
-    with pytest.raises(TailMassError):
-        nla.dual_stage_circuit(ch, 0.6, 4, tail_budget=1e-12)
-    # generous budgets pass
-    nla.single_stage_circuit(ch, 0.6, 4, tail_budget=1.0)
-
-
 N_STAGE_POINTS = [(0.3, 0.3, 0.7), (0.5, 0.6, 0.4)]
 
 
