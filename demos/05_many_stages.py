@@ -37,7 +37,7 @@ for n in (1, 4, 16, 64):
     amps = np.zeros((31, 31), dtype=complex)
     amps[:m, :m] = st.amps[:m, :m]
     from nla_distill import PureState
-    emb = PureState(("A", "B"), (30, 30), amps)
+    emb = PureState(("A", "B"), amps)
     print(f"N = {n:3d}: fidelity with the ideal kappa = {kappa} pair "
           f"{fidelity(emb, target):.6f}")
 
@@ -48,7 +48,7 @@ hs = closed_form_state(64, ChannelParams(ch_r, 0.0), 0.5, 30)
 branch = project_fock(hs.state, "L", 0)
 amps = np.zeros((31, 31), dtype=complex)
 amps[:31, :31] = branch.amps[:, :31]
-emb = PureState(("A", "B"), (30, 30), amps)
+emb = PureState(("A", "B"), amps)
 print(f"64-stage heralded state vs ideal pair: fidelity "
       f"{fidelity(emb, target):.6f}")
 

@@ -11,11 +11,11 @@ from .analytic import (RECORD_SQUEEZING_DB, ChannelParams,
                        lambda_from_db, purity_formula, purity_ladder,
                        purity_no_nla, purity_tradeoff, r_from_squeeze_db,
                        squeeze_db_from_r, success_prob, success_prob_1stage)
-from .fock import (PureState, apply_beamsplitter, apply_single_mode_squeeze,
-                   debug_serialize, epr_state, fidelity, fock_state,
-                   herald_beamsplitter, norm_sq, partial_trace, project_fock,
-                   purity, quadrature_moment, rename_modes, reorder_modes,
-                   tensor, vacuum)
+from .fock import (PureState, apply_beamsplitter, debug_serialize, epr_state,
+                   fidelity, fock_state, herald_beamsplitter, norm_sq,
+                   partial_trace, project_fock, purity, quadrature_moment,
+                   rename_modes, reorder_modes, squeezed_vacuum, tensor,
+                   vacuum)
 from .metrics import (ConditionalVariancePair, EprResult,
                       conditional_variances, epr_criterion)
 from .nla import (DistillationResult, HeraldedState, closed_form_state,
@@ -35,8 +35,8 @@ __all__ = [
     "eps_ladder", "purity_ladder",
     "lambda_from_db", "db_from_lambda", "r_from_squeeze_db",
     "squeeze_db_from_r",
-    "PureState", "vacuum", "fock_state", "epr_state", "tensor",
-    "apply_beamsplitter", "apply_single_mode_squeeze", "herald_beamsplitter",
+    "PureState", "vacuum", "fock_state", "epr_state", "squeezed_vacuum",
+    "tensor", "apply_beamsplitter", "herald_beamsplitter",
     "project_fock", "partial_trace", "quadrature_moment", "norm_sq", "purity",
     "fidelity", "debug_serialize", "rename_modes", "reorder_modes",
     "ConditionalVariancePair", "EprResult", "conditional_variances",

@@ -19,17 +19,16 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "PureState",
     "vacuum",
     "fock_state",
     "epr_state",
+    "squeezed_vacuum",
     "tensor",
     "rename_modes",
     "reorder_modes",
-    "apply_single_mode_squeeze",
     "apply_beamsplitter",
     "herald_beamsplitter",
     "project_fock",
@@ -39,7 +38,6 @@ __all__ = [
     "purity",
     "fidelity",
     "debug_serialize",
-    "squeeze_cutoff_envelope",
 ]
 
 # Numerical slack on the "norm <= 1" invariant; heralded branches may sit
@@ -53,14 +51,13 @@ ModeLabel = str
 class PureState:
     """Pure (possibly subnormalized) state over an ordered set of modes.
 
-    ``amps`` has shape ``tuple(c + 1 for c in cutoffs)``; entry
-    ``amps[n1, ..., nk]`` is the amplitude of ``|n1, ..., nk>``.
-    ``tail_mass`` accumulates the population lost to truncation by the
-    operations that produced this state.
+    ``amps`` has one axis per mode; entry ``amps[n1, ..., nk]`` is the
+    amplitude of ``|n1, ..., nk>``, so each mode's cutoff is its axis length
+    minus one.  ``tail_mass`` accumulates the population lost to truncation
+    by the operations that produced this state.
     """
 
     modes: tuple[ModeLabel, ...]
-    cutoffs: tuple[int, ...]
     amps: np.ndarray
     tail_mass: float = 0.0
 
@@ -69,16 +66,13 @@ class PureState:
             raise ValueError("a state needs at least one mode")
         if len(set(self.modes)) != len(self.modes):
             raise ValueError(f"duplicate mode labels in {self.modes}")
-        if len(self.cutoffs) != len(self.modes):
-            raise ValueError("one cutoff per mode required")
-        if any(c < 1 for c in self.cutoffs):
-            raise ValueError("cutoffs must be >= 1")
-        expected = tuple(c + 1 for c in self.cutoffs)
-        if self.amps.shape != expected:
-            raise ValueError(f"amplitude shape {self.amps.shape} != {expected}")
         amps = np.ascontiguousarray(self.amps, dtype=np.complex128)
         if amps is not self.amps:
             object.__setattr__(self, "amps", amps)
+        if amps.ndim != len(self.modes):
+            raise ValueError(f"{amps.ndim} amplitude axes for {len(self.modes)} modes")
+        if any(d < 2 for d in amps.shape):
+            raise ValueError("cutoffs must be >= 1")
         n2 = float(np.vdot(self.amps, self.amps).real)
         if not math.isfinite(n2):  # a NaN or inf amplitude makes it so
             raise ValueError("non-finite amplitude")
@@ -92,8 +86,12 @@ class PureState:
         except ValueError:
             raise ValueError(f"mode {mode!r} not in {self.modes}") from None
 
+    @property
+    def cutoffs(self) -> tuple[int, ...]:
+        return tuple(d - 1 for d in self.amps.shape)
+
     def cutoff_of(self, mode: ModeLabel) -> int:
-        return self.cutoffs[self.axis(mode)]
+        return self.amps.shape[self.axis(mode)] - 1
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +110,7 @@ def _as_cutoffs(cutoff, n: int) -> tuple[int, ...]:
 def vacuum(modes: Sequence[ModeLabel], cutoff) -> PureState:
     """All modes in |0>."""
     modes = tuple(modes)
-    cutoffs = _as_cutoffs(cutoff, len(modes))
-    amps = np.zeros([c + 1 for c in cutoffs], dtype=np.complex128)
-    amps[(0,) * len(modes)] = 1.0
-    return PureState(modes, cutoffs, amps)
+    return fock_state(modes, cutoff, (0,) * len(modes))
 
 
 def fock_state(modes: Sequence[ModeLabel], cutoff, occupation: Sequence[int]) -> PureState:
@@ -129,7 +124,7 @@ def fock_state(modes: Sequence[ModeLabel], cutoff, occupation: Sequence[int]) ->
         raise ValueError(f"occupation {occ} outside cutoffs {cutoffs}")
     amps = np.zeros([c + 1 for c in cutoffs], dtype=np.complex128)
     amps[occ] = 1.0
-    return PureState(modes, cutoffs, amps)
+    return PureState(modes, amps)
 
 
 def epr_state(chi: float, modes: Sequence[ModeLabel], cutoff) -> PureState:
@@ -150,7 +145,25 @@ def epr_state(chi: float, modes: Sequence[ModeLabel], cutoff) -> PureState:
     amps = np.zeros((cutoffs[0] + 1, cutoffs[1] + 1), dtype=np.complex128)
     amps[n, n] = diag
     tail = chi ** (2 * (nmax + 1))
-    return PureState(modes, cutoffs, amps, tail_mass=float(tail))
+    return PureState(modes, amps, tail_mass=float(tail))
+
+
+def squeezed_vacuum(r: float, mode: ModeLabel, cutoff: int) -> PureState:
+    """Single-mode squeezed vacuum S(r)|0>, S(r) = exp[r (m^2 - m'^2)/2].
+
+    Built from its number-basis series: amplitude a_n on |2n> with
+    a_0 = cosh(r)^-1/2 and a_n = a_(n-1) (-tanh r) sqrt((2n-1)/(2n)).  The
+    population past the cutoff, 1 - sum_n |a_n|^2, is recorded on the
+    returned state.
+    """
+    if not math.isfinite(r):
+        raise ValueError(f"squeezing r must be finite, got {r}")
+    n = np.arange(1, cutoff // 2 + 1)
+    steps = -math.tanh(r) * np.sqrt((2 * n - 1) / (2 * n))
+    amps = np.zeros(cutoff + 1, dtype=np.complex128)
+    amps[::2] = np.cumprod(np.concatenate(([1.0 / math.sqrt(math.cosh(r))], steps)))
+    tail = max(1.0 - float(np.vdot(amps, amps).real), 0.0)
+    return PureState((mode,), amps, tail_mass=tail)
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
@@ -158,8 +171,7 @@ def tensor(a: PureState, b: PureState) -> PureState:
     if set(a.modes) & set(b.modes):
         raise ValueError("tensor factors share mode labels")
     amps = np.tensordot(a.amps, b.amps, axes=0)
-    return PureState(a.modes + b.modes, a.cutoffs + b.cutoffs, amps,
-                     tail_mass=a.tail_mass + b.tail_mass)
+    return PureState(a.modes + b.modes, amps, tail_mass=a.tail_mass + b.tail_mass)
 
 
 def rename_modes(state: PureState, mapping: dict) -> PureState:
@@ -172,8 +184,7 @@ def reorder_modes(state: PureState, order: Sequence[ModeLabel]) -> PureState:
     if set(order) != set(state.modes) or len(order) != len(state.modes):
         raise ValueError("order must be a permutation of the state's modes")
     perm = [state.axis(m) for m in order]
-    return PureState(order, tuple(state.cutoffs[i] for i in perm),
-                     np.ascontiguousarray(np.transpose(state.amps, perm)),
+    return PureState(order, np.ascontiguousarray(np.transpose(state.amps, perm)),
                      tail_mass=state.tail_mass)
 
 
@@ -206,39 +217,6 @@ def _quadrature(dim: int, sign: str) -> np.ndarray:
 def _apply_single_mode(amps: np.ndarray, op: np.ndarray, axis: int) -> np.ndarray:
     out = np.tensordot(op, amps, axes=([1], [axis]))
     return np.moveaxis(out, 0, axis)
-
-
-def squeeze_cutoff_envelope(r: float) -> int:
-    """Smallest cutoff for which apply_single_mode_squeeze is accurate."""
-    return 10 + math.ceil(8.0 * math.exp(2.0 * abs(r)))
-
-
-@lru_cache(maxsize=64)
-def _squeeze_matrix(dim: int, r: float) -> np.ndarray:
-    m = _annihilation(dim)
-    gen = 0.5 * r * (m @ m - m.T @ m.T)
-    u = scipy.linalg.expm(gen)
-    u.flags.writeable = False
-    return u
-
-
-def apply_single_mode_squeeze(state: PureState, mode: ModeLabel, r: float) -> PureState:
-    """Apply S(r) = exp[r (m^2 - m'^2)/2] to one mode.
-
-    Realized as the matrix exponential of the truncated generator, which is
-    exactly orthogonal; accuracy requires the cutoff envelope below.
-    """
-    if abs(r) > 3.0:
-        raise ValueError(f"|r| = {abs(r)} outside the documented envelope |r| <= 3")
-    ax = state.axis(mode)
-    cut = state.cutoffs[ax]
-    need = squeeze_cutoff_envelope(r)
-    if cut < need:
-        raise ValueError(
-            f"cutoff {cut} too small for squeezing r={r}; need >= {need}")
-    u = _squeeze_matrix(cut + 1, float(r))
-    amps = _apply_single_mode(state.amps, u, ax)
-    return replace(state, amps=amps)
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +343,8 @@ def herald_beamsplitter(state: PureState, modes, transmissivity: float,
     for j in range(max(0, s - (d2 - 1)), min(s, d1 - 1) + 1):
         index[ax1], index[ax2] = j, s - j
         branch = branch + row[j] * state.amps[tuple(index)]
-    keep = [i for i in range(len(state.modes)) if i not in (ax1, ax2)]
-    return PureState(tuple(state.modes[i] for i in keep),
-                     tuple(state.cutoffs[i] for i in keep), branch,
-                     tail_mass=state.tail_mass)
+    modes = tuple(m for i, m in enumerate(state.modes) if i not in (ax1, ax2))
+    return PureState(modes, branch, tail_mass=state.tail_mass)
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +354,13 @@ def herald_beamsplitter(state: PureState, modes, transmissivity: float,
 def project_fock(state: PureState, mode: ModeLabel, n: int) -> PureState:
     """Project one mode onto |n> and drop it; the branch stays unnormalized."""
     ax = state.axis(mode)
-    if not 0 <= n <= state.cutoffs[ax]:
-        raise ValueError(f"outcome {n} exceeds cutoff {state.cutoffs[ax]}")
+    if not 0 <= n < state.amps.shape[ax]:
+        raise ValueError(f"outcome {n} exceeds cutoff {state.amps.shape[ax] - 1}")
     if len(state.modes) == 1:
         raise ValueError("projecting away the last mode is not supported")
     amps = np.ascontiguousarray(np.take(state.amps, n, axis=ax))
     modes = state.modes[:ax] + state.modes[ax + 1:]
-    cutoffs = state.cutoffs[:ax] + state.cutoffs[ax + 1:]
-    return PureState(modes, cutoffs, amps, tail_mass=state.tail_mass)
+    return PureState(modes, amps, tail_mass=state.tail_mass)
 
 
 def _kept_by_traced(state: PureState, keep: Sequence[ModeLabel]) -> np.ndarray:
@@ -424,7 +399,7 @@ def _validate_factors(state: PureState, factors) -> list[tuple[int, str, int]]:
         ax = state.axis(mode)
         if sign not in ("+", "-"):
             raise ValueError(f"quadrature sign must be '+' or '-', got {sign!r}")
-        out.append((ax, sign, state.cutoffs[ax] + 1))
+        out.append((ax, sign, state.amps.shape[ax]))
     return out
 
 
@@ -476,7 +451,7 @@ def purity(state: PureState, keep: Sequence[ModeLabel]) -> float:
 
 def fidelity(a: PureState, b: PureState) -> float:
     """|<a|b>|^2 between normalized versions of two pure states."""
-    if a.modes != b.modes or a.cutoffs != b.cutoffs:
+    if a.modes != b.modes or a.amps.shape != b.amps.shape:
         raise ValueError("states live on different mode layouts")
     ov = np.vdot(a.amps, b.amps)
     return float(abs(ov) ** 2 / (norm_sq(a) * norm_sq(b)))

@@ -16,7 +16,7 @@ phase compensation on the amplified mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 import numpy as np
@@ -79,7 +79,7 @@ def _flip_odd(state: fock.PureState, mode: str) -> fock.PureState:
     sl = [slice(None)] * amps.ndim
     sl[ax] = slice(1, None, 2)
     amps[tuple(sl)] *= -1.0
-    return fock.PureState(state.modes, state.cutoffs, amps, tail_mass=state.tail_mass)
+    return replace(state, amps=amps)
 
 
 def _scissor(state: fock.PureState, signal: str, photon: str, vac: str,
@@ -188,8 +188,7 @@ def closed_form_state(n_stages: int, channel: ChannelParams, eta: float,
     # the untruncated branch holds one pattern's share of the success rate
     norm_inf = success_prob(n, channel, eta) / 2.0**n
     tail = max(norm_inf - float(np.vdot(amps, amps).real), 0.0)
-    state = fock.PureState(("A", "B", "L"), (cutoff, n, cutoff), amps,
-                           tail_mass=tail)
+    state = fock.PureState(("A", "B", "L"), amps, tail_mass=tail)
     return HeraldedState(state, n)
 
 
@@ -203,7 +202,7 @@ def truncated_pair_state(n_stages: int, kappa: float) -> fock.PureState:
     diag /= math.sqrt(float(diag @ diag))
     amps = np.zeros((n + 1, n + 1), dtype=np.complex128)
     amps[np.arange(n + 1), np.arange(n + 1)] = diag
-    return fock.PureState(("A", "B"), (n, n), amps)
+    return fock.PureState(("A", "B"), amps)
 
 
 def distill_and_measure(heralded: HeraldedState) -> DistillationResult:

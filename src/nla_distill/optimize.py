@@ -51,9 +51,9 @@ GOLDEN_TOL = 1e-8
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # the N >= 2 searches refine on the moments engine, which compiles each stage
-# count once per process at a cost exponential in N (11 ms at N = 2, 0.35 s at
-# N = 4, about 2 s and a 174 MB peak at N = 5 on one core of a Xeon server);
-# after the array grid pass a search makes ~30 evaluations of 0.07 to 0.11 ms
+# count once per process at a cost exponential in N (6 ms at N = 2, 0.12 s at
+# N = 4, about 0.7 s and a 120 MB peak at N = 5 on one core of a Xeon server);
+# after the array grid pass a search makes ~30 evaluations of 0.07 to 0.10 ms
 # (about 10 ms per search at N = 2 to 4)
 MAX_SEARCH_STAGES = 4
 # the floor search is O(N^2): 0.03 s at N = 20, 0.56 s at 100, 1.2 s at 150

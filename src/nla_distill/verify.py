@@ -87,10 +87,11 @@ def _check_limits() -> list[CheckResult]:
 def _check_epr_identity(tail: list) -> CheckResult:
     worst = 0.0
     for r in (0.2, 0.5, 0.8):
-        cut = fock.squeeze_cutoff_envelope(r)
-        st = fock.vacuum(["C", "D"], [cut, cut])
-        st = fock.apply_single_mode_squeeze(st, "C", r)
-        st = fock.apply_single_mode_squeeze(st, "D", -r)
+        # a squeezed vacuum's weight falls by tanh^2 r per photon pair, an
+        # EPR source's by tanh^2 r per photon: twice the source cutoff
+        cut = 2 * _auto_cutoff(r)
+        st = fock.tensor(fock.squeezed_vacuum(r, "C", cut),
+                         fock.squeezed_vacuum(-r, "D", cut))
         st = fock.apply_beamsplitter(st, ("C", "D"), 0.5)
         epr = fock.epr_state(math.tanh(r), ("C", "D"), cut)
         tail.extend([st.tail_mass, epr.tail_mass])

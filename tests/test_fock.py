@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,7 @@ def random_states(draw, min_modes=2, max_modes=4, max_cutoff=5):
     shape = [c + 1 for c in cutoffs]
     amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     amps *= draw(st.floats(0.1, 1.0)) / np.linalg.norm(amps)
-    return fock.PureState(labels, cutoffs, amps)
+    return fock.PureState(labels, amps)
 
 
 def sector_loop_beamsplitter(state, modes, transmissivity):
@@ -100,10 +101,36 @@ def test_epr_reports_tail_mass():
     assert st.tail_mass == pytest.approx(0.5 ** (2 * 4), abs=0.0)
 
 
+def expm_squeezed_vacuum(r, cutoff):
+    """Reference: exp[r (m^2 - m'^2)/2] of the truncated generator on |0>,
+    orthogonal but distorted near the cutoff, so accurate only far below it."""
+    m = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
+    return scipy.linalg.expm(0.5 * r * (m @ m - m.T @ m.T))[:, 0]
+
+
+@pytest.mark.parametrize("r", [0.2, 0.5, 0.8, -0.5])
+def test_squeezed_vacuum_matches_matrix_exponential(r):
+    st = fock.squeezed_vacuum(r, "A", 200)
+    assert np.abs(st.amps - expm_squeezed_vacuum(r, 200)).max() <= 1e-14
+
+
 def test_squeeze_zero_is_identity():
-    st = fock.vacuum(["A"], [20])
-    out = fock.apply_single_mode_squeeze(st, "A", 0.0)
-    assert np.array_equal(out.amps, st.amps)
+    st = fock.squeezed_vacuum(0.0, "A", 20)
+    assert np.array_equal(st.amps, fock.vacuum(["A"], [20]).amps)
+    assert st.tail_mass == 0.0
+
+
+@pytest.mark.parametrize("r,cutoff", [(0.8, 50), (0.5, 16), (-1.2, 40), (0.3, 7)])
+def test_squeezed_vacuum_counts_its_tail(r, cutoff):
+    st = fock.squeezed_vacuum(r, "A", cutoff)
+    assert st.tail_mass == 1.0 - fock.norm_sq(st) > 0.0
+    # every bit of the fidelity lost to the cutoff is on the tail, up to
+    # roundoff in the two norms
+    ref = fock.squeezed_vacuum(r, "A", 200)
+    padded = np.zeros(201, dtype=complex)
+    padded[:cutoff + 1] = st.amps
+    lost = 1.0 - fock.fidelity(fock.PureState(("A",), padded), ref)
+    assert lost <= st.tail_mass + 4 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("r", [0.3, 0.5])
@@ -120,7 +147,7 @@ def test_squeezed_vacuum_variances(r):
     oracle_plus = 1 + 2 * nbar + 2 * m2
     oracle_minus = 1 + 2 * nbar - 2 * m2
 
-    st = fock.apply_single_mode_squeeze(fock.vacuum(["A"], [40]), "A", r)
+    st = fock.squeezed_vacuum(r, "A", 40)
     vp = fock.quadrature_moment(st, [("A", "+")] * 2)
     vm = fock.quadrature_moment(st, [("A", "-")] * 2)
     assert abs(vp - oracle_plus) < 1e-6
@@ -130,22 +157,21 @@ def test_squeezed_vacuum_variances(r):
     assert abs(vm - math.exp(2 * r)) < 1e-6
 
 
-def test_squeeze_enforces_cutoff_envelope():
-    st = fock.vacuum(["A"], [10])
-    with pytest.raises(ValueError):
-        fock.apply_single_mode_squeeze(st, "A", 0.5)
-    with pytest.raises(ValueError):
-        fock.apply_single_mode_squeeze(fock.vacuum(["A"], [2000]), "A", 3.5)
+def test_squeezed_vacuum_rejects_bad_input():
+    for r in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fock.squeezed_vacuum(r, "A", 10)
+    for cutoff in (0, -1):
+        with pytest.raises(ValueError):
+            fock.squeezed_vacuum(0.5, "A", cutoff)
 
 
 @pytest.mark.parametrize("r", [0.2, 0.5, 0.8])
 def test_squeezer_beamsplitter_epr_identity(r):
-    cut = fock.squeeze_cutoff_envelope(r)
-    st = fock.vacuum(["C", "D"], [cut, cut])
-    st = fock.apply_single_mode_squeeze(st, "C", r)
-    st = fock.apply_single_mode_squeeze(st, "D", -r)
+    st = fock.tensor(fock.squeezed_vacuum(r, "C", 64),
+                     fock.squeezed_vacuum(-r, "D", 64))
     st = fock.apply_beamsplitter(st, ("C", "D"), 0.5)
-    target = fock.epr_state(math.tanh(r), ("C", "D"), cut)
+    target = fock.epr_state(math.tanh(r), ("C", "D"), 64)
     assert fock.fidelity(st, target) >= 1 - 1e-8
 
 
@@ -176,7 +202,7 @@ def test_beamsplitter_norm_preserved_without_clipping():
             if j + k > 3:
                 amps[j, k, :] = 0.0
     amps /= np.linalg.norm(amps)
-    st = fock.PureState(("M", "N", "R"), (3, 3, 2), amps)
+    st = fock.PureState(("M", "N", "R"), amps)
     out = fock.apply_beamsplitter(st, ("M", "N"), 0.37)
     assert abs(fock.norm_sq(out) - 1.0) < 1e-12
     assert out.tail_mass < 1e-12
@@ -193,7 +219,7 @@ def test_beamsplitter_inverse_composition():
     rng = np.random.default_rng(3)
     amps = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     amps /= np.linalg.norm(amps) * 1.0000001
-    st = fock.PureState(("M", "N"), (4, 4), amps)
+    st = fock.PureState(("M", "N"), amps)
     t = 0.73
     # swapping the mode order realizes the inverse rotation
     out = fock.apply_beamsplitter(st, ("M", "N"), t)
@@ -205,7 +231,7 @@ def test_beamsplitter_inverse_composition():
     amps2 = np.zeros((5, 5), dtype=complex)
     amps2[:2, :2] = amps[:2, :2]
     amps2 /= np.linalg.norm(amps2)
-    st2 = fock.PureState(("M", "N"), (4, 4), amps2)
+    st2 = fock.PureState(("M", "N"), amps2)
     back = fock.apply_beamsplitter(fock.apply_beamsplitter(st2, ("M", "N"), t),
                                    ("N", "M"), t)
     assert np.allclose(back.amps, st2.amps, atol=1e-10)
@@ -215,7 +241,7 @@ def test_herald_matches_apply_then_project():
     rng = np.random.default_rng(11)
     amps = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
     amps /= np.linalg.norm(amps)
-    st = fock.PureState(("S", "P", "R"), (3, 2, 2), amps)
+    st = fock.PureState(("S", "P", "R"), amps)
     for outcome in ((1, 0), (0, 1), (2, 1)):
         fused = fock.herald_beamsplitter(st, ("S", "P"), 0.5, outcome)
         full = fock.apply_beamsplitter(st, ("S", "P"), 0.5)
@@ -280,7 +306,7 @@ def test_project_outcomes_sum_to_norm():
     rng = np.random.default_rng(5)
     amps = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     amps /= np.linalg.norm(amps) * 1.25  # subnormalized input
-    st = fock.PureState(("M", "N"), (3, 3), amps)
+    st = fock.PureState(("M", "N"), amps)
     total = sum(fock.norm_sq(fock.project_fock(st, "N", n)) for n in range(4))
     assert abs(total - fock.norm_sq(st)) < 1e-12
 
@@ -386,7 +412,7 @@ def test_quadrature_moment_rejects_malformed_spec():
 def test_purity_maximally_mixed_two_level():
     # either half of a Bell pair is maximally mixed
     amps = np.diag([1.0, 1.0]).astype(complex) / math.sqrt(2.0)
-    bell = fock.PureState(("A", "B"), (1, 1), amps)
+    bell = fock.PureState(("A", "B"), amps)
     for keep in (["A"], ["B"]):
         assert fock.purity(bell, keep) == pytest.approx(0.5, abs=1e-15)
 
@@ -415,10 +441,19 @@ def test_states_are_immutable():
         st.amps[0] = 0.0
 
 
+def test_cutoffs_are_the_amplitude_shape():
+    st = fock.PureState(("A", "B"), np.full((2, 4), 0.25, dtype=complex))
+    assert st.cutoffs == (1, 3) and st.cutoff_of("B") == 3
+    with pytest.raises(ValueError, match="axes"):
+        fock.PureState(("A", "B"), np.array([1.0, 0.0], dtype=complex))
+    with pytest.raises(ValueError, match="cutoffs"):
+        fock.PureState(("A",), np.array([1.0], dtype=complex))
+
+
 def test_norm_invariant_enforced():
     with pytest.raises(ValueError, match="exceeds 1"):
-        fock.PureState(("A",), (1,), np.array([1.0, 1.0], dtype=complex))
+        fock.PureState(("A",), np.array([1.0, 1.0], dtype=complex))
     for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan),
                 complex(np.inf, -np.inf)):
         with pytest.raises(ValueError, match="non-finite"):
-            fock.PureState(("A",), (1,), np.array([0.5, bad], dtype=complex))
+            fock.PureState(("A",), np.array([0.5, bad], dtype=complex))

@@ -81,7 +81,7 @@ def test_gamma_is_the_true_minimizer():
 
 def test_scale_invariance():
     st = nla.lossy_channel_state(ChannelParams(0.5, 0.2), 20)
-    scaled = fock.PureState(st.modes, st.cutoffs, 0.5 * st.amps)
+    scaled = fock.PureState(st.modes, 0.5 * st.amps)
     a = metrics.epr_criterion(st, "A", "B")
     b = metrics.epr_criterion(scaled, "A", "B")
     assert abs(a.eps_b_given_a - b.eps_b_given_a) < 1e-12
@@ -97,7 +97,7 @@ def test_separable_bound_on_product_states(seed):
         a /= np.linalg.norm(a)
         states.append(a)
     amps = np.tensordot(states[0], states[1], axes=0)
-    st = fock.PureState(("A", "B"), (2, 2), amps)
+    st = fock.PureState(("A", "B"), amps)
     res = metrics.epr_criterion(st, "A", "B")
     assert res.eps_b_given_a >= 1 - 1e-10
     assert res.eps_a_given_b >= 1 - 1e-10
@@ -108,7 +108,7 @@ def test_degenerate_conditioner_rejected():
     # only for vanishing norm; build a zero-variance conditioner via a trick:
     amps = np.zeros((2, 3), dtype=complex)
     amps[0, 0] = 1e-9
-    st = fock.PureState(("A", "B"), (1, 2), amps)
+    st = fock.PureState(("A", "B"), amps)
     with pytest.raises(ValueError):
         metrics.conditional_variances(st, "B", "A")
 

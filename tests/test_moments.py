@@ -1,6 +1,8 @@
 """Ladder-word vacuum algebra and the commutation-based moment engine."""
 
+import itertools
 import math
+from functools import lru_cache
 from math import comb
 from unittest import mock
 
@@ -108,6 +110,34 @@ def test_first_moments_vanish_so_eps_drops_them(n, kappa, rho):
             assert moments.quadrature_moment(n, kappa, rho, [(mode, sign)]) == 0.0
     assert moments.eps_via_moments(n, kappa, rho) == \
         _eps_with_first_moments(n, kappa, rho)
+
+
+@lru_cache(maxsize=None)
+def _commuted_vacuum(word):
+    """Reference: <0| word |0> by commuting [m, m'] = 1, recursively."""
+    if not word:
+        return 1.0
+    # a leading creator kills the bra; a trailing annihilator kills the ket
+    if word[0][1] or not word[-1][1]:
+        return 0.0
+    # find an (annihilator, creator) adjacent pair and commute
+    for i in range(len(word) - 1):
+        (m1, d1), (m2, d2) = word[i], word[i + 1]
+        if not d1 and d2:
+            val = _commuted_vacuum(word[:i] + (word[i + 1], word[i]) + word[i + 2:])
+            if m1 == m2:
+                val += _commuted_vacuum(word[:i] + word[i + 2:])
+            return val
+    return 0.0
+
+
+def test_vacuum_walk_matches_commutation_recursion():
+    # every word of up to six symbols over {A, B, L} x {m, m'}, uncached
+    symbols = [(mode, dagger) for mode in "ABL" for dagger in (False, True)]
+    for k in range(7):
+        for word in itertools.product(symbols, repeat=k):
+            assert moments.vacuum_expectation.__wrapped__(word) == \
+                _commuted_vacuum(word), word
 
 
 def test_vacuum_expectation_basics():

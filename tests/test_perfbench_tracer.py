@@ -5,6 +5,8 @@ import importlib.util
 import os
 import sys
 
+from nla_distill import moments
+
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                       "tracer.py")
 
@@ -20,3 +22,9 @@ def test_every_traced_name_resolves(monkeypatch):
                if not callable(getattr(importlib.import_module(
                    f"{tracer.PACKAGE}.{m}"), f, None))]
     assert tracer.TRACED and missing == []
+
+
+def test_vacuum_word_cache_counters_resolve():
+    # traced passes leave moments.vacuum_expectation unwrapped and read its
+    # lru_cache counters instead, so it must stay cached
+    assert {"hits", "misses"} <= set(moments.vacuum_expectation.cache_info()._asdict())
