@@ -4,7 +4,9 @@ These are the fast evaluation path for sweeps and the oracle the Fock-space
 simulation is checked against.  The two big success-probability-parametrized
 expressions (`eps_opt_formula`, `purity_formula`) are transcribed verbatim and
 never hand-simplified; their correctness is established purely by agreement
-with the independent simulation pipeline.
+with the independent simulation pipeline.  `eps_opt_formula` is the one-stage
+search objective, whose roundoff the benchmark references pin; `purity_formula`
+is an oracle for `verify` and the tests, as the ladder sums report purity.
 
 `eps_opt_formula`, the success weights, the ladder sums behind `eps_ladder`
 and the `ChannelParams` / `NlaParams` fields also take numpy arrays, which is
@@ -275,58 +277,57 @@ def success_prob(n_stages: int, params: ChannelParams, eta: float) -> float:
 
 
 def _ladder(n_stages: int, kappa: float, rho: float):
-    """T, and w_j = (N!/(N-j)! (kappa/N)^j)^2 by recurrence (no factorials),
-    up to one common power-of-two factor (per element when kappa or rho is
-    an array)."""
+    """T, q = 1/(1 - T), and v_j = w_j q^j with w_j = (N!/(N-j)! (kappa/N)^j)^2,
+    by recurrence (no factorials or powers), up to one common power-of-two
+    factor (per element when kappa or rho is an array)."""
     if n_stages < 1:
         raise ValueError("n_stages must be >= 1")
-    w, wj = [1.0], 1.0
+    big_t = _xp(rho).tanh(rho) ** 2
+    q = 1.0 / (1.0 - big_t)
+    v, vj = [1.0], 1.0
     for j in range(1, n_stages + 1):
-        wj = wj * ((n_stages - j + 1) * kappa / n_stages) ** 2
-        over = wj > 2.0**256
+        vj = vj * ((n_stages - j + 1) * kappa / n_stages) ** 2 * q
+        over = vj > 2.0**256
         if _any(over):
-            # exact rescale: only ratios of the w_j enter the sums
+            # exact rescale: only ratios of the v_j enter the sums
             scale = 2.0 ** (-256 * over)
-            wj, w = wj * scale, [x * scale for x in w]
-        w.append(wj)
-    return _xp(rho).tanh(rho) ** 2, w
+            vj, v = vj * scale, [x * scale for x in v]
+        v.append(vj)
+    return big_t, q, v
 
 
 def eps_ladder(n_stages: int, kappa: float, rho: float) -> tuple[float, float]:
     """EPR products (eps_B|A, eps_A|B) of the N-stage heralded state.
 
     First moments vanish and X- mirrors X+, so both products follow from
-    <a'a>, <b'b> and <ab>; S_j below is the weight of B holding j photons.
+    <a'a>, <b'b> and <ab>; B holds j photons with weight q v_j.
     kappa and rho may be arrays (of one shape, or one of them a float).
     """
-    big_t, w = _ladder(n_stages, kappa, rho)
-    n, q = n_stages, 1.0 / (1.0 - big_t)
-    s = [wj * q ** (j + 1) for j, wj in enumerate(w)]
-    z = sum(s)
-    nb = sum(j * sj for j, sj in enumerate(s)) / z
-    na = nb + big_t * q * sum((j + 1) * sj for j, sj in enumerate(s)) / z
-    # <ab> joins j - 1 and j: S_j j N / ((N-j+1) kappa), via S_{j-1} so that
-    # kappa = 0 needs no division
-    ab = sum(s[j - 1] * q * j * (n - j + 1) * kappa / n
-             for j in range(1, n + 1)) / z
+    big_t, q, v = _ladder(n_stages, kappa, rho)
+    n, z = n_stages, sum(v)
+    nb = sum(j * vj for j, vj in enumerate(v)) / z
+    na = nb + big_t * q * sum((j + 1) * vj for j, vj in enumerate(v)) / z
+    # <ab> joins j - 1 and j: q v_j j N / ((N-j+1) kappa), via v_{j-1} so
+    # that kappa = 0 needs no division
+    ab = q * sum(v[j - 1] * j * (n - j + 1) * kappa / n
+                 for j in range(1, n + 1)) / z
     v_a, v_b, c2 = 1.0 + 2.0 * na, 1.0 + 2.0 * nb, (2.0 * ab) ** 2
     return (v_b - c2 / v_a) ** 2, (v_a - c2 / v_b) ** 2
 
 
 def purity_ladder(n_stages: int, kappa: float, rho: float) -> float:
     """Purity of the N-stage heralded state with the loss mode traced out:
-    the squared block norms summed over the ladder, each pair (j, k) closed
-    over n in x = T^2."""
-    big_t, w = _ladder(n_stages, kappa, rho)
-    x = big_t * big_t
-    num = 0.0
-    for j, wj in enumerate(w):
-        for k, wk in enumerate(w):
-            inner = sum(math.comb(j, i) * math.comb(k, i) * x**i
-                        for i in range(min(j, k) + 1))
-            num += wj * wk * inner / (1.0 - x) ** (j + k + 1)
-    z = sum(wj / (1.0 - big_t) ** (j + 1) for j, wj in enumerate(w))
-    return num / (z * z)
+    the squared block norms, grouped by powers of T^2, are sum_i T^(2i)
+    (sum_(j>=i) C(j,i) v_j (1+T)^-j)^2 / ((1 - T^2) q^2 (sum_j v_j)^2)."""
+    big_t, q, v = _ladder(n_stages, kappa, rho)
+    y, z = 1.0 / (1.0 + big_t), sum(v)
+    s = [vj / z * y**j for j, vj in enumerate(v)]
+    # s_i -> sum_(j>=i) C(j,i) s_j, the coefficients of sum_j s_j (x+1)^j,
+    # by additions of positive terms only
+    for i in range(n_stages):
+        for j in range(n_stages - 1, i - 1, -1):
+            s[j] = s[j] + s[j + 1]
+    return sum(big_t ** (2 * i) * si * si for i, si in enumerate(s)) * y / q
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ golden section (or `brentq` for a target) on the scalar objective, so every
 reported number comes from the scalar evaluators; the grid guards against the
 (empirically valid) assumption that the objective is unimodal on the feasible
 interval.  The grid pass runs the same closed forms on arrays: the linear eta
-inversion and `eps_opt_formula` at one stage; at N >= 2 the eta roots of all
-grid points from one batched eigenvalue call on `np.roots`' companion
-matrices, and eps from the ladder sums (`eps_ladder`, within ~1e-14 of the
-moments engine the scalar objective runs on).
+inversion and `eps_opt_formula` at one stage; at N >= 2 the eta roots from
+`_unit_roots`, the one solver the scalar objective shares, and eps from the
+ladder sums (`eps_ladder`, within ~1e-14 of the moments engine the scalar
+objective runs on).  eps_A|B and purity are reported from the ladder sums.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from scipy.optimize import brentq
 from . import moments
 from .analytic import (ChannelParams, InfeasibleParameterError, NlaParams,
                        _success_weights, _xp, eps_ladder, eps_opt_formula,
-                       purity_formula, purity_ladder)
+                       purity_ladder)
 from .nla import DistillationResult
 
 __all__ = [
@@ -94,16 +94,18 @@ def eta_candidates(r: float, lam: float, pi: float, n_stages: int) -> list[float
     """All transmissivities in (0, 1) with the N-stage success probability pi.
 
     The joint success probability (`analytic.success_prob`) is a degree-N
-    polynomial in eta, expanded here into monomials for `np.roots`; for
-    N = 1 this reduces to `eta_from_pi`.  Returns [] when unreachable.
+    polynomial in eta, solved by `_unit_roots`; for N = 1 this reduces to
+    `eta_from_pi`.  Returns [] when unreachable.
     """
+    if pi <= 0.0:
+        raise ValueError(f"success probability must be > 0, got {pi}")
     if n_stages == 1:
         try:
             return [eta_from_pi(r, lam, pi)]
         except InfeasibleParameterError:
             return []
-    roots = np.roots(_level_set_coeffs(r, lam, pi, n_stages)[::-1])
-    return sorted(float(x) for x in roots.real[_in_unit_interval(roots)])
+    etas = _unit_roots(r, lam, pi, n_stages)
+    return [float(x) for x in etas[~np.isnan(etas)]]
 
 
 def _level_set_coeffs(r, lam: float, pi: float, n_stages: int) -> list:
@@ -121,10 +123,18 @@ def _level_set_coeffs(r, lam: float, pi: float, n_stages: int) -> list:
     return coeffs
 
 
-def _in_unit_interval(roots: np.ndarray) -> np.ndarray:
-    """The real roots strictly inside (0, 1), as a mask."""
+def _unit_roots(r, lam: float, pi: float, n_stages: int) -> np.ndarray:
+    """The real roots in (0, 1) of Pi_N(eta) = pi, ascending on the last axis
+    and NaN-padded; r may be an array.  `np.roots`' companion matrices, one
+    per r, in one eigvals call."""
+    p = np.stack(_level_set_coeffs(r, lam, pi, n_stages)[::-1], axis=-1)
+    a = np.zeros(p.shape[:-1] + (n_stages, n_stages))
+    a[..., 0, :] = -p[..., 1:] / p[..., :1]
+    a[..., range(1, n_stages), range(n_stages - 1)] = 1.0
+    roots = np.linalg.eigvals(a)
     z = roots.real
-    return (abs(roots.imag) < 1e-9) & (1e-12 < z) & (z < 1.0 - 1e-12)
+    real = (abs(roots.imag) < 1e-9) & (1e-12 < z) & (z < 1.0 - 1e-12)
+    return np.sort(np.where(real, z, np.nan), axis=-1)
 
 
 def _grid_etas(lam: float, pi: float, n_stages: int) -> np.ndarray:
@@ -133,13 +143,7 @@ def _grid_etas(lam: float, pi: float, n_stages: int) -> np.ndarray:
     if n_stages == 1:
         eta = _linear_eta(R_GRID, lam, pi)
         return np.where((0.0 < eta) & (eta < 1.0), eta, np.nan)[:, None]
-    # np.roots' companion matrices, one per grid point, in one eigvals call
-    p = np.stack(_level_set_coeffs(R_GRID, lam, pi, n_stages)[::-1], axis=-1)
-    a = np.zeros((R_GRID_POINTS, n_stages, n_stages))
-    a[:, 0, :] = -p[:, 1:] / p[:, :1]
-    a[:, range(1, n_stages), range(n_stages - 1)] = 1.0
-    roots = np.linalg.eigvals(a)
-    return np.sort(np.where(_in_unit_interval(roots), roots.real, np.nan), axis=1)
+    return _unit_roots(R_GRID, lam, pi, n_stages)
 
 
 def _golden_min(f: Callable[[float], float], lo: float, hi: float,
@@ -168,13 +172,12 @@ def _make_objective(lam: float, pi: float,
     def objective(r: float) -> tuple[float, float]:
         best = (math.inf, math.nan)
         for eta in eta_candidates(r, lam, pi, n_stages):
+            # eps_ladder matches both branches to ~1e-14, but in the flat
+            # optimum that moves r_opt and purity by 1e-8 to 1e-7, past the
+            # 1e-9 the benchmark references hold; the fork awaits a re-base
             if n_stages == 1:
                 e = eps_opt_formula(r, lam, pi)
             else:
-                # eps_ladder agrees to ~1e-14, but inside the flat optimum
-                # that moves r_opt and the reported purity by 1e-8 to 1e-7,
-                # past the 1e-9 the two-stage reference sweeps are held to;
-                # the search stays on the moments engine until they re-base
                 p = NlaParams(n_stages, eta, ChannelParams(r, lam))
                 e = moments.eps_via_moments(n_stages, p.kappa, p.rho)
             if e < best[0]:
@@ -263,15 +266,10 @@ def _validate_domain(lam, pi, n_stages):
 def _finalize(r_opt: float, eta_opt: float, eps_opt: float, lam: float,
               pi: float, n_stages: int) -> DistillationResult:
     p = NlaParams(n_stages, eta_opt, ChannelParams(r_opt, lam))
-    _, eps_ab = eps_ladder(n_stages, p.kappa, p.rho)
-    if n_stages == 1:
-        pur = purity_formula(r_opt, lam, pi)
-    else:
-        pur = purity_ladder(n_stages, p.kappa, p.rho)
     return DistillationResult(
         eps_b_given_a=eps_opt,
-        eps_a_given_b=eps_ab,
-        purity=pur,
+        eps_a_given_b=eps_ladder(n_stages, p.kappa, p.rho)[1],
+        purity=purity_ladder(n_stages, p.kappa, p.rho),
         success_prob=pi,
         r_opt=r_opt,
         eta_opt=eta_opt,

@@ -107,11 +107,14 @@ def exact_ladder(n, kappa, rho):
     return (v_b - c2 / v_a) ** 2, (v_a - c2 / v_b) ** 2, purity
 
 
-@pytest.mark.parametrize("n,kappa,rho", [(3, 2, 0.4), (150, 30, 0.3)])
+@pytest.mark.parametrize("n,kappa,rho", [(3, 2, 0.4), (150, 30, 0.3),
+                                         (64, 9, 2.5), (150, 14, 2.75)])
 def test_ladder_matches_exact_rational_sums(n, kappa, rho):
     # at N = 150, kappa = 30 the weight w_N ~ 1e316 overflows a float, and
-    # the sums read nan unless the weights are rescaled on the way
-    if n == 150:
+    # the sums read nan unless the weights are rescaled on the way; at large
+    # rho the weights times q^j = (1 - T)^(-j), and pair terms over
+    # (1 - T^2)^(j+k), overflow too unless q joins the rescaled recurrence
+    if (n, kappa) == (150, 30):
         assert Fraction(math.factorial(n) * kappa**n, n**n) ** 2 > sys.float_info.max
     got = eps_ladder(n, float(kappa), rho) + (purity_ladder(n, float(kappa), rho),)
     for value, exact in zip(got, exact_ladder(n, kappa, rho)):

@@ -8,6 +8,7 @@ import pytest
 from nla_distill import nla, optimize
 from nla_distill.analytic import (ChannelParams, InfeasibleParameterError,
                                   NlaParams, eps_ladder, lambda_from_db,
+                                  purity_formula, purity_ladder,
                                   success_prob_1stage)
 
 
@@ -65,6 +66,44 @@ def test_optimize_saturates_at_single_stage_floor():
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert vals[-1] > 0.8081
     assert vals[-1] < 0.8086
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_eta_candidates_reject_nonpositive_success_rate(n):
+    for pi in (0.0, -0.1):
+        with pytest.raises(ValueError, match="success probability"):
+            optimize.eta_candidates(0.3, 0.2, pi, n)
+
+
+def test_eta_candidates_match_np_roots():
+    # the batched companion solver against np.roots on the same polynomial,
+    # bit for bit, with the same (0, 1) filter
+    rng = np.random.default_rng(0)
+    found = 0
+    for _ in range(1200):
+        n = int(rng.integers(2, 5))
+        r, lam = rng.uniform(0.0, 2.0), rng.uniform(0.0, 0.99)
+        pi = 10.0 ** rng.uniform(-4.0, 0.0)
+        roots = np.roots(optimize._level_set_coeffs(r, lam, pi, n)[::-1])
+        z = roots.real
+        inside = (abs(roots.imag) < 1e-9) & (1e-12 < z) & (z < 1.0 - 1e-12)
+        etas = optimize.eta_candidates(r, lam, pi, n)
+        assert etas == sorted(z[inside].tolist()), (n, r, lam, pi)
+        found += bool(etas)
+    assert found > 600
+
+
+@pytest.mark.parametrize("lam,pi", [(0.3, 1e-2), (0.6, 1e-1), (0.9, 1e-3),
+                                    (lambda_from_db(15.0), 1e-2)])
+def test_one_stage_purity_is_reported_from_the_ladder(lam, pi):
+    # every stage count reports purity from the ladder sums; the published
+    # one-stage closed form agrees to roundoff
+    best, results = optimize.purity_for_target_entanglement(
+        0.85, lam, pi, 1, full_output=True)
+    for res in [optimize.optimize_entanglement(lam, pi, 1), *results]:
+        p = NlaParams(1, res.eta_opt, ChannelParams(res.r_opt, lam))
+        assert res.purity == purity_ladder(1, p.kappa, p.rho)
+        assert abs(res.purity - purity_formula(res.r_opt, lam, pi)) < 1e-12
 
 
 def test_optimize_result_is_consistent():
