@@ -335,8 +335,16 @@ def purity_ladder(n_stages: int, kappa: float, rho: float) -> float:
 
 
 def lambda_from_db(db: float) -> float:
-    """Channel loss reflectivity from a dB attenuation, lam = 1 - 10^(-dB/10)."""
-    return 1.0 - 10.0 ** (-db / 10.0)
+    """Channel loss reflectivity from a dB attenuation, lam = 1 - 10^(-dB/10).
+
+    The attenuation must be finite, >= 0 dB, and leave a reflectivity below 1
+    (past about 160 dB lam rounds to 1).
+    """
+    lam = 1.0 - 10.0 ** (-db / 10.0) if 0.0 <= db < math.inf else 1.0
+    if lam == 1.0:
+        raise ValueError(f"loss must be finite, >= 0 dB and leave a "
+                         f"reflectivity below 1, got {db} dB")
+    return lam
 
 
 def db_from_lambda(lam: float) -> float:

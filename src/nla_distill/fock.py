@@ -43,6 +43,7 @@ __all__ = [
 # Numerical slack on the "norm <= 1" invariant; heralded branches may sit
 # exactly at the boundary up to roundoff.
 _NORM_SLACK = 1e-12
+_SERIALIZE_FLOOR = 1e-14  # debug_serialize's cut on |amplitude|
 
 ModeLabel = str
 
@@ -127,24 +128,23 @@ def fock_state(modes: Sequence[ModeLabel], cutoff, occupation: Sequence[int]) ->
     return PureState(modes, amps)
 
 
-def epr_state(chi: float, modes: Sequence[ModeLabel], cutoff) -> PureState:
-    """Two-mode squeezed vacuum sum_n sqrt(1-chi^2) chi^n |n, n>.
+def epr_state(chi: float, modes: Sequence[ModeLabel], cutoff: int) -> PureState:
+    """Two-mode squeezed vacuum sum_n sqrt(1-chi^2) chi^n |n, n>, both modes
+    cut off at ``cutoff``.
 
-    The truncated tail mass chi^(2 (min_cutoff + 1)) is recorded on the
-    returned state.
+    The truncated tail mass chi^(2 (cutoff + 1)) is recorded on the returned
+    state.
     """
     if not 0.0 <= chi < 1.0:
         raise ValueError(f"chi must be in [0, 1), got {chi}")
     modes = tuple(modes)
     if len(modes) != 2:
         raise ValueError("epr_state takes exactly two modes")
-    cutoffs = _as_cutoffs(cutoff, 2)
-    nmax = min(cutoffs)
-    n = np.arange(nmax + 1)
+    n = np.arange(cutoff + 1)
     diag = math.sqrt(1.0 - chi * chi) * chi**n if chi > 0 else np.where(n == 0, 1.0, 0.0)
-    amps = np.zeros((cutoffs[0] + 1, cutoffs[1] + 1), dtype=np.complex128)
+    amps = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
     amps[n, n] = diag
-    tail = chi ** (2 * (nmax + 1))
+    tail = chi ** (2 * (cutoff + 1))
     return PureState(modes, amps, tail_mass=float(tail))
 
 
@@ -184,7 +184,7 @@ def reorder_modes(state: PureState, order: Sequence[ModeLabel]) -> PureState:
     if set(order) != set(state.modes) or len(order) != len(state.modes):
         raise ValueError("order must be a permutation of the state's modes")
     perm = [state.axis(m) for m in order]
-    return PureState(order, np.ascontiguousarray(np.transpose(state.amps, perm)),
+    return PureState(order, np.transpose(state.amps, perm),
                      tail_mass=state.tail_mass)
 
 
@@ -192,16 +192,13 @@ def reorder_modes(state: PureState, order: Sequence[ModeLabel]) -> PureState:
 # single-mode operators
 
 
-@lru_cache(maxsize=256)
 def _annihilation(dim: int) -> np.ndarray:
     m = np.zeros((dim, dim))
     n = np.arange(1, dim)
     m[n - 1, n] = np.sqrt(n)
-    m.flags.writeable = False
     return m
 
 
-@lru_cache(maxsize=256)
 def _quadrature(dim: int, sign: str) -> np.ndarray:
     m = _annihilation(dim)
     if sign == "+":
@@ -210,7 +207,6 @@ def _quadrature(dim: int, sign: str) -> np.ndarray:
         x = (-1j) * (m - m.T)
     else:
         raise ValueError(f"quadrature sign must be '+' or '-', got {sign!r}")
-    x.flags.writeable = False
     return x
 
 
@@ -316,8 +312,7 @@ def apply_beamsplitter(state: PureState, modes, transmissivity: float) -> PureSt
     flat = rotated.view(np.complex128).reshape(-1, gathered.shape[2])[back]
     clipped = max(norm_sq(state) - float(np.vdot(flat, flat).real), 0.0)
     amps = np.moveaxis(flat.reshape(pair.shape), (0, 1), (ax1, ax2))
-    return replace(state, amps=np.ascontiguousarray(amps),
-                   tail_mass=state.tail_mass + clipped)
+    return replace(state, amps=amps, tail_mass=state.tail_mass + clipped)
 
 
 def herald_beamsplitter(state: PureState, modes, transmissivity: float,
@@ -358,7 +353,7 @@ def project_fock(state: PureState, mode: ModeLabel, n: int) -> PureState:
         raise ValueError(f"outcome {n} exceeds cutoff {state.amps.shape[ax] - 1}")
     if len(state.modes) == 1:
         raise ValueError("projecting away the last mode is not supported")
-    amps = np.ascontiguousarray(np.take(state.amps, n, axis=ax))
+    amps = np.take(state.amps, n, axis=ax)
     modes = state.modes[:ax] + state.modes[ax + 1:]
     return PureState(modes, amps, tail_mass=state.tail_mass)
 
@@ -457,16 +452,16 @@ def fidelity(a: PureState, b: PureState) -> float:
     return float(abs(ov) ** 2 / (norm_sq(a) * norm_sq(b)))
 
 
-def debug_serialize(state: PureState, threshold: float = 1e-14) -> str:
+def debug_serialize(state: PureState) -> str:
     """Text dump 'n1,...,nk: re,im' per basis state, sorted multi-index order.
 
-    Amplitudes below ``threshold`` in magnitude are omitted.  This is the
-    golden-test serialization; the format is stable.
+    Amplitudes below ``_SERIALIZE_FLOOR`` in magnitude are omitted.  This is
+    the golden-test serialization; the format is stable.
     """
     lines = []
     for idx in np.ndindex(*state.amps.shape):
         amp = state.amps[idx]
-        if abs(amp) < threshold:
+        if abs(amp) < _SERIALIZE_FLOOR:
             continue
         key = ",".join(str(i) for i in idx)
         lines.append(f"{key}: {amp.real:.17g},{amp.imag:.17g}")

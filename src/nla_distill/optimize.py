@@ -3,9 +3,10 @@ best purity at fixed entanglement, and the vanishing-success-rate floor per
 stage count.
 
 Each search scans a 200-point logarithmic grid over the source squeezing
-(`R_GRID`) in one array pass, then refines inside the best grid cell by
-golden section (or `brentq` for a target) on the scalar objective, so every
-reported number comes from the scalar evaluators; the grid guards against the
+(`R_GRID`) in one array pass, then refines inside the best grid cell on the
+scalar objective, by golden section or, for a target, by Brent's root finder
+(`_brentq`, a transcription of scipy's ``brentq.c``), so every reported
+number comes from the scalar evaluators; the grid guards against the
 (empirically valid) assumption that the objective is unimodal on the feasible
 interval.  The grid pass runs the same closed forms on arrays: the linear eta
 inversion and `eps_opt_formula` at one stage; at N >= 2 the eta roots from
@@ -17,10 +18,10 @@ objective runs on).  eps_A|B and purity are reported from the ladder sums.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import moments
 from .analytic import (ChannelParams, InfeasibleParameterError, NlaParams,
@@ -162,6 +163,73 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float,
             d = a + _INV_PHI * (b - a)
             fd = f(d)
     return 0.5 * (a + b)
+
+
+# _brentq stops once |step| < (xtol + rtol |x|) / 2 (rtol: scipy's floor)
+_BRENT_XTOL = 1e-12
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+
+
+def _brentq(f: Callable[[float], float], a: float, b: float) -> float:
+    """A root of f in the sign-changing bracket [a, b] by Brent's method.
+
+    A line-for-line transcription of scipy's ``brentq.c`` (Brent 1973, ch. 4)
+    with scipy's ``brentq(f, a, b, xtol=1e-12)`` settings: it returns the
+    same double, bit for bit, and raises as scipy does.
+    """
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = _brent_eval(f, xpre), _brent_eval(f, xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # where C divides by zero, to inf or NaN, it bisects below
+                stry = (-fcur * (fblk * dblk - fpre * dpre) / den if den
+                        else math.inf)
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _brent_eval(f, xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
+
+
+def _brent_eval(f: Callable[[float], float], x: float) -> float:
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise ValueError(f"The function value at x={x} is NaN; "
+                         "solver cannot continue.")
+    return fx
 
 
 def _make_objective(lam: float, pi: float,
@@ -307,7 +375,7 @@ def purity_for_target_entanglement(eps_target: float, lam: float, pi: float,
     eps_vals = np.concatenate([[objective(0.0)[0]], eps])
     runs = np.concatenate([[runs[0]], runs])
 
-    etas = {}  # brentq returns a squeezing it probed: its eta is kept here
+    etas = {}  # _brentq returns a squeezing it probed: its eta is kept here
 
     def f(r: float) -> float:
         e, etas[r] = objective(r)
@@ -318,14 +386,14 @@ def purity_for_target_entanglement(eps_target: float, lam: float, pi: float,
     on_grid = abs(diffs) < 1e-14
     roots = [float(r) for r in sub[np.append(same_run, True) & on_grid]]
     crossed = same_run & ~on_grid[:-1] & (diffs[:-1] * diffs[1:] < 0.0)
-    roots += [float(brentq(f, sub[i], sub[i + 1], xtol=1e-12))
+    roots += [_brentq(f, sub[i], sub[i + 1])
               for i in np.flatnonzero(crossed)]
     if not roots and (diffs > 0.0).all():
         # the target lies between the refined optimum and every grid value:
         # one root on each side of r_opt, inside its grid cell
         i = int(np.searchsorted(sub, r_opt)) - 1
-        roots = [float(brentq(f, sub[i], r_opt, xtol=1e-12)),
-                 float(brentq(f, r_opt, sub[i + 1], xtol=1e-12))]
+        roots = [_brentq(f, sub[i], r_opt),
+                 _brentq(f, r_opt, sub[i + 1])]
     if not roots:
         raise InfeasibleParameterError(
             f"no squeezing reaches eps={eps_target} at lam={lam}, pi={pi}")

@@ -1,5 +1,9 @@
 """Command-line surface: CSV schema, determinism, exit codes."""
 
+import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -139,6 +143,15 @@ def test_point_infeasible_exits_one(capsys):
     # success probability 1 requires eta = 0, outside the open interval
     assert cli.main(["point", "--lambda-db", "10", "--pi", "1.0"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("db,shown", [("-3", "-3.0 dB"), ("inf", "inf dB"),
+                                      ("nan", "nan dB"), ("170", "170.0 dB")])
+def test_point_checks_the_loss_in_db(db, shown, capsys):
+    # 170 dB is finite but rounds the reflectivity to 1
+    assert cli.main(["point", f"--lambda-db={db}", "--pi", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and shown in err
 
 
 def test_unwritable_output_exits_two():
@@ -300,3 +313,31 @@ def test_figure_params_own_defaults_and_ranges():
                      ("fig5", {})):
         with pytest.raises(ValueError):
             figures.figure_params(name, **kw)
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # with scipy blocked every import of it raises: the package, a point, a
+    # target search (fig7) and the oracle suite must not reach for it
+    script = textwrap.dedent(f"""
+        import importlib, sys
+        sys.modules["scipy"] = None
+        for name in ("analytic", "cli", "figures", "fock", "metrics",
+                     "moments", "nla", "optimize", "verify"):
+            importlib.import_module("nla_distill." + name)
+        from nla_distill import cli
+        for argv in (["point", "--lambda-db", "10", "--pi", "0.01"],
+                     ["fig7", "-o", {str(tmp_path / "fig7.csv")!r},
+                      "--lambda-db", "3", "13", "10", "--pi", "0.01",
+                      "--workers", "1"],
+                     ["verify"]):
+            assert cli.main(argv) == 0, argv
+        """)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "verify: all checks passed" in proc.stdout
+    _, _, rows = read_csv(tmp_path / "fig7.csv")
+    assert len(rows) == 2
