@@ -303,7 +303,12 @@ def eps_ladder(n_stages: int, kappa: float, rho: float) -> tuple[float, float]:
     <a'a>, <b'b> and <ab>; B holds j photons with weight q v_j.
     kappa and rho may be arrays (of one shape, or one of them a float).
     """
-    big_t, q, v = _ladder(n_stages, kappa, rho)
+    return _eps_sums(n_stages, kappa, _ladder(n_stages, kappa, rho))
+
+
+def _eps_sums(n_stages: int, kappa: float, ladder) -> tuple[float, float]:
+    """``eps_ladder``'s body on a ``_ladder(n_stages, kappa, rho)`` result."""
+    big_t, q, v = ladder
     n, z = n_stages, sum(v)
     nb = sum(j * vj for j, vj in enumerate(v)) / z
     na = nb + big_t * q * sum((j + 1) * vj for j, vj in enumerate(v)) / z
@@ -319,7 +324,12 @@ def purity_ladder(n_stages: int, kappa: float, rho: float) -> float:
     """Purity of the N-stage heralded state with the loss mode traced out:
     the squared block norms, grouped by powers of T^2, are sum_i T^(2i)
     (sum_(j>=i) C(j,i) v_j (1+T)^-j)^2 / ((1 - T^2) q^2 (sum_j v_j)^2)."""
-    big_t, q, v = _ladder(n_stages, kappa, rho)
+    return _purity_sums(n_stages, _ladder(n_stages, kappa, rho))
+
+
+def _purity_sums(n_stages: int, ladder) -> float:
+    """``purity_ladder``'s body on a ``_ladder`` result."""
+    big_t, q, v = ladder
     y, z = 1.0 / (1.0 + big_t), sum(v)
     s = [vj / z * y**j for j, vj in enumerate(v)]
     # s_i -> sum_(j>=i) C(j,i) s_j, the coefficients of sum_j s_j (x+1)^j,

@@ -14,7 +14,7 @@ the leaked population against their budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -55,12 +55,14 @@ class PureState:
     ``amps`` has one axis per mode; entry ``amps[n1, ..., nk]`` is the
     amplitude of ``|n1, ..., nk>``, so each mode's cutoff is its axis length
     minus one.  ``tail_mass`` accumulates the population lost to truncation
-    by the operations that produced this state.
+    by the operations that produced this state.  The squared norm that
+    validation computes is kept for ``norm_sq``.
     """
 
     modes: tuple[ModeLabel, ...]
     amps: np.ndarray
     tail_mass: float = 0.0
+    _norm_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.modes) == 0:
@@ -72,7 +74,7 @@ class PureState:
             object.__setattr__(self, "amps", amps)
         if amps.ndim != len(self.modes):
             raise ValueError(f"{amps.ndim} amplitude axes for {len(self.modes)} modes")
-        if any(d < 2 for d in amps.shape):
+        if min(amps.shape) < 2:
             raise ValueError("cutoffs must be >= 1")
         n2 = float(np.vdot(self.amps, self.amps).real)
         if not math.isfinite(n2):  # a NaN or inf amplitude makes it so
@@ -80,6 +82,7 @@ class PureState:
         if n2 > 1.0 + _NORM_SLACK:
             raise ValueError(f"squared norm {n2} exceeds 1")
         self.amps.flags.writeable = False
+        object.__setattr__(self, "_norm_sq", n2)
 
     def axis(self, mode: ModeLabel) -> int:
         try:
@@ -167,16 +170,17 @@ def squeezed_vacuum(r: float, mode: ModeLabel, cutoff: int) -> PureState:
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
-    """Tensor product; mode order is a's modes followed by b's."""
+    """Tensor product; mode order is a's modes followed by b's.  Each slice
+    of its elementwise product equals the product of the factors' slices."""
     if set(a.modes) & set(b.modes):
         raise ValueError("tensor factors share mode labels")
-    amps = np.tensordot(a.amps, b.amps, axes=0)
+    amps = np.multiply.outer(a.amps, b.amps)
     return PureState(a.modes + b.modes, amps, tail_mass=a.tail_mass + b.tail_mass)
 
 
 def rename_modes(state: PureState, mapping: dict) -> PureState:
     new = tuple(mapping.get(m, m) for m in state.modes)
-    return replace(state, modes=new)
+    return PureState(new, state.amps, tail_mass=state.tail_mass)
 
 
 def reorder_modes(state: PureState, order: Sequence[ModeLabel]) -> PureState:
@@ -232,18 +236,18 @@ def _bs_sectors(s_max: int, theta: float) -> tuple[np.ndarray, ...]:
     column j (weight sqrt(s-j)), over s: two exact routes whose sum keeps
     rounding from growing geometrically (orthogonal to ~1e-14 at s = 256)."""
     c, s_ = math.cos(theta), math.sin(theta)
+    sq = np.sqrt(np.arange(s_max + 1))
+    c_sq, s_sq = c * sq[:, None], s_ * sq[:, None]
     mats = [np.ones((1, 1))]
     for s in range(1, s_max + 1):
-        below = np.zeros((s + 1, s))    # column v as v[i]: n' reads it
-        below[:s] = mats[-1]
-        above = np.zeros((s + 1, s))    # column v as v[i-1]: m' reads it
-        above[1:] = mats[-1]
-        sq_jp = np.sqrt(np.arange(s + 1))[:, None]
-        sq_rest = sq_jp[::-1]
-        w = np.sqrt(np.arange(1, s + 1))
+        padded = np.zeros((s + 2, s))
+        padded[1:-1] = mats[-1]
+        # column v as v[i] (n' reads it) and as v[i-1] (m' reads it)
+        below, above = padded[1:], padded[:-1]
+        c_j, s_j, w = c_sq[:s + 1], s_sq[:s + 1], sq[1:s + 1]
         cur = np.zeros((s + 1, s + 1))
-        cur[:, 1:] = (c * sq_jp * above - s_ * sq_rest * below) * w
-        cur[:, :-1] += (c * sq_rest * below + s_ * sq_jp * above) * w[::-1]
+        cur[:, 1:] = (c_j * above - s_j[::-1] * below) * w
+        cur[:, :-1] += (c_j[::-1] * below + s_j * above) * w[::-1]
         cur /= s
         cur.flags.writeable = False
         mats.append(cur)
@@ -257,11 +261,14 @@ def _bs_theta(transmissivity: float) -> float:
     return math.acos(min(1.0, math.sqrt(transmissivity)))
 
 
-def _pair_axes(state: PureState, modes) -> tuple[int, int]:
+def _pair_axes(labels: tuple[ModeLabel, ...], modes) -> tuple[int, int]:
     m1, m2 = modes
     if m1 == m2:
         raise ValueError("beamsplitter needs two distinct modes")
-    return state.axis(m1), state.axis(m2)
+    for m in modes:
+        if m not in labels:
+            raise ValueError(f"mode {m!r} not in {labels}")
+    return labels.index(m1), labels.index(m2)
 
 
 @lru_cache(maxsize=64)
@@ -302,44 +309,60 @@ def apply_beamsplitter(state: PureState, modes, transmissivity: float) -> PureSt
     are rotated by one batched matmul over the padded (sector, slot) plan.
     """
     theta = _bs_theta(transmissivity)
-    ax1, ax2 = _pair_axes(state, modes)
+    ax1, ax2 = _pair_axes(state.modes, modes)
     d1, d2 = state.amps.shape[ax1], state.amps.shape[ax2]
     j_src, k_src, back = _bs_plan(d1, d2)
-    pair = np.moveaxis(state.amps, (ax1, ax2), (0, 1))
+    perm = (ax1, ax2) + tuple(i for i in range(state.amps.ndim)
+                              if i not in (ax1, ax2))
+    pair = state.amps.transpose(perm)  # the pair's axes first
     gathered = np.ascontiguousarray(pair[j_src, k_src]).reshape(j_src.shape + (-1,))
     # real blocks times the interleaved (re, im) columns: a real matmul
     rotated = np.matmul(_bs_blocks(d1, d2, theta), gathered.view(np.float64))
     flat = rotated.view(np.complex128).reshape(-1, gathered.shape[2])[back]
     clipped = max(norm_sq(state) - float(np.vdot(flat, flat).real), 0.0)
-    amps = np.moveaxis(flat.reshape(pair.shape), (0, 1), (ax1, ax2))
-    return replace(state, amps=amps, tail_mass=state.tail_mass + clipped)
+    undo = [perm.index(i) for i in range(len(perm))]
+    amps = flat.reshape(pair.shape).transpose(undo)
+    return PureState(state.modes, amps, tail_mass=state.tail_mass + clipped)
 
 
 def herald_beamsplitter(state: PureState, modes, transmissivity: float,
-                        outcome: tuple[int, int]) -> PureState:
+                        outcome: tuple[int, int],
+                        ancilla: PureState | None = None) -> PureState:
     """Beamsplit two modes and project both outputs onto Fock outcomes.
 
     Equivalent to ``apply_beamsplitter`` followed by ``project_fock`` on each
     output port, but computed from the single total-photon sector the outcome
     lives in: it reads only that sector's slices of the input, in place.
+    With ``ancilla`` the input is ``tensor(state, ancilla)``, never formed:
+    each slice is the outer product of the two factors' slices.
     """
     theta = _bs_theta(transmissivity)
     n1, n2 = outcome
-    ax1, ax2 = _pair_axes(state, modes)
-    d1, d2 = state.amps.shape[ax1], state.amps.shape[ax2]
+    labels, shape = state.modes, state.amps.shape
+    if ancilla is not None:
+        if set(labels) & set(ancilla.modes):
+            raise ValueError("tensor factors share mode labels")
+        labels, shape = labels + ancilla.modes, shape + ancilla.amps.shape
+    ax1, ax2 = _pair_axes(labels, modes)
+    d1, d2 = shape[ax1], shape[ax2]
     if not (0 <= n1 <= d1 - 1 and 0 <= n2 <= d2 - 1):
         raise ValueError(f"outcome {outcome} outside cutoffs")
-    if state.amps.ndim == 2:
+    if len(labels) == 2:
         raise ValueError("heralding away every mode is not supported")
     s = n1 + n2
     row = _bs_sectors(s, theta)[s][n1]
-    index = [slice(None)] * state.amps.ndim
+    split = state.amps.ndim
+    index = [slice(None)] * len(labels)
     branch = 0.0
     for j in range(max(0, s - (d2 - 1)), min(s, d1 - 1) + 1):
         index[ax1], index[ax2] = j, s - j
-        branch = branch + row[j] * state.amps[tuple(index)]
-    modes = tuple(m for i, m in enumerate(state.modes) if i not in (ax1, ax2))
-    return PureState(modes, branch, tail_mass=state.tail_mass)
+        piece = state.amps[tuple(index[:split])]
+        if ancilla is not None:
+            piece = np.multiply.outer(piece, ancilla.amps[tuple(index[split:])])
+        branch = branch + row[j] * piece
+    kept = tuple(m for m in labels if m not in modes)
+    tail = state.tail_mass + (0.0 if ancilla is None else ancilla.tail_mass)
+    return PureState(kept, branch, tail_mass=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +448,7 @@ def quadrature_moment(state: PureState, factors) -> float:
 
 
 def norm_sq(state: PureState) -> float:
-    return float(np.vdot(state.amps, state.amps).real)
+    return state._norm_sq
 
 
 def purity(state: PureState, keep: Sequence[ModeLabel]) -> float:

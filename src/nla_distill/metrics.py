@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import ModeLabel, PureState
+from .fock import ModeLabel, PureState, norm_sq
 
 __all__ = ["ConditionalVariancePair", "EprResult", "conditional_variances",
            "epr_criterion"]
@@ -39,10 +39,10 @@ def _lower(arr: np.ndarray, ax: int) -> np.ndarray:
     """The annihilator along one axis, (a psi)_n = sqrt(n + 1) psi_(n+1), in
     the same box: lowering never leaves it, so the ladder sums below are exact
     at the cutoff (the top slot would read the empty slot past it)."""
-    w = np.sqrt(np.arange(1.0, arr.shape[ax] + 1))
-    w[-1] = 0.0
-    return (np.expand_dims(w, [i for i in range(arr.ndim) if i != ax])
-            * np.roll(arr, -1, axis=ax))
+    out = np.zeros_like(arr)
+    w = np.sqrt(np.arange(1.0, arr.shape[ax]))
+    out.swapaxes(ax, -1)[..., :-1] = w * arr.swapaxes(ax, -1)[..., 1:]
+    return out
 
 
 def _second_moments(state: PureState, target: ModeLabel, conditioner: ModeLabel):
@@ -55,7 +55,7 @@ def _second_moments(state: PureState, target: ModeLabel, conditioner: ModeLabel)
         raise ValueError("target and conditioner must differ")
     t, c = state.axis(target), state.axis(conditioner)
     psi = state.amps
-    w = float(np.vdot(psi, psi).real)
+    w = norm_sq(state)
     if w <= _DEGENERATE_VAR:
         raise ValueError("state has (near-)zero norm; nothing to normalize")
     low = {ax: _lower(psi, ax) for ax in (t, c)}

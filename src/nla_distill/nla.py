@@ -91,12 +91,13 @@ def _scissor(state: fock.PureState, signal: str, photon: str, vac: str,
     The ancilla photon ends in mode ``photon``, which becomes the scissor
     output; a pi phase shows up on its one-photon component for the (0,1)
     pattern and is compensated here.  The eta-splitter acts on the ancilla
-    alone, so it runs before the ancilla joins the (larger) signal state.
+    alone, and the herald reads the signal state and the ancilla as two
+    factors: their (larger) product state is never formed.
     """
     ancilla = fock.fock_state([photon, vac], [photon_cutoff, 1], [1, 0])
     ancilla = fock.apply_beamsplitter(ancilla, (vac, photon), eta)
-    state = fock.herald_beamsplitter(fock.tensor(state, ancilla), (signal, vac),
-                                     0.5, pattern)
+    state = fock.herald_beamsplitter(state, (signal, vac), 0.5, pattern,
+                                     ancilla=ancilla)
     if pattern == (0, 1):
         state = _flip_odd(state, photon)
     return state

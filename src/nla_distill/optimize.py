@@ -25,8 +25,8 @@ import numpy as np
 
 from . import moments
 from .analytic import (ChannelParams, InfeasibleParameterError, NlaParams,
-                       _success_weights, _xp, eps_ladder, eps_opt_formula,
-                       purity_ladder)
+                       _eps_sums, _ladder, _purity_sums, _success_weights, _xp,
+                       eps_ladder, eps_opt_formula)
 from .nla import DistillationResult
 
 __all__ = [
@@ -334,10 +334,12 @@ def _validate_domain(lam, pi, n_stages):
 def _finalize(r_opt: float, eta_opt: float, eps_opt: float, lam: float,
               pi: float, n_stages: int) -> DistillationResult:
     p = NlaParams(n_stages, eta_opt, ChannelParams(r_opt, lam))
+    kappa = p.kappa
+    ladder = _ladder(n_stages, kappa, p.rho)  # one ladder serves both reports
     return DistillationResult(
         eps_b_given_a=eps_opt,
-        eps_a_given_b=eps_ladder(n_stages, p.kappa, p.rho)[1],
-        purity=purity_ladder(n_stages, p.kappa, p.rho),
+        eps_a_given_b=_eps_sums(n_stages, kappa, ladder)[1],
+        purity=_purity_sums(n_stages, ladder),
         success_prob=pi,
         r_opt=r_opt,
         eta_opt=eta_opt,

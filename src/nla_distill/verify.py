@@ -48,7 +48,9 @@ class CheckResult:
 
 def _auto_cutoff(r: float) -> int:
     """Source cutoff whose EPR tail stays at most 1e-11, below the tail
-    budget, quantized for operator-cache reuse."""
+    budget, quantized to a multiple of 8 so that nearby squeezings share
+    the beamsplitter tables `fock._bs_plan` and `fock._bs_blocks` cache by
+    the mode pair's dimensions."""
     chi = math.tanh(r)
     if chi < 0.05:
         need = 12

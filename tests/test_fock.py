@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nla_distill import fock, nla
@@ -274,6 +274,34 @@ def test_beamsplitter_sectors_are_orthogonal(s_max, theta):
         assert np.abs(m @ m.T - np.eye(s + 1)).max() <= 1e-13
 
 
+def sectors_with_fresh_tables(s_max, theta):
+    """Reference sector recursion: every sqrt table and shifted copy built
+    afresh per sector."""
+    c, s_ = math.cos(theta), math.sin(theta)
+    mats = [np.ones((1, 1))]
+    for s in range(1, s_max + 1):
+        below = np.zeros((s + 1, s))
+        below[:s] = mats[-1]
+        above = np.zeros((s + 1, s))
+        above[1:] = mats[-1]
+        sq_jp = np.sqrt(np.arange(s + 1))[:, None]
+        sq_rest = sq_jp[::-1]
+        w = np.sqrt(np.arange(1, s + 1))
+        cur = np.zeros((s + 1, s + 1))
+        cur[:, 1:] = (c * sq_jp * above - s_ * sq_rest * below) * w
+        cur[:, :-1] += (c * sq_rest * below + s_ * sq_jp * above) * w[::-1]
+        mats.append(cur / s)
+    return mats
+
+
+@settings(max_examples=30)
+@given(s_max=st.integers(0, 64), theta=st.floats(0.0, math.pi / 2))
+def test_beamsplitter_sectors_match_the_fresh_table_recursion(s_max, theta):
+    for got, want in zip(fock._bs_sectors(s_max, theta),
+                         sectors_with_fresh_tables(s_max, theta), strict=True):
+        assert np.array_equal(got, want)
+
+
 @settings(max_examples=60)
 @given(state=random_states(min_modes=3), order=st.permutations(range(4)),
        t=st.floats(0.0, 1.0), outcome=st.tuples(st.integers(0, 5), st.integers(0, 5)))
@@ -286,6 +314,62 @@ def test_herald_matches_apply_then_project_anywhere(state, order, t, outcome):
     assert fused.modes == full.modes and fused.cutoffs == full.cutoffs
     assert np.abs(fused.amps - full.amps).max() <= 1e-13
     assert fused.tail_mass == state.tail_mass
+
+
+@settings(max_examples=60)
+@given(a=random_states(min_modes=1, max_modes=3), b=random_states(min_modes=1, max_modes=3),
+       t=st.floats(0.0, 1.0), tails=st.tuples(st.floats(0.0, 1e-3), st.floats(0.0, 1e-3)),
+       data=st.data())
+def test_herald_from_factors_matches_herald_of_the_product(a, b, t, tails, data):
+    # the heralded pair may sit in either factor or straddle the two
+    a = fock.PureState(a.modes, a.amps, tail_mass=tails[0])
+    b = fock.PureState(tuple(m.lower() for m in b.modes), b.amps, tail_mass=tails[1])
+    assume(len(a.modes) + len(b.modes) >= 3)
+    ab = fock.tensor(a, b)
+    m1, m2 = data.draw(st.permutations(ab.modes))[:2]
+    for n1, n2 in itertools.product(range(ab.cutoff_of(m1) + 1),
+                                    range(ab.cutoff_of(m2) + 1)):
+        want = fock.herald_beamsplitter(ab, (m1, m2), t, (n1, n2))
+        got = fock.herald_beamsplitter(a, (m1, m2), t, (n1, n2), ancilla=b)
+        assert got.modes == want.modes
+        assert np.array_equal(got.amps, want.amps)
+        assert got.tail_mass == want.tail_mass
+
+
+def test_herald_from_factors_rejects_shared_labels_and_unknown_modes():
+    a, b = fock.vacuum(["A", "B"], [2, 2]), fock.vacuum(["B", "C"], [2, 2])
+    with pytest.raises(ValueError, match="share"):
+        fock.herald_beamsplitter(a, ("A", "C"), 0.5, (0, 0), ancilla=b)
+    with pytest.raises(ValueError, match="not in"):
+        fock.herald_beamsplitter(a, ("A", "Z"), 0.5, (0, 0),
+                                 ancilla=fock.vacuum(["C"], [2]))
+
+
+def test_norm_sq_is_the_validated_norm_of_every_state():
+    rng = np.random.default_rng(7)
+    amps = rng.normal(size=(3, 4, 2)) + 1j * rng.normal(size=(3, 4, 2))
+    raw = fock.PureState(("A", "B", "C"), amps / np.linalg.norm(amps))
+    epr = fock.epr_state(0.6, ("M", "N"), 6)
+    sq = fock.squeezed_vacuum(0.4, "S", 9)
+    states = [
+        raw,
+        fock.vacuum(["A", "B"], [2, 3]),
+        fock.fock_state(["A", "B"], [2, 2], [1, 2]),
+        epr,
+        sq,
+        fock.tensor(epr, sq),
+        fock.rename_modes(raw, {"A": "Z"}),
+        fock.reorder_modes(raw, ("C", "A", "B")),
+        fock.apply_beamsplitter(raw, ("A", "B"), 0.3),
+        fock.herald_beamsplitter(raw, ("A", "B"), 0.3, (1, 2)),
+        fock.herald_beamsplitter(epr, ("N", "S"), 0.4, (2, 1), ancilla=sq),
+        fock.project_fock(raw, "B", 3),
+        nla.scissor_circuit(2, ChannelParams(0.3, 0.4), 0.6, 8).state,
+        nla.closed_form_state(2, ChannelParams(0.3, 0.4), 0.6, 8).state,
+        nla.truncated_pair_state(3, 0.7),
+    ]
+    for state in states:
+        assert fock.norm_sq(state) == float(np.vdot(state.amps, state.amps).real)
 
 
 def test_project_vacuum_probability_one():

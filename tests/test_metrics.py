@@ -155,3 +155,23 @@ def test_second_moments_match_quadrature_moment_oracle(state, data):
         assert abs(var_t - (moment(target, target) - mt * mt)) <= 1e-12
         assert abs(var_c - (moment(conditioner, conditioner) - mc * mc)) <= 1e-12
         assert abs(cov - (moment(target, conditioner) - mt * mc)) <= 1e-12
+
+
+def lower_by_roll(arr, ax):
+    """Reference annihilator: roll the axis down, zero the wrapped top slot."""
+    w = np.sqrt(np.arange(1.0, arr.shape[ax] + 1))
+    w[-1] = 0.0
+    return (np.expand_dims(w, [i for i in range(arr.ndim) if i != ax])
+            * np.roll(arr, -1, axis=ax))
+
+
+@settings(max_examples=40)
+@given(state=random_states(min_modes=1, max_modes=4), data=st.data())
+def test_lower_matches_the_roll_formula(state, data):
+    psi = state.amps
+    ax, bx = data.draw(st.integers(0, psi.ndim - 1)), data.draw(st.integers(0, psi.ndim - 1))
+    once = metrics._lower(psi, ax)
+    assert once.shape == psi.shape
+    assert np.array_equal(once, lower_by_roll(psi, ax))
+    # lowering a lowered array, as the second moments do
+    assert np.array_equal(metrics._lower(once, bx), lower_by_roll(lower_by_roll(psi, ax), bx))

@@ -311,3 +311,19 @@ def test_scissor_circuit_needs_one_pattern_per_stage():
             nla.scissor_circuit(n, ch, 0.7, 4, patterns=pats)
     with pytest.raises(ValueError):
         nla.scissor_circuit(0, ch, 0.7, 4)
+
+
+@pytest.mark.parametrize("cutoff,pattern", [(4, (1, 0)), (16, (0, 1))])
+def test_single_stage_circuit_never_forms_the_ancilla_product(monkeypatch, cutoff, pattern):
+    # heralding reads the signal state and the ancilla as two factors, so no
+    # state outgrows the lossy three-mode source
+    sizes = []
+    validate = fock.PureState.__post_init__
+
+    def recording(self):
+        sizes.append(np.size(self.amps))
+        validate(self)
+
+    monkeypatch.setattr(fock.PureState, "__post_init__", recording)
+    nla.scissor_circuit(1, ChannelParams(0.4, 0.3), 0.6, cutoff, [pattern])
+    assert sizes and max(sizes) <= (cutoff + 1) ** 3
