@@ -26,6 +26,7 @@ __all__ = [
     "RECORD_SQUEEZING_DB",
     "ChannelParams",
     "NlaParams",
+    "DistillationResult",
     "InfeasibleParameterError",
     "eps_no_nla",
     "eps_infinity",
@@ -118,6 +119,19 @@ class NlaParams:
         return _xp(chi).atanh(math.sqrt(self.channel.lam) * chi)
 
 
+@dataclass(frozen=True)
+class DistillationResult:
+    """Observables of one operating point of the distiller."""
+
+    eps_b_given_a: float
+    eps_a_given_b: float
+    purity: float
+    success_prob: float
+    r_opt: float = math.nan
+    eta_opt: float = math.nan
+    n_stages: int = 0
+
+
 # ---------------------------------------------------------------------------
 # loss-only benchmarks
 
@@ -153,6 +167,8 @@ def purity_tradeoff(eps: float, lam: float) -> float:
     if eps < lam * lam:
         raise InfeasibleParameterError(
             f"entanglement {eps} below the loss floor {lam * lam}")
+    if lam == 0.0:  # the pure source reaches every eps in [0, 1]
+        return 1.0
     p = (1.0 - lam / math.sqrt(eps)) / (1.0 - lam)
     return max(p, 0.0)
 

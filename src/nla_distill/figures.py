@@ -7,9 +7,10 @@ Each generator returns a list of (panel_suffix, header, rows, skipped); the
 CSV schema (header names and row order) is part of the package's external
 contract and covered by golden tests.  ``skipped`` counts the sweep points
 left out of the panel as infeasible, and is None for the figures that do not
-search (fig3, fig4, fig11).  Heavy sweeps fan out over a process pool; rows are
-assembled in axis order regardless of completion order, so output bytes do
-not depend on scheduling.
+search (fig3, fig4, fig11).  The searched figures run one sweep worker,
+`_point`, over their (pi, loss) grid, fanned out over a process pool; rows
+are assembled in axis order regardless of completion order, so output bytes
+do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -84,26 +85,23 @@ def _pmap(fn, items: Sequence, workers: int) -> list:
         return list(pool.map(fn, items, chunksize=1))
 
 
-# module-level workers so they pickle under multiprocessing
-
-def _opt_point(args):
-    lam_db, pi, n_stages = args
+def _point(args):
+    """One sweep point: (lam_db, lam, pi, search result), or None where the
+    point is infeasible.  Module-level, so it pickles for the worker pool."""
+    search, lam_db, pi, kwargs = args
     lam = lambda_from_db(lam_db)
     try:
-        res = optimize.optimize_entanglement(lam, pi, n_stages)
+        res = search(lam=lam, pi=pi, **kwargs)
     except analytic.InfeasibleParameterError:
         return None
     return (lam_db, lam, pi, res)
 
 
-def _target_point(args):
-    lam_db, pi, n_stages, eps_target = args
-    lam = lambda_from_db(lam_db)
-    try:
-        res = optimize.purity_for_target_entanglement(eps_target, lam, pi, n_stages)
-    except analytic.InfeasibleParameterError:
-        return None
-    return (lam_db, lam, pi, res)
+def _sweep(search, db_spec, pis, workers: int, **kwargs) -> list:
+    """`_point` over the (pi, loss) grid in axis order."""
+    dbs = _db_range(db_spec)
+    return _pmap(_point, [(search, db, pi, kwargs) for pi in pis for db in dbs],
+                 workers)
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +138,12 @@ def _fig4(lambdas: Iterable[float]):
 
 
 def _fig_opt(db_spec, pis, n_stages: int, workers: int):
-    dbs = _db_range(db_spec)
-    pts = [(db, pi, n_stages) for pi in pis for db in dbs]
-    got = _pmap(_opt_point, pts, workers)
+    got = _sweep(optimize.optimize_entanglement, db_spec, pis, workers,
+                 n_stages=n_stages)
     head_a = ("lambda_db", "lambda", "pi", "eps_opt", "r_opt", "eta_opt")
     head_b = ("lambda_db", "lambda", "pi", "purity", "r_opt", "eta_opt")
     rows_a, rows_b = [], []
-    for item in got:
-        if item is None:
-            continue
-        lam_db, lam, pi, res = item
+    for lam_db, lam, pi, res in filter(None, got):
         rows_a.append((lam_db, lam, pi, res.eps_b_given_a, res.r_opt, res.eta_opt))
         rows_b.append((lam_db, lam, pi, res.purity, res.r_opt, res.eta_opt))
     skipped = got.count(None)
@@ -157,16 +151,12 @@ def _fig_opt(db_spec, pis, n_stages: int, workers: int):
 
 
 def _fig_target(db_spec, pis, eps_target: float, n_stages: int, workers: int):
-    dbs = _db_range(db_spec)
-    pts = [(db, pi, n_stages, eps_target) for pi in pis for db in dbs]
-    got = _pmap(_target_point, pts, workers)
+    got = _sweep(optimize.purity_for_target_entanglement, db_spec, pis,
+                 workers, eps_target=eps_target, n_stages=n_stages)
     head = ("lambda_db", "lambda", "pi", "eps_target", "purity",
             "purity_no_nla", "r_opt", "eta_opt")
     rows = []
-    for item in got:
-        if item is None:
-            continue
-        lam_db, lam, pi, res = item
+    for lam_db, lam, pi, res in filter(None, got):
         bench = purity_tradeoff(eps_target, lam) if lam * lam <= eps_target else 0.0
         rows.append((lam_db, lam, pi, eps_target, res.purity, bench,
                      res.r_opt, res.eta_opt))

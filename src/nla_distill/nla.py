@@ -22,7 +22,8 @@ from math import comb
 import numpy as np
 
 from . import fock, metrics
-from .analytic import ChannelParams, NlaParams, success_prob
+from .analytic import (ChannelParams, DistillationResult, NlaParams,
+                       success_prob)
 
 __all__ = [
     "HeraldedState",
@@ -57,19 +58,6 @@ class HeraldedState:
     @property
     def success_prob(self) -> float:
         return 2.0**self.n_stages * fock.norm_sq(self.state)
-
-
-@dataclass(frozen=True)
-class DistillationResult:
-    """Observables of one operating point of the distiller."""
-
-    eps_b_given_a: float
-    eps_a_given_b: float
-    purity: float
-    success_prob: float
-    r_opt: float = math.nan
-    eta_opt: float = math.nan
-    n_stages: int = 0
 
 
 def _flip_odd(state: fock.PureState, mode: str) -> fock.PureState:

@@ -3,10 +3,11 @@ best purity at fixed entanglement, and the vanishing-success-rate floor per
 stage count.
 
 Each search scans a 200-point logarithmic grid over the source squeezing
-(`R_GRID`) in one array pass, then refines inside the best grid cell on the
-scalar objective, by golden section or, for a target, by Brent's root finder
-(`_brentq`, a transcription of scipy's ``brentq.c``), so every reported
-number comes from the scalar evaluators; the grid guards against the
+(`R_GRID`; the floor its one kappa grid) in one array pass, then refines
+inside the best grid cell on the scalar objective, by golden section
+(`_minimize_on_grid`, which the floor shares) or, for a target, by Brent's
+root finder (`_brentq`, a transcription of scipy's ``brentq.c``), so every
+reported number comes from the scalar evaluators; the grid guards against the
 (empirically valid) assumption that the objective is unimodal on the feasible
 interval.  The grid pass runs the same closed forms on arrays: the linear eta
 inversion and `eps_opt_formula` at one stage; at N >= 2 the eta roots from
@@ -24,10 +25,10 @@ from typing import Callable
 import numpy as np
 
 from . import moments
-from .analytic import (ChannelParams, InfeasibleParameterError, NlaParams,
-                       _eps_sums, _ladder, _purity_sums, _success_weights, _xp,
-                       eps_ladder, eps_opt_formula)
-from .nla import DistillationResult
+from .analytic import (ChannelParams, DistillationResult,
+                       InfeasibleParameterError, NlaParams, _eps_sums, _ladder,
+                       _purity_sums, _success_weights, _xp, eps_ladder,
+                       eps_opt_formula)
 
 __all__ = [
     "DistillationResult",
@@ -44,10 +45,9 @@ R_GRID_HI = 3.0
 R_GRID_POINTS = 200
 R_GRID = np.geomspace(R_GRID_LO, R_GRID_HI, R_GRID_POINTS)
 R_GRID.flags.writeable = False
-# the floor's kappa grids, widened (by doubling the top) while the minimum
-# sits at the upper edge
-_KAPPA_GRIDS = tuple(np.geomspace(1e-3, hi, R_GRID_POINTS)
-                     for hi in (4.0, 8.0, 16.0, 32.0, 64.0))
+# the floor's kappa grid: for every N up to MAX_FLOOR_STAGES its argmin index
+# is at most 166 of 199 and the refined kappa* lies in [0.356, 1.023]
+_KAPPA_GRID = np.geomspace(1e-3, 4.0, R_GRID_POINTS)
 GOLDEN_TOL = 1e-8
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -88,7 +88,10 @@ def _linear_eta(r, lam: float, pi: float):
     xp = _xp(r)
     t2 = xp.tanh(r) ** 2
     d = (1.0 - lam * t2) ** 2 * xp.cosh(r) ** 2
-    return (1.0 - lam * t2 - pi * d) / (1.0 - t2)
+    num = 1.0 - lam * t2 - pi * d
+    if xp is math and t2 == 1.0:  # r > ~19.1: eta runs off to +-inf
+        return math.copysign(math.inf, num)
+    return num / (1.0 - t2)
 
 
 def eta_candidates(r: float, lam: float, pi: float, n_stages: int) -> list[float]:
@@ -100,11 +103,11 @@ def eta_candidates(r: float, lam: float, pi: float, n_stages: int) -> list[float
     """
     if pi <= 0.0:
         raise ValueError(f"success probability must be > 0, got {pi}")
+    if n_stages < 1:
+        raise ValueError(f"n_stages must be >= 1, got {n_stages}")
     if n_stages == 1:
-        try:
-            return [eta_from_pi(r, lam, pi)]
-        except InfeasibleParameterError:
-            return []
+        eta = _linear_eta(r, lam, pi)
+        return [eta] if 0.0 < eta < 1.0 else []
     etas = _unit_roots(r, lam, pi, n_stages)
     return [float(x) for x in etas[~np.isnan(etas)]]
 
@@ -293,6 +296,8 @@ def _feasible_grid(eps: np.ndarray, eta: np.ndarray, lam: float, pi: float,
 
 
 def _minimize_on_grid(objective, sub, eps, runs) -> tuple[float, float, float]:
+    """The golden-section minimum x of objective(x)[0] in the cell around the
+    least grid value ``eps``, within its run: (x, *objective(x))."""
     k = int(np.argmin(eps))
     in_run = np.flatnonzero(runs == runs[k])
     lo = sub[max(k - 1, in_run[0])]
@@ -419,20 +424,15 @@ def best_entanglement_vs_stages(n_max: int) -> list[tuple[int, float, float]]:
 
     For each N minimizes eps_B|A of the normalized pure state
     (1 + (kappa/N) a'b')^N |0> over the pair amplitude kappa: the ladder
-    sums at zero loss (rho = 0).
+    sums at zero loss (rho = 0), scanned on `_KAPPA_GRID` as one run.
     """
     if not 1 <= n_max <= MAX_FLOOR_STAGES:
         raise ValueError(f"n_max must be 1 to {MAX_FLOOR_STAGES}, got {n_max}")
+    one_run = np.zeros(R_GRID_POINTS, dtype=int)
     out = []
     for n in range(1, n_max + 1):
-        def eps_of(kappa: float, n=n) -> float:
-            return eps_ladder(n, kappa, 0.0)[0]
-
-        for grid in _KAPPA_GRIDS:
-            k = int(np.argmin(eps_of(grid)))
-            if k < len(grid) - 2:
-                break
-        kappa_best = _golden_min(eps_of, grid[max(k - 1, 0)],
-                                 grid[min(k + 1, len(grid) - 1)], GOLDEN_TOL)
-        out.append((n, eps_of(kappa_best), kappa_best))
+        kappa, eps, _ = _minimize_on_grid(
+            lambda k, n=n: eps_ladder(n, k, 0.0), _KAPPA_GRID,
+            eps_ladder(n, _KAPPA_GRID, 0.0)[0], one_run)
+        out.append((n, eps, kappa))
     return out

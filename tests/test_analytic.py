@@ -59,6 +59,8 @@ def test_purity_tradeoff_limits():
     # above 1 no entanglement is certified: a purity there would exceed 1
     with pytest.raises(ValueError):
         purity_tradeoff(1.5, 0.3)
+    # without loss the pure source reaches every eps, eps = 0 included
+    assert purity_tradeoff(0.0, 0.0) == purity_tradeoff(1e-300, 0.0) == 1.0
 
 
 @pytest.mark.parametrize("r,lam", [(0.8, 0.25), (0.3, 0.1), (1.2, 0.6)])

@@ -1,11 +1,12 @@
 """The array grid scans against the scalar evaluators they stand in for.
 
 The searches evaluate their squeezing grid (`optimize.R_GRID`), and the
-floor its kappa grids, in one array pass, then refine on the scalar
+floor its kappa grid, in one array pass, then refine on the scalar
 objective.  These tests hold the array pass to the scalar objective point by
 point, and hold the searches to the results of the scalar scan they replaced.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -83,17 +84,25 @@ def test_point_list_covers_two_pockets_and_an_infeasible_grid():
 
 @pytest.mark.parametrize("n", [1, 2, 12, 60, 150])
 def test_floor_grid_matches_the_scalar_ladder(n):
-    # with kappa up to 64 the ladder weights pass 2^256 (and are rescaled)
-    # from N = 60 on
-    top = max(optimize._KAPPA_GRIDS[-1])
-    log2_w = sum(2.0 * math.log2((n - j + 1) * top / n) for j in range(1, n + 1))
-    assert (log2_w > 256.0) == (n >= 60)
-    for grid in optimize._KAPPA_GRIDS:
-        vals = eps_ladder(n, grid, 0.0)[0]
-        scalar = np.array([eps_ladder(n, float(k), 0.0)[0] for k in grid])
-        assert np.isfinite(vals).all()
-        np.testing.assert_allclose(vals, scalar, rtol=1e-12, atol=0)
-        assert np.argmin(vals) == np.argmin(scalar)
+    # with kappa up to 4 the largest prefix of the ladder weights passes
+    # 2^256 (and the weights are rescaled) from N = 139 on
+    grid = optimize._KAPPA_GRID
+    log2_w = max(itertools.accumulate(
+        2.0 * math.log2((n - j + 1) * grid[-1] / n) for j in range(1, n + 1)))
+    assert (log2_w > 256.0) == (n >= 139)
+    vals = eps_ladder(n, grid, 0.0)[0]
+    scalar = np.array([eps_ladder(n, float(k), 0.0)[0] for k in grid])
+    assert np.isfinite(vals).all()
+    np.testing.assert_allclose(vals, scalar, rtol=1e-12, atol=0)
+    assert np.argmin(vals) == np.argmin(scalar)
+
+
+def test_floor_grid_minimum_is_interior():
+    # the floor refines inside the cell around its grid minimum, which must
+    # therefore sit off both edges of the one kappa grid at every N it takes
+    grid = optimize._KAPPA_GRID
+    for n in range(1, optimize.MAX_FLOOR_STAGES + 1):
+        assert 0 < np.argmin(eps_ladder(n, grid, 0.0)[0]) < len(grid) - 2, n
 
 
 # ---------------------------------------------------------------------------

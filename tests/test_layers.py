@@ -1,0 +1,53 @@
+"""The search path imports none of the Fock oracle's modules.
+
+The figures come from closed forms and ladder algebra (`analytic`, `moments`,
+`optimize`, `figures`); the brute-force Fock simulation (`fock`, `metrics`,
+`nla`, `verify`) checks them.  The cross-check is only independent while the
+two routes share no code beyond the bottom layer.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+import nla_distill
+
+PACKAGE = pathlib.Path(nla_distill.__file__).parent
+ORACLE = {"fock", "metrics", "nla", "verify"}
+
+
+def package_imports(module: str) -> set[str]:
+    """The nla_distill submodules a module's source imports."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module + "." if node.module else "")
+            names = [base + a.name for a in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.lstrip(".").split(".")
+            if name.startswith("."):
+                found.add(parts[0])
+            elif parts[0] == "nla_distill" and len(parts) > 1:
+                found.add(parts[1])
+    return found
+
+
+@pytest.mark.parametrize("module", ["analytic", "moments", "optimize", "figures"])
+def test_search_path_imports_no_oracle_module(module):
+    assert not package_imports(module) & ORACLE
+
+
+def test_import_scan_sees_the_package_imports():
+    assert package_imports("optimize") == {"analytic", "moments"}
+    assert package_imports("verify") >= ORACLE - {"verify"}
+
+
+def test_distillation_result_is_one_type_under_every_name():
+    from nla_distill import analytic, nla, optimize
+    assert (nla_distill.DistillationResult is analytic.DistillationResult
+            is nla.DistillationResult is optimize.DistillationResult)

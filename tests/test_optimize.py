@@ -75,6 +75,23 @@ def test_eta_candidates_reject_nonpositive_success_rate(n):
             optimize.eta_candidates(0.3, 0.2, pi, n)
 
 
+def test_eta_candidates_reject_stage_counts_below_one():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n_stages must be >= 1"):
+            optimize.eta_candidates(0.3, 0.2, 0.01, n)
+
+
+@pytest.mark.parametrize("r", [20.0, 25.0])
+def test_eta_inversion_where_tanh_squared_rounds_to_one(r):
+    # 1 - tanh^2 r is 0 in floats: the linear eta runs off to -inf, outside
+    # (0, 1), at every stage count alike
+    assert math.tanh(r) ** 2 == 1.0
+    for n in (1, 2, 3, 4):
+        assert optimize.eta_candidates(r, 0.3, 0.5, n) == []
+    with pytest.raises(InfeasibleParameterError, match="eta would be -inf"):
+        optimize.eta_from_pi(r, 0.3, 0.5)
+
+
 def test_eta_candidates_match_np_roots():
     # the batched companion solver against np.roots on the same polynomial,
     # bit for bit, with the same (0, 1) filter
