@@ -336,6 +336,31 @@ def _eps_sums(n_stages: int, kappa: float, ladder) -> tuple[float, float]:
     return (v_b - c2 / v_a) ** 2, (v_a - c2 / v_b) ** 2
 
 
+def _eps_slope(n_stages: int, kappa: float, ladder) -> float:
+    """d eps_B|A / d kappa on a ``_ladder(n_stages, kappa, rho)`` result.
+
+    v_j goes as kappa^(2j), so d v_j / d kappa = 2 j v_j / kappa; every sum
+    enters as a ratio, so the ladder's common rescale drops out.
+    """
+    big_t, q, v = ladder
+    n, z = n_stages, sum(v)
+    nb = sum(j * vj for j, vj in enumerate(v)) / z
+    nb2 = sum(j * j * vj for j, vj in enumerate(v)) / z
+    dnb = 2.0 / kappa * (nb2 - nb * nb)
+    na, dna = nb + big_t * q * (nb + 1.0), (1.0 + big_t * q) * dnb
+    # <ab> = q kappa A / (N z), A = sum_j v_{j-1} j (N-j+1), and kappa v_{j-1}
+    # goes as kappa^(2j-1)
+    w = [v[j - 1] * j * (n - j + 1) for j in range(1, n + 1)]
+    a0 = sum(w)
+    a1 = sum((2 * j - 1) * wj for j, wj in enumerate(w, 1))
+    ab = q * kappa * a0 / (n * z)
+    dab = q * a1 / (n * z) - 2.0 * ab * nb / kappa
+    v_a, c2 = 1.0 + 2.0 * na, 4.0 * ab * ab
+    g = 1.0 + 2.0 * nb - c2 / v_a
+    return 2.0 * g * (2.0 * dnb - (8.0 * ab * dab * v_a - 2.0 * c2 * dna)
+                      / (v_a * v_a))
+
+
 def purity_ladder(n_stages: int, kappa: float, rho: float) -> float:
     """Purity of the N-stage heralded state with the loss mode traced out:
     the squared block norms, grouped by powers of T^2, are sum_i T^(2i)

@@ -4,16 +4,18 @@ stage count.
 
 Each search scans a 200-point logarithmic grid over the source squeezing
 (`R_GRID`; the floor its one kappa grid) in one array pass, then refines
-inside the best grid cell on the scalar objective, by golden section
-(`_minimize_on_grid`, which the floor shares) or, for a target, by Brent's
-root finder (`_brentq`, a transcription of scipy's ``brentq.c``), so every
-reported number comes from the scalar evaluators; the grid guards against the
-(empirically valid) assumption that the objective is unimodal on the feasible
-interval.  The grid pass runs the same closed forms on arrays: the linear eta
-inversion and `eps_opt_formula` at one stage; at N >= 2 the eta roots from
-`_unit_roots`, the one solver the scalar objective shares, and eps from the
-ladder sums (`eps_ladder`, within ~1e-14 of the moments engine the scalar
-objective runs on).  eps_A|B and purity are reported from the ladder sums.
+inside the best grid cell on a scalar evaluator: a search's minimum by golden
+section on its objective (`_minimize_on_grid`), a target by Brent's root
+finder (`_brentq`, a transcription of scipy's ``brentq.c``) on the objective,
+and the floor's minimum by `_brentq` on the closed slope of the ladder sums
+(`analytic._eps_slope`), so every reported number comes from the scalar
+evaluators; the grid guards against the (empirically valid) assumption that
+the objective is unimodal on the feasible interval.  The grid pass runs the
+same closed forms on arrays: the linear eta inversion and `eps_opt_formula` at
+one stage; at N >= 2 the eta roots from `_unit_roots`, the one solver the
+scalar objective shares, and eps from the ladder sums (`eps_ladder`, within
+~1e-14 of the moments engine the scalar objective runs on).  eps_A|B and
+purity are reported from the ladder sums.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ import numpy as np
 
 from . import moments
 from .analytic import (ChannelParams, DistillationResult,
-                       InfeasibleParameterError, NlaParams, _eps_sums, _ladder,
-                       _purity_sums, _success_weights, _xp, eps_ladder,
-                       eps_opt_formula)
+                       InfeasibleParameterError, NlaParams, _eps_slope,
+                       _eps_sums, _ladder, _purity_sums, _success_weights, _xp,
+                       eps_ladder, eps_opt_formula)
 
 __all__ = [
     "DistillationResult",
@@ -51,14 +53,18 @@ _KAPPA_GRID = np.geomspace(1e-3, 4.0, R_GRID_POINTS)
 GOLDEN_TOL = 1e-8
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# past this squeezing cosh^2 r overflows a double, and no success rate is in
+# reach: Pi_N <= 1 / ((1 - lam) cosh^2 r) at every N
+_R_COSH2_MAX = math.acosh(math.sqrt(sys.float_info.max))
+
 # the N >= 2 searches refine on the moments engine, which compiles each stage
 # count once per process at a cost exponential in N (6 ms at N = 2, 0.12 s at
 # N = 4, about 0.7 s and a 120 MB peak at N = 5 on one core of a Xeon server);
 # after the array grid pass a search makes ~30 evaluations of 0.07 to 0.10 ms
 # (about 10 ms per search at N = 2 to 4)
 MAX_SEARCH_STAGES = 4
-# the floor search is O(N^2): 0.03 s at N = 20, 0.56 s at 100, 1.2 s at 150
-# and about 8 s at 400 on one core of a Xeon server
+# the floor search is O(N^2): 0.01 s at N = 20, 0.2 s at 100, 0.5 s at 150
+# and about 4 s at 400 on one core of a Xeon server
 MAX_FLOOR_STAGES = 150
 
 
@@ -87,7 +93,10 @@ def _linear_eta(r, lam: float, pi: float):
     an array."""
     xp = _xp(r)
     t2 = xp.tanh(r) ** 2
-    d = (1.0 - lam * t2) ** 2 * xp.cosh(r) ** 2
+    try:
+        d = (1.0 - lam * t2) ** 2 * xp.cosh(r) ** 2
+    except OverflowError:  # a float r > _R_COSH2_MAX: pi d swamps the rest
+        return -math.inf
     num = 1.0 - lam * t2 - pi * d
     if xp is math and t2 == 1.0:  # r > ~19.1: eta runs off to +-inf
         return math.copysign(math.inf, num)
@@ -108,6 +117,8 @@ def eta_candidates(r: float, lam: float, pi: float, n_stages: int) -> list[float
     if n_stages == 1:
         eta = _linear_eta(r, lam, pi)
         return [eta] if 0.0 < eta < 1.0 else []
+    if r > _R_COSH2_MAX:  # the level set's constant term would overflow
+        return []
     etas = _unit_roots(r, lam, pi, n_stages)
     return [float(x) for x in etas[~np.isnan(etas)]]
 
@@ -297,7 +308,8 @@ def _feasible_grid(eps: np.ndarray, eta: np.ndarray, lam: float, pi: float,
 
 def _minimize_on_grid(objective, sub, eps, runs) -> tuple[float, float, float]:
     """The golden-section minimum x of objective(x)[0] in the cell around the
-    least grid value ``eps``, within its run: (x, *objective(x))."""
+    least grid value ``eps``, within its run: (x, *objective(x)).  The
+    entanglement search and `verify`'s circuit search share it."""
     k = int(np.argmin(eps))
     in_run = np.flatnonzero(runs == runs[k])
     lo = sub[max(k - 1, in_run[0])]
@@ -424,15 +436,23 @@ def best_entanglement_vs_stages(n_max: int) -> list[tuple[int, float, float]]:
 
     For each N minimizes eps_B|A of the normalized pure state
     (1 + (kappa/N) a'b')^N |0> over the pair amplitude kappa: the ladder
-    sums at zero loss (rho = 0), scanned on `_KAPPA_GRID` as one run.
+    sums at zero loss (rho = 0), scanned on `_KAPPA_GRID`; kappa* is the root
+    of the closed slope d eps_B|A / d kappa (`_eps_slope`) by `_brentq` in the
+    cell around the grid minimum, and eps_B|A is reported from the ladder sums
+    there.  A cell without a sign change raises RuntimeError naming N.
     """
     if not 1 <= n_max <= MAX_FLOOR_STAGES:
         raise ValueError(f"n_max must be 1 to {MAX_FLOOR_STAGES}, got {n_max}")
-    one_run = np.zeros(R_GRID_POINTS, dtype=int)
     out = []
     for n in range(1, n_max + 1):
-        kappa, eps, _ = _minimize_on_grid(
-            lambda k, n=n: eps_ladder(n, k, 0.0), _KAPPA_GRID,
-            eps_ladder(n, _KAPPA_GRID, 0.0)[0], one_run)
-        out.append((n, eps, kappa))
+        k = int(np.argmin(eps_ladder(n, _KAPPA_GRID, 0.0)[0]))
+        lo = _KAPPA_GRID[max(k - 1, 0)]
+        hi = _KAPPA_GRID[min(k + 1, R_GRID_POINTS - 1)]
+        try:
+            kappa = _brentq(
+                lambda x, n=n: _eps_slope(n, x, _ladder(n, x, 0.0)), lo, hi)
+        except ValueError as exc:  # no sign change, or a NaN slope
+            raise RuntimeError(f"no floor at N = {n} in the kappa cell "
+                               f"[{lo}, {hi}]: {exc}") from exc
+        out.append((n, eps_ladder(n, kappa, 0.0)[0], kappa))
     return out

@@ -1,9 +1,10 @@
 """The array grid scans against the scalar evaluators they stand in for.
 
 The searches evaluate their squeezing grid (`optimize.R_GRID`), and the
-floor its kappa grid, in one array pass, then refine on the scalar
-objective.  These tests hold the array pass to the scalar objective point by
-point, and hold the searches to the results of the scalar scan they replaced.
+floor its kappa grid, in one array pass, then refine on scalar evaluators
+(the floor on the root of its closed slope).  These tests hold the array pass
+to the scalar objective point by point, hold the searches to the results of
+the scalar scan they replaced, and hold the floor to a 40-digit one.
 """
 
 import itertools
@@ -105,6 +106,22 @@ def test_floor_grid_minimum_is_interior():
         assert 0 < np.argmin(eps_ladder(n, grid, 0.0)[0]) < len(grid) - 2, n
 
 
+def test_floor_meets_the_mpmath_floor(eps_mp):
+    # kappa* is the root of d eps / d kappa, found here in 40 digits by
+    # mpmath's own bracketing solver on its numerical derivative; every
+    # kappa* up to N = 150 lies in [0.356, 1.023]
+    mp = pytest.importorskip("mpmath")
+    floor = optimize.best_entanglement_vs_stages(150)
+    for n in [*range(1, 13), 40, 100, 150]:
+        def slope(x, n=n):
+            return mp.diff(lambda k: eps_mp(n, k, 0), x)
+
+        kappa_star = mp.findroot(slope, (0.3, 1.1), solver="anderson")
+        assert floor[n - 1][0] == n
+        assert abs(floor[n - 1][2] - kappa_star) <= 1e-12, n
+        assert abs(floor[n - 1][1] - eps_mp(n, kappa_star, 0)) <= 1e-13, n
+
+
 # ---------------------------------------------------------------------------
 # the searches against the scalar scan
 
@@ -122,28 +139,6 @@ def scalar_feasible_grid(objective, lam, pi, n_stages):
             f"{n_stages} stage(s)")
     runs = np.concatenate([[0], np.cumsum(np.diff(idx) != 1)])
     return grid[idx], [vals[i] for i in idx], runs
-
-
-def scalar_floor(n_max):
-    """The floor search with the scalar kappa scan it had, verbatim."""
-    out = []
-    for n in range(1, n_max + 1):
-        def eps_of(kappa, n=n):
-            return eps_ladder(n, kappa, 0.0)[0]
-
-        hi = 4.0
-        while True:
-            grid = np.geomspace(1e-3, hi, optimize.R_GRID_POINTS)
-            vals = [eps_of(k) for k in grid]
-            k = int(np.argmin(vals))
-            if k < len(grid) - 2 or hi >= 64.0:
-                break
-            hi *= 2.0
-        kappa_best = optimize._golden_min(eps_of, grid[max(k - 1, 0)],
-                                          grid[min(k + 1, len(grid) - 1)],
-                                          optimize.GOLDEN_TOL)
-        out.append((n, eps_of(kappa_best), kappa_best))
-    return out
 
 
 def outcome(fn):
@@ -171,7 +166,3 @@ def test_searches_equal_the_scalar_scan(n, monkeypatch):
 
     monkeypatch.setattr(optimize, "_feasible_grid", feasible_grid)
     assert array_scan == [searches(lam, pi, n) for lam, pi in points]
-
-
-def test_floor_equals_the_scalar_scan():
-    assert optimize.best_entanglement_vs_stages(40) == scalar_floor(40)

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nla_distill import fock, metrics, moments, nla
-from nla_distill.analytic import (ChannelParams, NlaParams, eps_ladder,
-                                  eps_opt_formula, purity_formula,
-                                  purity_ladder, success_prob_1stage)
+from nla_distill.analytic import (ChannelParams, NlaParams, _eps_slope,
+                                  _ladder, eps_ladder, eps_opt_formula,
+                                  purity_formula, purity_ladder,
+                                  success_prob_1stage)
 
 # r up to 1 keeps T = lam tanh^2 r below 0.47, so a cutoff of 80 leaves a
 # truncation tail far below the tolerances
@@ -73,6 +74,21 @@ def test_ladder_without_pair_creation():
     assert eps_ab == pytest.approx(math.cosh(0.8) ** 2, rel=1e-14)
     with pytest.raises(ValueError):
         eps_ladder(0, 0.5, 0.1)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.4])
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 150])
+def test_slope_matches_the_mpmath_derivative(n, rho, eps_mp):
+    # at N = 150 the ladder weights pass 2^256, and are rescaled, at kappa = 4;
+    # past the floor (kappa > ~1) eps_B|A at large N is a small difference of
+    # terms of size <b'b>, so the slope keeps fewer digits there (measured
+    # worst: 2.1e-14 up to kappa = 0.9, 1.9e-11 at N = 150 and kappa = 4)
+    mp = pytest.importorskip("mpmath")
+    for kappa, tol in ((0.05, 1e-13), (0.36, 1e-13), (0.9, 1e-13),
+                       (2.5, 1e-10), (4.0, 1e-10)):
+        want = mp.diff(lambda x: eps_mp(n, x, rho), kappa)
+        got = _eps_slope(n, kappa, _ladder(n, kappa, rho))
+        assert abs(got - want) <= tol * max(1.0, abs(want)), (kappa, got)
 
 
 def exact_ladder(n, kappa, rho):

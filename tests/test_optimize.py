@@ -81,10 +81,11 @@ def test_eta_candidates_reject_stage_counts_below_one():
             optimize.eta_candidates(0.3, 0.2, 0.01, n)
 
 
-@pytest.mark.parametrize("r", [20.0, 25.0])
+@pytest.mark.parametrize("r", [20.0, 25.0, 356.0, 400.0, 1e3])
 def test_eta_inversion_where_tanh_squared_rounds_to_one(r):
     # 1 - tanh^2 r is 0 in floats: the linear eta runs off to -inf, outside
-    # (0, 1), at every stage count alike
+    # (0, 1), at every stage count alike; past r ~ 355.6 cosh^2 r overflows
+    # a double too
     assert math.tanh(r) ** 2 == 1.0
     for n in (1, 2, 3, 4):
         assert optimize.eta_candidates(r, 0.3, 0.5, n) == []
@@ -251,6 +252,21 @@ def test_best_entanglement_vs_stages_known_floors():
     assert k1 == pytest.approx(0.36, abs=1e-2)
     assert e2 == pytest.approx(0.57, abs=5e-3)
     assert k2 == pytest.approx(0.59, abs=1e-2)
+
+
+def test_floor_refines_by_the_slope_root_alone(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the floor called a golden-section search")
+
+    monkeypatch.setattr(optimize, "_golden_min", forbidden)
+    monkeypatch.setattr(optimize, "_minimize_on_grid", forbidden)
+    assert len(optimize.best_entanglement_vs_stages(3)) == 3
+
+
+def test_floor_without_a_slope_root_names_the_stage_count(monkeypatch):
+    monkeypatch.setattr(optimize, "_eps_slope", lambda n, kappa, ladder: 1.0)
+    with pytest.raises(RuntimeError, match="no floor at N = 1 "):
+        optimize.best_entanglement_vs_stages(2)
 
 
 def test_best_entanglement_decreases_with_stages():
