@@ -139,7 +139,10 @@ class DistillationResult:
 def eps_no_nla(params: ChannelParams) -> tuple[float, float]:
     """EPR-criterion products (eps_B|A, eps_A|B) of the lossy EPR state."""
     lam, r = params.lam, params.r
-    sech2r = 1.0 / math.cosh(2.0 * r)
+    try:
+        sech2r = 1.0 / math.cosh(2.0 * r)
+    except OverflowError:  # r > ~355: the infinite-squeezing limit
+        sech2r = 0.0
     eps_ba = (lam + (1.0 - lam) * sech2r) ** 2
     eps_ab = eps_ba / (1.0 - lam * (1.0 - sech2r)) ** 2
     return eps_ba, eps_ab
@@ -154,7 +157,11 @@ def eps_infinity(lam: float) -> float:
 
 def purity_no_nla(params: ChannelParams) -> float:
     """Purity of the two-mode state after loss, 1/[1 + lam (cosh 2r - 1)]."""
-    return 1.0 / (1.0 + params.lam * (math.cosh(2.0 * params.r) - 1.0))
+    try:
+        ch2r = math.cosh(2.0 * params.r)
+    except OverflowError:  # r > ~355: the infinite-squeezing limit
+        return 0.0 if params.lam > 0.0 else 1.0
+    return 1.0 / (1.0 + params.lam * (ch2r - 1.0))
 
 
 def purity_tradeoff(eps: float, lam: float) -> float:
@@ -184,7 +191,10 @@ def success_prob_1stage(params: ChannelParams, eta: float) -> float:
     lam, r = params.lam, params.r
     t2 = math.tanh(r) ** 2
     num = 1.0 - eta + (eta - lam) * t2
-    den = (1.0 - lam * t2) ** 2 * math.cosh(r) ** 2
+    try:
+        den = (1.0 - lam * t2) ** 2 * math.cosh(r) ** 2
+    except OverflowError:  # r > ~355.6: the success rate has vanished
+        return 0.0
     return num / den
 
 
@@ -289,7 +299,10 @@ def success_prob(n_stages: int, params: ChannelParams, eta: float) -> float:
     u, ch2rho = _success_weights(n_stages, params.r, params.lam)
     total = sum(uj * eta**j * (1.0 - eta) ** (n_stages - j)
                 for j, uj in enumerate(u))
-    return total * ch2rho / math.cosh(params.r) ** 2
+    try:
+        return total * ch2rho / math.cosh(params.r) ** 2
+    except OverflowError:  # r > ~355.6: the success rate has vanished
+        return 0.0
 
 
 def _ladder(n_stages: int, kappa: float, rho: float):

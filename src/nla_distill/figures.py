@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Sequence
 
 from . import analytic, optimize
@@ -81,6 +80,9 @@ def _db_range(spec: tuple[float, float, float]) -> list[float]:
 def _pmap(fn, items: Sequence, workers: int) -> list:
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here: it pulls in multiprocessing, which a single-worker run
+    # (and every command that does not sweep) never needs
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=1))
 

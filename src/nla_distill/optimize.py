@@ -117,7 +117,11 @@ def eta_candidates(r: float, lam: float, pi: float, n_stages: int) -> list[float
     if n_stages == 1:
         eta = _linear_eta(r, lam, pi)
         return [eta] if 0.0 < eta < 1.0 else []
-    if r > _R_COSH2_MAX:  # the level set's constant term would overflow
+    # Pi_N <= cosh^2 rho / cosh^2 r (every u_j <= 1 and the Bernstein basis
+    # sums to 1): past that bound no eta reaches pi, and the level set's
+    # constant term over its leading coefficient can overflow the solver
+    if (r > _R_COSH2_MAX
+            or pi * (1.0 - lam * math.tanh(r) ** 2) * math.cosh(r) ** 2 > 1.0):
         return []
     etas = _unit_roots(r, lam, pi, n_stages)
     return [float(x) for x in etas[~np.isnan(etas)]]
@@ -309,7 +313,7 @@ def _feasible_grid(eps: np.ndarray, eta: np.ndarray, lam: float, pi: float,
 def _minimize_on_grid(objective, sub, eps, runs) -> tuple[float, float, float]:
     """The golden-section minimum x of objective(x)[0] in the cell around the
     least grid value ``eps``, within its run: (x, *objective(x)).  The
-    entanglement search and `verify`'s circuit search share it."""
+    entanglement and target searches share it."""
     k = int(np.argmin(eps))
     in_run = np.flatnonzero(runs == runs[k])
     lo = sub[max(k - 1, in_run[0])]

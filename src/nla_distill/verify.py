@@ -183,24 +183,109 @@ def _check_formulas(tail: list) -> list[CheckResult]:
             CheckResult("purity_formula_pointwise_vs_sim", dp, 1e-6)]
 
 
+# the circuit search scans every _SCAN_STRIDE-th R_GRID point; on the four
+# _MIN_POINTS the minimum of the full 200-point scan lies in the cell around
+# the coarse minimum (tests/test_verify.py holds it there)
+_SCAN_STRIDE = 8
+_FMIN_XATOL = 1e-8
+_FMIN_MAXFUN = 500
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _fminbound(f, a: float, b: float,
+               xatol: float) -> tuple[float, float]:
+    """The least (x, f(x)) Brent's bounded minimizer (Brent 1973, ch. 5)
+    evaluated in [a, b]: a line-for-line, plain-float transcription of
+    scipy's ``fminbound(f, a, b, xtol=xatol)``, whose x it returns bit for
+    bit.  Independent of the searches' refinement in `optimize`."""
+    fulc = a + _GOLDEN_MEAN * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = f(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * (-1.0 if xm - xf < 0.0 else 1.0)
+            else:
+                golden = True
+        if golden:  # a golden-section step
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN_MEAN * e
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _FMIN_MAXFUN:
+            break
+    return xf, fx
+
+
+def _circuit_eps(r: float, lam: float, pi: float, tail: list) -> float:
+    """eps_B|A simulated on the single-stage circuit at success rate pi; inf
+    at a squeezing with no eta root, or whose tail rule needs a cutoff past
+    MAX_CUTOFF: both are outside the circuit route."""
+    etas = optimize.eta_candidates(r, lam, pi, 1)  # at most one root
+    cutoff = _auto_cutoff(r)
+    if not etas or cutoff > MAX_CUTOFF:
+        return math.inf
+    hs = nla.single_stage_circuit(ChannelParams(r, lam), etas[0], cutoff)
+    tail.append(hs.state.tail_mass)
+    return metrics.epr_criterion(hs.state, "A", "B").eps_b_given_a
+
+
 def _circuit_minimum(lam: float, pi: float, tail: list) -> float:
-    """Minimum over r of eps_B|A simulated on the single-stage circuit, found
-    by the closed-form search's grid scan and golden refinement.  A squeezing
-    with no eta root, or whose tail rule needs a cutoff past MAX_CUTOFF, is
-    outside the circuit route and scores (inf, nan)."""
-
-    def objective(r: float) -> tuple[float, float]:
-        etas = optimize.eta_candidates(r, lam, pi, 1)  # at most one root
-        cutoff = _auto_cutoff(r)
-        if not etas or cutoff > MAX_CUTOFF:
-            return math.inf, math.nan
-        hs = nla.single_stage_circuit(ChannelParams(r, lam), etas[0], cutoff)
-        tail.append(hs.state.tail_mass)
-        return metrics.epr_criterion(hs.state, "A", "B").eps_b_given_a, etas[0]
-
-    eps, eta = np.array([objective(r) for r in optimize.R_GRID]).T
-    sub, eps, runs = optimize._feasible_grid(eps, eta, lam, pi, 1)
-    return optimize._minimize_on_grid(objective, sub, eps, runs)[1]
+    """Minimum over r of `_circuit_eps`: a scan of every _SCAN_STRIDE-th
+    `optimize.R_GRID` point, then `_fminbound` in the cell between the best
+    scan point's neighbours; a neighbour scored inf is replaced by the best
+    point itself."""
+    scan = optimize.R_GRID[::_SCAN_STRIDE].tolist()
+    eps = [_circuit_eps(r, lam, pi, tail) for r in scan]
+    k = int(np.argmin(eps))
+    lo = scan[k - 1] if k > 0 and eps[k - 1] < math.inf else scan[k]
+    hi = scan[k + 1] if k + 1 < len(scan) and eps[k + 1] < math.inf else scan[k]
+    return _fminbound(lambda r: _circuit_eps(r, lam, pi, tail), lo, hi,
+                      _FMIN_XATOL)[1]
 
 
 def _check_minimum(tail: list) -> CheckResult:

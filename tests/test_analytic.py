@@ -10,7 +10,7 @@ from nla_distill.analytic import (ChannelParams, InfeasibleParameterError,
                                   NlaParams, eps_infinity, eps_no_nla,
                                   eps_opt_formula, purity_formula,
                                   purity_no_nla, purity_tradeoff,
-                                  success_prob_1stage)
+                                  success_prob, success_prob_1stage)
 
 
 def test_eps_no_nla_lossless():
@@ -30,6 +30,18 @@ def test_eps_no_nla_large_r_approaches_loss_floor():
     for lam in (0.3, 0.4, 0.7):
         ba, _ = eps_no_nla(ChannelParams(10.0, lam))
         assert abs(ba - lam * lam) < 1e-8
+
+
+@pytest.mark.parametrize("r", [356.0, 400.0, 1e3])
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+def test_closed_forms_past_the_cosh_overflow_are_their_limits(r, lam):
+    # cosh 2r (r > ~355) and cosh^2 r (r > ~355.6) overflow a double; the
+    # closed forms return their r -> infinity limits instead of raising
+    ch = ChannelParams(r, lam)
+    assert success_prob(2, ch, 0.5) == 0.0
+    assert success_prob_1stage(ch, 0.5) == 0.0
+    assert eps_no_nla(ch) == (lam ** 2, lam ** 2 / (1.0 - lam) ** 2)
+    assert purity_no_nla(ch) == (1.0 if lam == 0.0 else 0.0)
 
 
 def test_eps_infinity_values():

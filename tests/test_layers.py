@@ -7,7 +7,10 @@ two routes share no code beyond the bottom layer.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -51,3 +54,18 @@ def test_distillation_result_is_one_type_under_every_name():
     from nla_distill import analytic, nla, optimize
     assert (nla_distill.DistillationResult is analytic.DistillationResult
             is nla.DistillationResult is optimize.DistillationResult)
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # multiprocessing costs tens of ms at import; only a sweep with more than
+    # one worker needs it, so `figures._pmap` imports it on first use
+    code = ("import importlib, pkgutil, sys, nla_distill\n"
+            "for m in pkgutil.iter_modules(nla_distill.__path__):\n"
+            "    importlib.import_module('nla_distill.' + m.name)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('nla_')))\n"
+            "print('concurrent.futures' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout.split("\n")
+    assert "'nla_distill.verify'" in out[0] and "'nla_distill.cli'" in out[0]
+    assert out[1] == "False"

@@ -93,6 +93,19 @@ def test_eta_inversion_where_tanh_squared_rounds_to_one(r):
         optimize.eta_from_pi(r, 0.3, 0.5)
 
 
+def test_eta_candidates_below_the_cosh_squared_overflow():
+    # just below _R_COSH2_MAX the level set's constant term over its leading
+    # coefficient overflowed the companion solver; Pi_N <= cosh^2 rho /
+    # cosh^2 r rules every such point out before it is solved
+    assert optimize.eta_candidates(355.58450362725193, 0.3, 0.5, 2) == []
+    assert optimize.eta_candidates(354.9, 0.0, 1.0, 2) == []
+    for r in np.linspace(19.0, 355.58, 3000):
+        for n in (2, 3, 4):
+            for lam in (0.0, 0.3, 0.9, 0.999):
+                for pi in (1e-4, 0.5, 1.0):
+                    assert optimize.eta_candidates(float(r), lam, pi, n) == []
+
+
 def test_eta_candidates_match_np_roots():
     # the batched companion solver against np.roots on the same polynomial,
     # bit for bit, with the same (0, 1) filter
