@@ -9,10 +9,11 @@ search objective, whose roundoff the benchmark references pin; `purity_formula`
 is an oracle for `verify` and the tests, as the ladder sums report purity.
 
 `eps_opt_formula`, the success weights, the ladder sums behind `eps_ladder`
-and the `ChannelParams` / `NlaParams` fields also take numpy arrays, which is
-how the searches scan a whole grid in one pass.  The elementary functions are
-picked by argument type (`_xp`), so a float argument still goes through
-`math` and returns exactly the value it always did.
+and the parameter layer's `_kappa_rho` and `_cosh2` also take numpy arrays,
+which is how the searches scan a whole grid in one pass (`ChannelParams` and
+`NlaParams` take floats).  The elementary functions are picked by argument
+type (`_xp`), so a float argument still goes through `math` and returns
+exactly the value it always did.
 """
 
 from __future__ import annotations
@@ -58,65 +59,89 @@ def _xp(x):
     return np if isinstance(x, np.ndarray) else math
 
 
-# the truth of a comparison of floats, or of all / any of its array elements
+# the truth of a comparison of floats, or of any of its array elements
 def _any(mask) -> bool:
     return mask.any() if isinstance(mask, np.ndarray) else mask
 
 
-def _all(mask) -> bool:
-    return mask.all() if isinstance(mask, np.ndarray) else mask
+# the parameter layer: the one check of each parameter domain, the one
+# (r, lam, eta) -> (kappa, rho) map and the one cosh^2 r
+def _check_params(r=0.0, lam=0.0, pi=1.0, eps_target=1.0, n_stages=1,
+                  eta=0.5) -> None:
+    """Raise ValueError for r < 0, lam outside [0, 1), pi <= 0, an
+    entanglement target outside (0, 1], N < 1 or eta outside (0, 1), NaN
+    included; an argument left out passes."""
+    if not r >= 0.0:
+        raise ValueError(f"squeezing parameter r must be >= 0, got {r}")
+    if not 0.0 <= lam < 1.0:
+        raise ValueError(f"loss reflectivity must be in [0, 1), got {lam}")
+    if not pi > 0.0:
+        raise ValueError(f"success probability must be > 0, got {pi}")
+    if not 0.0 < eps_target <= 1.0:
+        raise ValueError(f"eps_target must be in (0, 1], got {eps_target}")
+    if n_stages < 1:
+        raise ValueError(f"n_stages must be >= 1, got {n_stages}")
+    if not 0.0 < eta < 1.0:
+        raise ValueError(f"eta must be in (0, 1), got {eta}")
+
+
+def _kappa_rho(r, lam: float, eta):
+    """Unchecked kappa = g sqrt(1 - lam) tanh(r), g = sqrt(eta / (1 - eta)),
+    and rho, tanh(rho) = sqrt(lam) tanh(r); r and eta may be arrays."""
+    chi = _xp(r).tanh(r)
+    g = _xp(eta).sqrt(eta / (1.0 - eta))
+    return g * math.sqrt(1.0 - lam) * chi, _xp(chi).atanh(math.sqrt(lam) * chi)
+
+
+def _cosh2(r):
+    """cosh^2 r, +inf past a double's range (r > ~355.6); r may be an array."""
+    try:
+        return _xp(r).cosh(r) ** 2
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Source squeezing r and channel-loss reflectivity lam (lambda); r may
-    be an array of squeezings."""
+    """Source squeezing r and channel-loss reflectivity lam (lambda)."""
 
     r: float
     lam: float
 
     def __post_init__(self):
-        if _any(self.r < 0.0):
-            raise ValueError(f"squeezing parameter r must be >= 0, got {self.r}")
-        if not 0.0 <= self.lam < 1.0:
-            raise ValueError(f"loss reflectivity must be in [0, 1), got {self.lam}")
+        _check_params(self.r, self.lam)
 
     @property
     def chi(self) -> float:
         """EPR amplitude ratio chi = tanh(r)."""
-        return _xp(self.r).tanh(self.r)
+        return math.tanh(self.r)
 
 
 @dataclass(frozen=True)
 class NlaParams:
-    """Amplifier configuration: stage count and scissor transmissivity (eta
-    may be an array, matching the channel's r)."""
+    """Amplifier configuration: stage count and scissor transmissivity."""
 
     n_stages: int
     eta: float
     channel: ChannelParams
 
     def __post_init__(self):
-        if self.n_stages < 1:
-            raise ValueError("n_stages must be >= 1")
-        if not _all((0.0 < self.eta) & (self.eta < 1.0)):
-            raise ValueError(f"eta must be in (0, 1), got {self.eta}")
+        _check_params(n_stages=self.n_stages, eta=self.eta)
 
     @property
     def g(self) -> float:
         """Amplitude gain sqrt(eta / (1 - eta))."""
-        return _xp(self.eta).sqrt(self.eta / (1.0 - self.eta))
+        return math.sqrt(self.eta / (1.0 - self.eta))
 
     @property
     def kappa(self) -> float:
         """Heralded pair amplitude g sqrt(1 - lam) tanh(r)."""
-        return self.g * math.sqrt(1.0 - self.channel.lam) * self.channel.chi
+        return _kappa_rho(self.channel.r, self.channel.lam, self.eta)[0]
 
     @property
     def rho(self) -> float:
         """Residual decoherence strength: tanh(rho) = sqrt(lam) tanh(r)."""
-        chi = self.channel.chi
-        return _xp(chi).atanh(math.sqrt(self.channel.lam) * chi)
+        return _kappa_rho(self.channel.r, self.channel.lam, self.eta)[1]
 
 
 @dataclass(frozen=True)
@@ -150,8 +175,7 @@ def eps_no_nla(params: ChannelParams) -> tuple[float, float]:
 
 def eps_infinity(lam: float) -> float:
     """Infinite-squeezing floor lam^2 of the transmitted entanglement."""
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"loss reflectivity must be in [0, 1), got {lam}")
+    _check_params(lam=lam)
     return lam * lam
 
 
@@ -167,8 +191,7 @@ def purity_no_nla(params: ChannelParams) -> float:
 def purity_tradeoff(eps: float, lam: float) -> float:
     """Purity reachable at entanglement eps in [lam^2, 1] under loss lam (no
     amplifier)."""
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"loss reflectivity must be in [0, 1), got {lam}")
+    _check_params(lam=lam)
     if eps > 1.0:
         raise ValueError(f"entanglement {eps} above 1 certifies none")
     if eps < lam * lam:
@@ -186,16 +209,11 @@ def purity_tradeoff(eps: float, lam: float) -> float:
 
 def success_prob_1stage(params: ChannelParams, eta: float) -> float:
     """Heralding probability of the one-stage amplifier (both patterns)."""
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta must be in (0, 1), got {eta}")
+    _check_params(eta=eta)
     lam, r = params.lam, params.r
     t2 = math.tanh(r) ** 2
     num = 1.0 - eta + (eta - lam) * t2
-    try:
-        den = (1.0 - lam * t2) ** 2 * math.cosh(r) ** 2
-    except OverflowError:  # r > ~355.6: the success rate has vanished
-        return 0.0
-    return num / den
+    return num / ((1.0 - lam * t2) ** 2 * _cosh2(r))  # 0 past r ~ 355.6
 
 
 def eps_opt_formula(r: float, lam: float, pi: float) -> float:
@@ -205,11 +223,10 @@ def eps_opt_formula(r: float, lam: float, pi: float) -> float:
     entanglement; transcribed term by term from the closed-form expression.
     r may be an array.
     """
-    if pi <= 0.0:
-        raise ValueError(f"success probability must be > 0, got {pi}")
+    _check_params(pi=pi)
     xp = _xp(r)
     ch2, ch4 = xp.cosh(2.0 * r), xp.cosh(4.0 * r)
-    c2, s2 = xp.cosh(r) ** 2, xp.sinh(r) ** 2
+    c2, s2 = _cosh2(r), xp.sinh(r) ** 2
     t2 = xp.tanh(r) ** 2
     sech2 = 1.0 / c2
 
@@ -243,10 +260,9 @@ def purity_formula(r: float, lam: float, pi: float) -> float:
     eliminated in favor of the success probability.  Validated against the
     simulated heralded state (see the verification suite).
     """
-    if pi <= 0.0:
-        raise ValueError(f"success probability must be > 0, got {pi}")
+    _check_params(pi=pi)
     t2 = math.tanh(r) ** 2
-    c2 = math.cosh(r) ** 2
+    c2 = _cosh2(r)
     big_t = lam * t2
     if r == 0.0:
         return 1.0
@@ -256,7 +272,7 @@ def purity_formula(r: float, lam: float, pi: float) -> float:
             f"success probability at the gain->infinity boundary "
             f"(r={r}, lam={lam}, pi={pi})")
     k2 = (1.0 - lam) * t2 * (1.0 - big_t) * (1.0 - pi * (1.0 - big_t) * c2) / den_k
-    if k2 < 0.0:
+    if not k2 >= 0.0:  # NaN where cosh^2 r is inf: the r -> inf limit is < 0
         raise InfeasibleParameterError(
             f"no gain in (0, 1) reaches success probability {pi} at "
             f"(r={r}, lam={lam})")
@@ -295,22 +311,18 @@ def success_prob(n_stages: int, params: ChannelParams, eta: float) -> float:
     Summed in the Bernstein form, whose terms are all positive; the expanded
     monomial coefficients cancel catastrophically at large N.
     """
-    NlaParams(n_stages, eta, params)  # validates the stage count and eta
+    _check_params(n_stages=n_stages, eta=eta)
     u, ch2rho = _success_weights(n_stages, params.r, params.lam)
     total = sum(uj * eta**j * (1.0 - eta) ** (n_stages - j)
                 for j, uj in enumerate(u))
-    try:
-        return total * ch2rho / math.cosh(params.r) ** 2
-    except OverflowError:  # r > ~355.6: the success rate has vanished
-        return 0.0
+    return total * ch2rho / _cosh2(params.r)  # 0 past r ~ 355.6
 
 
 def _ladder(n_stages: int, kappa: float, rho: float):
     """T, q = 1/(1 - T), and v_j = w_j q^j with w_j = (N!/(N-j)! (kappa/N)^j)^2,
     by recurrence (no factorials or powers), up to one common power-of-two
     factor (per element when kappa or rho is an array)."""
-    if n_stages < 1:
-        raise ValueError("n_stages must be >= 1")
+    _check_params(n_stages=n_stages)
     big_t = _xp(rho).tanh(rho) ** 2
     q = 1.0 / (1.0 - big_t)
     v, vj = [1.0], 1.0
@@ -412,8 +424,7 @@ def lambda_from_db(db: float) -> float:
 
 
 def db_from_lambda(lam: float) -> float:
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"loss reflectivity must be in [0, 1), got {lam}")
+    _check_params(lam=lam)
     return -10.0 * math.log10(1.0 - lam)
 
 

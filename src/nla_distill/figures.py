@@ -16,13 +16,15 @@ do not depend on scheduling.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from typing import Iterable, Sequence
 
 from . import analytic, optimize
-from .analytic import (RECORD_SQUEEZING_DB, ChannelParams, db_from_lambda,
-                       eps_infinity, eps_no_nla, lambda_from_db,
-                       purity_no_nla, purity_tradeoff, r_from_squeeze_db)
+from .analytic import (RECORD_SQUEEZING_DB, ChannelParams, _check_params,
+                       db_from_lambda, eps_infinity, eps_no_nla,
+                       lambda_from_db, purity_no_nla, purity_tradeoff,
+                       r_from_squeeze_db)
 
 __all__ = ["FIGURES", "figure_rows", "figure_params", "format_number",
            "write_csv", "write_svg", "DEFAULT_PIS", "DEFAULT_LAMBDA_DB",
@@ -211,11 +213,12 @@ def figure_params(name: str, *, lambda_db=None, pi=None,
             raise ValueError(f"sweep of {p['lambda_db']} x {len(p['pi'])} "
                              f"success probabilities exceeds "
                              f"{MAX_SWEEP_POINTS} points")
-    if not 0.0 < p.get("eps_target", 1.0) <= 1.0:
-        raise ValueError(f"eps_target must be in (0, 1], got {p['eps_target']}")
-    if not 1 <= p.get("max_stages", 1) <= optimize.MAX_FLOOR_STAGES:
-        raise ValueError(f"max_stages must be 1 to {optimize.MAX_FLOOR_STAGES}, "
-                         f"got {p['max_stages']}")
+    _check_params(eps_target=p.get("eps_target", 1.0))
+    m = p.get("max_stages", 1)
+    if (isinstance(m, bool) or not isinstance(m, numbers.Integral)
+            or not 1 <= m <= optimize.MAX_FLOOR_STAGES):
+        raise ValueError(f"max_stages must be an integer 1 to "
+                         f"{optimize.MAX_FLOOR_STAGES}, got {m}")
     return p
 
 

@@ -22,8 +22,8 @@ from math import comb
 import numpy as np
 
 from . import fock, metrics
-from .analytic import (ChannelParams, DistillationResult, NlaParams,
-                       success_prob)
+from .analytic import (ChannelParams, DistillationResult, _check_params,
+                       _kappa_rho, success_prob)
 
 __all__ = [
     "HeraldedState",
@@ -118,7 +118,7 @@ def scissor_circuit(n_stages: int, channel: ChannelParams, eta: float,
     outputs N together.  The returned state's ``tail_mass`` is that clipped
     population; the caller picks the cutoff and judges the tail.
     """
-    NlaParams(n_stages, eta, channel)  # validates the stage count and eta
+    _check_params(n_stages=n_stages, eta=eta)
     n = n_stages
     patterns = [(1, 0)] * n if patterns is None else [tuple(p) for p in patterns]
     if len(patterns) != n or not set(patterns) <= set(_PATTERNS):
@@ -158,8 +158,8 @@ def closed_form_state(n_stages: int, channel: ChannelParams, eta: float,
     cosh(rho)/cosh(r) * ((1-eta)/2)^(N/2), each scissor contributing one
     factor sqrt((1-eta)/2).
     """
-    params = NlaParams(n_stages, eta, channel)
-    kappa, rho = params.kappa, params.rho
+    _check_params(n_stages=n_stages, eta=eta)
+    kappa, rho = _kappa_rho(channel.r, channel.lam, eta)
     n = n_stages
     scale = (math.cosh(rho) / math.cosh(channel.r)) * ((1.0 - eta) / 2.0) ** (n / 2.0)
     tl = math.tanh(rho)
@@ -183,8 +183,7 @@ def closed_form_state(n_stages: int, channel: ChannelParams, eta: float,
 
 def truncated_pair_state(n_stages: int, kappa: float) -> fock.PureState:
     """Normalized (1 + (kappa/N) a'b')^N |0_AB>; cutoff N is exact."""
-    if n_stages < 1:
-        raise ValueError("n_stages must be >= 1")
+    _check_params(n_stages=n_stages)
     n = n_stages
     diag = np.array([comb(n, j) * (kappa / n) ** j * math.factorial(j)
                      for j in range(n + 1)])

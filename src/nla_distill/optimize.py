@@ -27,10 +27,10 @@ from typing import Callable
 import numpy as np
 
 from . import moments
-from .analytic import (ChannelParams, DistillationResult,
-                       InfeasibleParameterError, NlaParams, _eps_slope,
-                       _eps_sums, _ladder, _purity_sums, _success_weights, _xp,
-                       eps_ladder, eps_opt_formula)
+from .analytic import (DistillationResult, InfeasibleParameterError,
+                       _check_params, _cosh2, _eps_slope, _eps_sums,
+                       _kappa_rho, _ladder, _purity_sums, _success_weights,
+                       _xp, eps_ladder, eps_opt_formula)
 
 __all__ = [
     "DistillationResult",
@@ -53,10 +53,6 @@ _KAPPA_GRID = np.geomspace(1e-3, 4.0, R_GRID_POINTS)
 GOLDEN_TOL = 1e-8
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# past this squeezing cosh^2 r overflows a double, and no success rate is in
-# reach: Pi_N <= 1 / ((1 - lam) cosh^2 r) at every N
-_R_COSH2_MAX = math.acosh(math.sqrt(sys.float_info.max))
-
 # the N >= 2 searches refine on the moments engine, which compiles each stage
 # count once per process at a cost exponential in N (6 ms at N = 2, 0.12 s at
 # N = 4, about 0.7 s and a 120 MB peak at N = 5 on one core of a Xeon server);
@@ -78,8 +74,7 @@ def eta_from_pi(r: float, lam: float, pi: float) -> float:
     The relation is linear in eta; raises when the required eta falls outside
     (0, 1), i.e. the success rate is unreachable at this squeezing.
     """
-    if pi <= 0.0:
-        raise ValueError(f"success probability must be > 0, got {pi}")
+    _check_params(pi=pi)
     eta = _linear_eta(r, lam, pi)
     if not 0.0 < eta < 1.0:
         raise InfeasibleParameterError(
@@ -93,10 +88,7 @@ def _linear_eta(r, lam: float, pi: float):
     an array."""
     xp = _xp(r)
     t2 = xp.tanh(r) ** 2
-    try:
-        d = (1.0 - lam * t2) ** 2 * xp.cosh(r) ** 2
-    except OverflowError:  # a float r > _R_COSH2_MAX: pi d swamps the rest
-        return -math.inf
+    d = (1.0 - lam * t2) ** 2 * _cosh2(r)  # inf past r ~ 355.6: eta is -inf
     num = 1.0 - lam * t2 - pi * d
     if xp is math and t2 == 1.0:  # r > ~19.1: eta runs off to +-inf
         return math.copysign(math.inf, num)
@@ -108,20 +100,17 @@ def eta_candidates(r: float, lam: float, pi: float, n_stages: int) -> list[float
 
     The joint success probability (`analytic.success_prob`) is a degree-N
     polynomial in eta, solved by `_unit_roots`; for N = 1 this reduces to
-    `eta_from_pi`.  Returns [] when unreachable.
+    `eta_from_pi`.  Returns [] when unreachable; raises ValueError for an r,
+    lam or pi outside its domain.
     """
-    if pi <= 0.0:
-        raise ValueError(f"success probability must be > 0, got {pi}")
-    if n_stages < 1:
-        raise ValueError(f"n_stages must be >= 1, got {n_stages}")
+    _check_params(r, lam, pi, n_stages=n_stages)
     if n_stages == 1:
         eta = _linear_eta(r, lam, pi)
         return [eta] if 0.0 < eta < 1.0 else []
     # Pi_N <= cosh^2 rho / cosh^2 r (every u_j <= 1 and the Bernstein basis
     # sums to 1): past that bound no eta reaches pi, and the level set's
     # constant term over its leading coefficient can overflow the solver
-    if (r > _R_COSH2_MAX
-            or pi * (1.0 - lam * math.tanh(r) ** 2) * math.cosh(r) ** 2 > 1.0):
+    if pi * (1.0 - lam * math.tanh(r) ** 2) * _cosh2(r) > 1.0:
         return []
     etas = _unit_roots(r, lam, pi, n_stages)
     return [float(x) for x in etas[~np.isnan(etas)]]
@@ -132,7 +121,7 @@ def _level_set_coeffs(r, lam: float, pi: float, n_stages: int) -> list:
     roots are those of Pi_N(eta) = pi; r may be an array."""
     n = n_stages
     u, ch2rho = _success_weights(n, r, lam)
-    target = pi * _xp(r).cosh(r) ** 2 / ch2rho
+    target = pi * _cosh2(r) / ch2rho
     coeffs = [0.0] * (n + 1)
     for j, uj in enumerate(u):
         # expand eta^j (1-eta)^(N-j)
@@ -264,8 +253,8 @@ def _make_objective(lam: float, pi: float,
             if n_stages == 1:
                 e = eps_opt_formula(r, lam, pi)
             else:
-                p = NlaParams(n_stages, eta, ChannelParams(r, lam))
-                e = moments.eps_via_moments(n_stages, p.kappa, p.rho)
+                e = moments.eps_via_moments(n_stages,
+                                            *_kappa_rho(r, lam, eta))
             if e < best[0]:
                 best = (e, eta)
         return best
@@ -283,8 +272,8 @@ def _grid_values(lam: float, pi: float,
     if n_stages == 1:
         e[i, j] = eps_opt_formula(R_GRID[i], lam, pi)
     else:
-        p = NlaParams(n_stages, etas[i, j], ChannelParams(R_GRID[i], lam))
-        e[i, j] = eps_ladder(n_stages, p.kappa, p.rho)[0]
+        e[i, j] = eps_ladder(n_stages,
+                             *_kappa_rho(R_GRID[i], lam, etas[i, j]))[0]
     e[~(e < np.inf)] = np.inf  # the objective keeps an eta only if eps < inf
     rows, best = np.arange(R_GRID_POINTS), np.argmin(e, axis=1)
     eps = e[rows, best]
@@ -342,9 +331,8 @@ def optimize_entanglement(lam: float, pi: float,
     return _finalize(r_opt, eta_opt, eps_opt, lam, pi, n_stages)
 
 
-def _validate_domain(lam, pi, n_stages):
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"loss reflectivity must be in [0, 1), got {lam}")
+def _validate_domain(lam, pi, n_stages, eps_target=1.0):
+    _check_params(lam=lam, eps_target=eps_target)
     if not 0.0 < pi <= 1.0:
         raise ValueError(f"success probability must be in (0, 1], got {pi}")
     if not 1 <= n_stages <= MAX_SEARCH_STAGES:
@@ -354,9 +342,8 @@ def _validate_domain(lam, pi, n_stages):
 
 def _finalize(r_opt: float, eta_opt: float, eps_opt: float, lam: float,
               pi: float, n_stages: int) -> DistillationResult:
-    p = NlaParams(n_stages, eta_opt, ChannelParams(r_opt, lam))
-    kappa = p.kappa
-    ladder = _ladder(n_stages, kappa, p.rho)  # one ladder serves both reports
+    kappa, rho = _kappa_rho(r_opt, lam, eta_opt)
+    ladder = _ladder(n_stages, kappa, rho)  # one ladder serves both reports
     return DistillationResult(
         eps_b_given_a=eps_opt,
         eps_a_given_b=_eps_sums(n_stages, kappa, ladder)[1],
@@ -377,9 +364,7 @@ def purity_for_target_entanglement(eps_target: float, lam: float, pi: float,
     optimum) and returns the root with maximal purity; ``full_output=True``
     additionally returns all roots' results.
     """
-    _validate_domain(lam, pi, n_stages)
-    if eps_target <= 0.0:
-        raise ValueError("target entanglement must be positive")
+    _validate_domain(lam, pi, n_stages, eps_target)
     objective = _make_objective(lam, pi, n_stages)
     sub, eps, runs = _feasible_grid(*_grid_values(lam, pi, n_stages),
                                     lam, pi, n_stages)

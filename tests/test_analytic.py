@@ -171,11 +171,44 @@ def test_purity_formula_infeasible_pi_rejected():
         purity_formula(0.4, 0.5, 0.01)
 
 
+def test_purity_formula_past_the_cosh_squared_overflow_is_infeasible():
+    # cosh^2 r is inf past r ~ 355.6 (and at r = inf): no gain reaches any
+    # success rate there, as just below it
+    for r in (355.5, 355.6, 400.0, 800.0, math.inf):
+        with pytest.raises(InfeasibleParameterError, match="no gain"):
+            purity_formula(r, 0.3, 0.01)
+
+
+def test_cosh2_is_inf_past_a_double():
+    assert analytic._cosh2(355.5) == math.cosh(355.5) ** 2
+    for r in (355.6, 710.0, 800.0, math.inf):
+        assert analytic._cosh2(r) == math.inf
+    grid = np.array([0.0, 0.5, 3.0])
+    assert np.array_equal(analytic._cosh2(grid), np.cosh(grid) ** 2)
+
+
+def test_kappa_rho_is_the_nla_params_map():
+    # the searches read kappa and rho from the one map NlaParams reads, for
+    # floats and arrays alike
+    p = NlaParams(2, 0.7, ChannelParams(0.4, 0.3))
+    assert analytic._kappa_rho(0.4, 0.3, 0.7) == (p.kappa, p.rho)
+    r, eta = np.array([0.4, 1.2]), np.array([0.7, 0.2])
+    kappa, rho = analytic._kappa_rho(r, 0.3, eta)
+    for i in range(2):
+        q = NlaParams(2, float(eta[i]), ChannelParams(float(r[i]), 0.3))
+        assert abs(kappa[i] - q.kappa) <= 1e-15 * q.kappa
+        assert abs(rho[i] - q.rho) <= 1e-15 * q.rho
+
+
 def test_channel_params_validation():
     with pytest.raises(ValueError):
         ChannelParams(-0.1, 0.3)
+    with pytest.raises(ValueError, match="squeezing"):
+        ChannelParams(math.nan, 0.3)
     with pytest.raises(ValueError):
         ChannelParams(0.5, 1.0)
+    with pytest.raises(ValueError, match="loss reflectivity"):
+        ChannelParams(0.5, math.nan)
     assert ChannelParams(0.5, 0.0).chi == pytest.approx(math.tanh(0.5))
 
 

@@ -1,11 +1,13 @@
 """Command-line surface: CSV schema, determinism, exit codes."""
 
+import math
 import os
 import subprocess
 import sys
 import textwrap
 import time
 
+import numpy as np
 import pytest
 
 from nla_distill import cli, figures, optimize
@@ -313,6 +315,15 @@ def test_figure_params_own_defaults_and_ranges():
                      ("fig5", {})):
         with pytest.raises(ValueError):
             figures.figure_params(name, **kw)
+
+
+def test_figure_params_take_integer_stage_counts_only():
+    # a float or a bool passed the range check and failed later in range()
+    for m in (2.5, 2.0, True, "3", math.nan):
+        with pytest.raises(ValueError, match="max_stages must be an integer"):
+            figures.figure_params("fig11", max_stages=m)
+    assert figures.figure_params("fig11", max_stages=np.int64(3)) == {
+        "max_stages": 3}
 
 
 def test_runtime_needs_no_scipy(tmp_path):

@@ -7,6 +7,7 @@ to the scalar objective point by point, hold the searches to the results of
 the scalar scan they replaced, and hold the floor to a 40-digit one.
 """
 
+import functools
 import itertools
 import math
 
@@ -29,9 +30,19 @@ POINTS = ([(lambda_from_db(db), pi) for db in (0.5, 3, 6, 10, 15, 20, 30, 40)
 EPS_RTOL, ETA_RTOL = 1e-10, 1e-11
 
 
-def scalar_grid(lam, pi, n):
+def scalar_scan(lam, pi, n):
+    """The scalar objective's (eps, eta) at every `R_GRID` point."""
     objective = optimize._make_objective(lam, pi, n)
-    return np.array([objective(r) for r in optimize.R_GRID]).T
+    return [objective(r) for r in optimize.R_GRID]
+
+
+# the scan of the unpatched objective, built once per (lam, pi, n) and shared
+# by every test below that reads it
+shared_scan = functools.cache(scalar_scan)
+
+
+def scalar_grid(lam, pi, n):
+    return np.array(shared_scan(lam, pi, n)).T
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -68,7 +79,8 @@ def test_array_grid_takes_the_best_of_several_roots(monkeypatch):
     monkeypatch.setattr(optimize, "eta_candidates",
                         lambda *a: sorted(eta_candidates(*a) + [extra]))
     eps, eta = optimize._grid_values(lam, pi, n)
-    s_eps, s_eta = scalar_grid(lam, pi, n)
+    # the patched objective: off the shared scan
+    s_eps, s_eta = np.array(scalar_scan(lam, pi, n)).T
     np.testing.assert_allclose(eps, s_eps, rtol=EPS_RTOL, atol=0)
     np.testing.assert_allclose(eta, s_eta, rtol=ETA_RTOL, atol=0)
     won = eta == extra
@@ -126,11 +138,9 @@ def test_floor_meets_the_mpmath_floor(eps_mp):
 # the searches against the scalar scan
 
 
-def scalar_feasible_grid(objective, lam, pi, n_stages):
-    """The scalar grid scan the array pass replaced, verbatim."""
-    grid = np.geomspace(optimize.R_GRID_LO, optimize.R_GRID_HI,
-                        optimize.R_GRID_POINTS)
-    vals = [objective(r) for r in grid]
+def scalar_feasible_grid(lam, pi, n_stages):
+    """The scalar grid scan the array pass replaced, on the shared scan."""
+    grid, vals = optimize.R_GRID, shared_scan(lam, pi, n_stages)
     idx = np.flatnonzero([not math.isnan(eta) for _, eta in vals])
     if not idx.size:
         raise InfeasibleParameterError(
@@ -160,8 +170,7 @@ def test_searches_equal_the_scalar_scan(n, monkeypatch):
     array_scan = [searches(lam, pi, n) for lam, pi in points]
 
     def feasible_grid(eps, eta, lam, pi, n_stages):  # ignores the array pass
-        objective = optimize._make_objective(lam, pi, n_stages)
-        sub, vals, runs = scalar_feasible_grid(objective, lam, pi, n_stages)
+        sub, vals, runs = scalar_feasible_grid(lam, pi, n_stages)
         return sub, np.array([v[0] for v in vals]), runs
 
     monkeypatch.setattr(optimize, "_feasible_grid", feasible_grid)

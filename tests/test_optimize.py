@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nla_distill import nla, optimize
+from nla_distill import figures, nla, optimize
 from nla_distill.analytic import (ChannelParams, InfeasibleParameterError,
                                   NlaParams, eps_ladder, lambda_from_db,
                                   purity_formula, purity_ladder,
@@ -70,9 +70,22 @@ def test_optimize_saturates_at_single_stage_floor():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_eta_candidates_reject_nonpositive_success_rate(n):
-    for pi in (0.0, -0.1):
+    for pi in (0.0, -0.1, math.nan):
         with pytest.raises(ValueError, match="success probability"):
             optimize.eta_candidates(0.3, 0.2, pi, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_eta_candidates_reject_squeezing_and_loss_outside_their_domains(n):
+    # a NaN or negative r and a lam outside [0, 1) are errors at every stage
+    # count, not an empty root list, a LinAlgError or a root; r = inf is not
+    for r in (math.nan, -0.5):
+        with pytest.raises(ValueError, match="squeezing"):
+            optimize.eta_candidates(r, 0.3, 0.01, n)
+    for lam in (math.nan, 1.5, -0.1):
+        with pytest.raises(ValueError, match="loss reflectivity"):
+            optimize.eta_candidates(0.3, lam, 0.01, n)
+    assert optimize.eta_candidates(math.inf, 0.3, 0.01, n) == []
 
 
 def test_eta_candidates_reject_stage_counts_below_one():
@@ -94,9 +107,10 @@ def test_eta_inversion_where_tanh_squared_rounds_to_one(r):
 
 
 def test_eta_candidates_below_the_cosh_squared_overflow():
-    # just below _R_COSH2_MAX the level set's constant term over its leading
-    # coefficient overflowed the companion solver; Pi_N <= cosh^2 rho /
-    # cosh^2 r rules every such point out before it is solved
+    # just below where cosh^2 r overflows (r ~ 355.6) the level set's
+    # constant term over its leading coefficient overflowed the companion
+    # solver; Pi_N <= cosh^2 rho / cosh^2 r rules every such point out before
+    # it is solved
     assert optimize.eta_candidates(355.58450362725193, 0.3, 0.5, 2) == []
     assert optimize.eta_candidates(354.9, 0.0, 1.0, 2) == []
     for r in np.linspace(19.0, 355.58, 3000):
@@ -209,6 +223,15 @@ def test_searches_reject_stage_counts_past_the_bound():
         optimize.purity_for_target_entanglement(0.9, 0.5, 0.1, n)
     with pytest.raises(ValueError):
         optimize.optimize_entanglement(0.5, 0.1, 0)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, 1.5, math.nan, math.inf])
+def test_purity_target_rejects_targets_outside_zero_one(eps):
+    # the target search and figure_params share one (0, 1] target domain
+    with pytest.raises(ValueError, match=r"eps_target must be in \(0, 1\]"):
+        optimize.purity_for_target_entanglement(eps, 0.3, 0.01, 1)
+    with pytest.raises(ValueError, match=r"eps_target must be in \(0, 1\]"):
+        figures.figure_params("fig7", eps_target=eps)
 
 
 def test_purity_target_trivial():
