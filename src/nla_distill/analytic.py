@@ -8,17 +8,18 @@ with the independent simulation pipeline.  `eps_opt_formula` is the one-stage
 search objective, whose roundoff the benchmark references pin; `purity_formula`
 is an oracle for `verify` and the tests, as the ladder sums report purity.
 
-`eps_opt_formula`, the success weights, the ladder sums behind `eps_ladder`
-and the parameter layer's `_kappa_rho` and `_cosh2` also take numpy arrays,
-which is how the searches scan a whole grid in one pass (`ChannelParams` and
-`NlaParams` take floats).  The elementary functions are picked by argument
-type (`_xp`), so a float argument still goes through `math` and returns
-exactly the value it always did.
+The success weights, the ladder sums behind `eps_ladder` and the parameter
+layer's `_kappa_rho` and `_cosh2` also take numpy arrays, which is how the
+searches scan a whole grid in one pass, on the ladder sums at every stage
+count (the closed forms, `ChannelParams` and `NlaParams` take floats).  The
+elementary functions are picked by argument type (`_xp`), so a float argument
+goes through `math`.  `_check_params` is the one check of each domain.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,28 +60,27 @@ def _xp(x):
     return np if isinstance(x, np.ndarray) else math
 
 
-# the truth of a comparison of floats, or of any of its array elements
-def _any(mask) -> bool:
-    return mask.any() if isinstance(mask, np.ndarray) else mask
-
-
 # the parameter layer: the one check of each parameter domain, the one
 # (r, lam, eta) -> (kappa, rho) map and the one cosh^2 r
 def _check_params(r=0.0, lam=0.0, pi=1.0, eps_target=1.0, n_stages=1,
                   eta=0.5) -> None:
-    """Raise ValueError for r < 0, lam outside [0, 1), pi <= 0, an
-    entanglement target outside (0, 1], N < 1 or eta outside (0, 1), NaN
-    included; an argument left out passes."""
+    """Raise ValueError for r < 0, lam outside [0, 1), pi or an entanglement
+    target outside (0, 1], an N that is not an integer >= 1 (bools and floats
+    included) or eta outside (0, 1), NaN included; an argument left out passes."""
     if not r >= 0.0:
         raise ValueError(f"squeezing parameter r must be >= 0, got {r}")
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"loss reflectivity must be in [0, 1), got {lam}")
-    if not pi > 0.0:
-        raise ValueError(f"success probability must be > 0, got {pi}")
+    if not 0.0 < pi <= 1.0:
+        raise ValueError(f"success probability must be in (0, 1], got {pi}")
     if not 0.0 < eps_target <= 1.0:
         raise ValueError(f"eps_target must be in (0, 1], got {eps_target}")
-    if n_stages < 1:
-        raise ValueError(f"n_stages must be >= 1, got {n_stages}")
+    try:  # operator.index, not an ABC check: this runs on every search probe
+        n_ok = n_stages is not True and operator.index(n_stages) >= 1
+    except TypeError:
+        n_ok = False
+    if not n_ok:
+        raise ValueError(f"n_stages must be an integer >= 1, got {n_stages!r}")
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must be in (0, 1), got {eta}")
 
@@ -192,8 +192,8 @@ def purity_tradeoff(eps: float, lam: float) -> float:
     """Purity reachable at entanglement eps in [lam^2, 1] under loss lam (no
     amplifier)."""
     _check_params(lam=lam)
-    if eps > 1.0:
-        raise ValueError(f"entanglement {eps} above 1 certifies none")
+    if not eps <= 1.0:  # NaN included
+        raise ValueError(f"entanglement {eps} is not <= 1: it certifies none")
     if eps < lam * lam:
         raise InfeasibleParameterError(
             f"entanglement {eps} below the loss floor {lam * lam}")
@@ -221,13 +221,11 @@ def eps_opt_formula(r: float, lam: float, pi: float) -> float:
 
     Value of the squared bracket whose minimum over r is the optimized
     entanglement; transcribed term by term from the closed-form expression.
-    r may be an array.
     """
-    _check_params(pi=pi)
-    xp = _xp(r)
-    ch2, ch4 = xp.cosh(2.0 * r), xp.cosh(4.0 * r)
-    c2, s2 = _cosh2(r), xp.sinh(r) ** 2
-    t2 = xp.tanh(r) ** 2
+    _check_params(r, lam, pi)
+    ch2, ch4 = math.cosh(2.0 * r), math.cosh(4.0 * r)
+    c2, s2 = _cosh2(r), math.sinh(r) ** 2
+    t2 = math.tanh(r) ** 2
     sech2 = 1.0 / c2
 
     den1 = (1.0 + lam) * pi + (1.0 - lam) * pi * ch2
@@ -235,7 +233,7 @@ def eps_opt_formula(r: float, lam: float, pi: float) -> float:
             + 2.0 * (1.0 - lam) * (2.0 + (1.0 - lam) * pi) * ch2
             - (1.0 - lam) ** 2 * pi * ch4
             - 4.0 * lam ** 2 * pi * sech2)
-    if _any((den1 == 0.0) | (den2 == 0.0)):
+    if den1 == 0.0 or den2 == 0.0:
         raise InfeasibleParameterError(
             f"degenerate denominator at (r={r}, lam={lam}, pi={pi})")
 
@@ -260,7 +258,7 @@ def purity_formula(r: float, lam: float, pi: float) -> float:
     eliminated in favor of the success probability.  Validated against the
     simulated heralded state (see the verification suite).
     """
-    _check_params(pi=pi)
+    _check_params(r, lam, pi)
     t2 = math.tanh(r) ** 2
     c2 = _cosh2(r)
     big_t = lam * t2
@@ -329,7 +327,7 @@ def _ladder(n_stages: int, kappa: float, rho: float):
     for j in range(1, n_stages + 1):
         vj = vj * ((n_stages - j + 1) * kappa / n_stages) ** 2 * q
         over = vj > 2.0**256
-        if _any(over):
+        if over.any() if isinstance(over, np.ndarray) else over:
             # exact rescale: only ratios of the v_j enter the sums
             scale = 2.0 ** (-256 * over)
             vj, v = vj * scale, [x * scale for x in v]

@@ -16,7 +16,6 @@ do not depend on scheduling.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from typing import Iterable, Sequence
 
@@ -207,18 +206,16 @@ def figure_params(name: str, *, lambda_db=None, pi=None,
     p = {k: d if given[k] is None else given[k] for k, d in _DEFAULTS[name].items()}
     if "pi" in p:
         p["lambda_db"], p["pi"] = tuple(p["lambda_db"]), tuple(p["pi"])
-        if not p["pi"] or not all(0.0 < x <= 1.0 for x in p["pi"]):
-            raise ValueError(f"success probabilities must be in (0, 1]: {p['pi']}")
+        if not p["pi"]:
+            raise ValueError("a sweep needs at least one success probability")
+        for x in p["pi"]:
+            _check_params(pi=x)
         if _db_count(p["lambda_db"]) * len(p["pi"]) > MAX_SWEEP_POINTS:
             raise ValueError(f"sweep of {p['lambda_db']} x {len(p['pi'])} "
                              f"success probabilities exceeds "
                              f"{MAX_SWEEP_POINTS} points")
     _check_params(eps_target=p.get("eps_target", 1.0))
-    m = p.get("max_stages", 1)
-    if (isinstance(m, bool) or not isinstance(m, numbers.Integral)
-            or not 1 <= m <= optimize.MAX_FLOOR_STAGES):
-        raise ValueError(f"max_stages must be an integer 1 to "
-                         f"{optimize.MAX_FLOOR_STAGES}, got {m}")
+    optimize._check_floor_stages(p.get("max_stages", 1))
     return p
 
 

@@ -28,6 +28,8 @@ from functools import lru_cache, reduce
 from itertools import product
 from math import comb
 
+from .analytic import _check_params
+
 __all__ = ["vacuum_expectation", "heralded_moment", "quadrature_moment",
            "eps_via_moments"]
 
@@ -105,8 +107,7 @@ def heralded_moment(n_stages: int, kappa: float, rho: float, middle) -> complex:
     norm.  Each term is the product coef * cosh/sinh picks * vacuum value,
     multiplied left to right, summed within its block, then across blocks.
     """
-    if n_stages < 1:
-        raise ValueError("n_stages must be >= 1")
+    _check_params(n_stages=n_stages)
     k = kappa / n_stages
     fac = (math.cosh(rho), math.sinh(rho))
     weight = [comb(n_stages, i) * k**i for i in range(n_stages + 1)]

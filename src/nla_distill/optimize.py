@@ -10,12 +10,13 @@ finder (`_brentq`, a transcription of scipy's ``brentq.c``) on the objective,
 and the floor's minimum by `_brentq` on the closed slope of the ladder sums
 (`analytic._eps_slope`), so every reported number comes from the scalar
 evaluators; the grid guards against the (empirically valid) assumption that
-the objective is unimodal on the feasible interval.  The grid pass runs the
-same closed forms on arrays: the linear eta inversion and `eps_opt_formula` at
-one stage; at N >= 2 the eta roots from `_unit_roots`, the one solver the
-scalar objective shares, and eps from the ladder sums (`eps_ladder`, within
-~1e-14 of the moments engine the scalar objective runs on).  eps_A|B and
-purity are reported from the ladder sums.
+the objective is unimodal on the feasible interval.  Both searches open
+through `_scan`: input checks, grid pass, feasible grid.  The grid pass solves
+eta with the scalar objective's solvers on arrays (the linear inversion at one
+stage, `_unit_roots` at N >= 2) and reads eps from the ladder sums
+(`eps_ladder`) at every N, within 5e-11 of the closed form and the moments
+engine the scalar objective runs on.  eps_A|B and purity are reported from the
+ladder sums.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def eta_from_pi(r: float, lam: float, pi: float) -> float:
     The relation is linear in eta; raises when the required eta falls outside
     (0, 1), i.e. the success rate is unreachable at this squeezing.
     """
-    _check_params(pi=pi)
+    _check_params(r, lam, pi)
     eta = _linear_eta(r, lam, pi)
     if not 0.0 < eta < 1.0:
         raise InfeasibleParameterError(
@@ -101,7 +102,7 @@ def eta_candidates(r: float, lam: float, pi: float, n_stages: int) -> list[float
     The joint success probability (`analytic.success_prob`) is a degree-N
     polynomial in eta, solved by `_unit_roots`; for N = 1 this reduces to
     `eta_from_pi`.  Returns [] when unreachable; raises ValueError for an r,
-    lam or pi outside its domain.
+    lam, pi or N outside its domain.
     """
     _check_params(r, lam, pi, n_stages=n_stages)
     if n_stages == 1:
@@ -269,11 +270,7 @@ def _grid_values(lam: float, pi: float,
     etas = _grid_etas(lam, pi, n_stages)
     i, j = np.nonzero(~np.isnan(etas))
     e = np.full(etas.shape, np.inf)
-    if n_stages == 1:
-        e[i, j] = eps_opt_formula(R_GRID[i], lam, pi)
-    else:
-        e[i, j] = eps_ladder(n_stages,
-                             *_kappa_rho(R_GRID[i], lam, etas[i, j]))[0]
+    e[i, j] = eps_ladder(n_stages, *_kappa_rho(R_GRID[i], lam, etas[i, j]))[0]
     e[~(e < np.inf)] = np.inf  # the objective keeps an eta only if eps < inf
     rows, best = np.arange(R_GRID_POINTS), np.argmin(e, axis=1)
     eps = e[rows, best]
@@ -323,21 +320,21 @@ def optimize_entanglement(lam: float, pi: float,
     The success probability is the joint N-stage heralding probability; the
     scissor transmissivity is recovered from it at every probed squeezing.
     """
-    _validate_domain(lam, pi, n_stages)
-    objective = _make_objective(lam, pi, n_stages)
-    sub, eps, runs = _feasible_grid(*_grid_values(lam, pi, n_stages),
-                                    lam, pi, n_stages)
+    objective, sub, eps, runs = _scan(lam, pi, n_stages)
     r_opt, eps_opt, eta_opt = _minimize_on_grid(objective, sub, eps, runs)
     return _finalize(r_opt, eta_opt, eps_opt, lam, pi, n_stages)
 
 
-def _validate_domain(lam, pi, n_stages, eps_target=1.0):
-    _check_params(lam=lam, eps_target=eps_target)
-    if not 0.0 < pi <= 1.0:
-        raise ValueError(f"success probability must be in (0, 1], got {pi}")
-    if not 1 <= n_stages <= MAX_SEARCH_STAGES:
+def _scan(lam: float, pi: float, n_stages: int, eps_target: float = 1.0):
+    """Both searches' opening: the input checks, then the scalar objective and
+    `_feasible_grid` on the grid pass, as (objective, sub, eps, runs)."""
+    _check_params(lam=lam, pi=pi, eps_target=eps_target, n_stages=n_stages)
+    if n_stages > MAX_SEARCH_STAGES:
         raise ValueError(f"searches take 1 to {MAX_SEARCH_STAGES} stages, "
                          f"got {n_stages}")
+    sub, eps, runs = _feasible_grid(*_grid_values(lam, pi, n_stages),
+                                    lam, pi, n_stages)
+    return _make_objective(lam, pi, n_stages), sub, eps, runs
 
 
 def _finalize(r_opt: float, eta_opt: float, eps_opt: float, lam: float,
@@ -364,10 +361,7 @@ def purity_for_target_entanglement(eps_target: float, lam: float, pi: float,
     optimum) and returns the root with maximal purity; ``full_output=True``
     additionally returns all roots' results.
     """
-    _validate_domain(lam, pi, n_stages, eps_target)
-    objective = _make_objective(lam, pi, n_stages)
-    sub, eps, runs = _feasible_grid(*_grid_values(lam, pi, n_stages),
-                                    lam, pi, n_stages)
+    objective, sub, eps, runs = _scan(lam, pi, n_stages, eps_target)
     if (eps > eps_target).all():
         # only then can the target lie below the optimum, or between the
         # refined optimum and every grid value (the straddle below, whose
@@ -420,6 +414,14 @@ def purity_for_target_entanglement(eps_target: float, lam: float, pi: float,
     return (best, results) if full_output else best
 
 
+def _check_floor_stages(n_max: int) -> None:
+    """ValueError unless n_max (fig11's max_stages) is an integer 1 to
+    `MAX_FLOOR_STAGES`."""
+    _check_params(n_stages=n_max)
+    if n_max > MAX_FLOOR_STAGES:
+        raise ValueError(f"max_stages must be 1 to {MAX_FLOOR_STAGES}, got {n_max}")
+
+
 def best_entanglement_vs_stages(n_max: int) -> list[tuple[int, float, float]]:
     """Vanishing-success-rate entanglement floor per stage count.
 
@@ -430,8 +432,7 @@ def best_entanglement_vs_stages(n_max: int) -> list[tuple[int, float, float]]:
     cell around the grid minimum, and eps_B|A is reported from the ladder sums
     there.  A cell without a sign change raises RuntimeError naming N.
     """
-    if not 1 <= n_max <= MAX_FLOOR_STAGES:
-        raise ValueError(f"n_max must be 1 to {MAX_FLOOR_STAGES}, got {n_max}")
+    _check_floor_stages(n_max)
     out = []
     for n in range(1, n_max + 1):
         k = int(np.argmin(eps_ladder(n, _KAPPA_GRID, 0.0)[0]))

@@ -68,9 +68,11 @@ def test_purity_tradeoff_limits():
     assert purity_tradeoff(0.25, 0.5) == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(InfeasibleParameterError):
         purity_tradeoff(0.2, 0.5)
-    # above 1 no entanglement is certified: a purity there would exceed 1
-    with pytest.raises(ValueError):
-        purity_tradeoff(1.5, 0.3)
+    # above 1 no entanglement is certified: a purity there would exceed 1;
+    # a NaN eps is no entanglement either
+    for eps in (1.5, math.nan):
+        with pytest.raises(ValueError):
+            purity_tradeoff(eps, 0.3)
     # without loss the pure source reaches every eps, eps = 0 included
     assert purity_tradeoff(0.0, 0.0) == purity_tradeoff(1e-300, 0.0) == 1.0
 

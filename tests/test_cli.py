@@ -320,7 +320,7 @@ def test_figure_params_own_defaults_and_ranges():
 def test_figure_params_take_integer_stage_counts_only():
     # a float or a bool passed the range check and failed later in range()
     for m in (2.5, 2.0, True, "3", math.nan):
-        with pytest.raises(ValueError, match="max_stages must be an integer"):
+        with pytest.raises(ValueError, match="n_stages must be an integer"):
             figures.figure_params("fig11", max_stages=m)
     assert figures.figure_params("fig11", max_stages=np.int64(3)) == {
         "max_stages": 3}

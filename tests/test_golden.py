@@ -14,15 +14,20 @@ import pytest
 from nla_distill import cli
 
 DATA = Path(__file__).parent / "data"
-SWEEP = ["--lambda-db", "2", "32", "10", "--pi", "0.1", "0.001",
-         "--workers", "1"]
+GRID = ["--lambda-db", "2", "32", "10", "--pi", "0.1", "0.001"]
+SWEEP = [*GRID, "--workers", "1"]
+# a default sweep fans its points out over a process pool
+POOL = [*GRID, "--workers", "2"]
 CASES = [("fig6", SWEEP, ("fig6a", "fig6b")),
          ("fig8", SWEEP, ("fig8a", "fig8b")),
          ("fig9", SWEEP, ("fig9",)),
-         ("fig11", ["--max-stages", "6"], ("fig11",))]
+         ("fig11", ["--max-stages", "6"], ("fig11",)),
+         ("fig6", POOL, ("fig6a", "fig6b")),
+         ("fig8", POOL, ("fig8a", "fig8b"))]
+IDS = [fig + "-pool" * (flags is POOL) for fig, flags, _ in CASES]
 
 
-@pytest.mark.parametrize("fig,flags,panels", CASES, ids=[c[0] for c in CASES])
+@pytest.mark.parametrize("fig,flags,panels", CASES, ids=IDS)
 def test_csv_matches_golden(tmp_path, fig, flags, panels):
     assert cli.main([fig, "-o", str(tmp_path / f"{fig}.csv"), *flags]) == 0
     for panel in panels:

@@ -23,10 +23,10 @@ from nla_distill.analytic import (InfeasibleParameterError, eps_ladder,
 POINTS = ([(lambda_from_db(db), pi) for db in (0.5, 3, 6, 10, 15, 20, 30, 40)
            for pi in (0.3, 0.1, 1e-2, 1e-3, 1e-4)]
           + [(0.3, 1e-2), (0.5, 1.0)])
-# numpy's vectorized tanh/cosh differ from math's by an ulp at some points;
-# the one-stage closed form cancels terms of size 4/pi as r -> 0 and the
+# the array pass reads eps from the ladder sums at every N; the one-stage
+# scalar objective's closed form cancels terms of size 4/pi as r -> 0 and the
 # N = 4 eta polynomial is ill-conditioned, so the two agree to these bounds
-# (measured worst: 3.8e-11 in eps, 1.2e-12 in eta), not to the ulp
+# (measured worst: 4.3e-11 in eps, 1.2e-12 in eta), not to the ulp
 EPS_RTOL, ETA_RTOL = 1e-10, 1e-11
 
 
@@ -85,6 +85,24 @@ def test_array_grid_takes_the_best_of_several_roots(monkeypatch):
     np.testing.assert_allclose(eta, s_eta, rtol=ETA_RTOL, atol=0)
     won = eta == extra
     assert won.any() and not won.all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_grid_pass_reads_the_ladder_sums_only(n, monkeypatch):
+    # the closed form is the one-stage refinement's objective, not the grid's
+    calls = []
+    real = optimize.eps_opt_formula
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(optimize, "eps_opt_formula", counting)
+    for lam, pi in POINTS:
+        optimize._grid_values(lam, pi, n)
+    assert calls == []
+    assert optimize._make_objective(0.3, 1e-2, n)(0.05)[0] < math.inf
+    assert len(calls) == (n == 1)
 
 
 def test_point_list_covers_two_pockets_and_an_infeasible_grid():

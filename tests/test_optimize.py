@@ -7,8 +7,9 @@ import pytest
 
 from nla_distill import figures, nla, optimize
 from nla_distill.analytic import (ChannelParams, InfeasibleParameterError,
-                                  NlaParams, eps_ladder, lambda_from_db,
-                                  purity_formula, purity_ladder,
+                                  NlaParams, eps_ladder, eps_opt_formula,
+                                  lambda_from_db, purity_formula,
+                                  purity_ladder, success_prob,
                                   success_prob_1stage)
 
 
@@ -90,8 +91,56 @@ def test_eta_candidates_reject_squeezing_and_loss_outside_their_domains(n):
 
 def test_eta_candidates_reject_stage_counts_below_one():
     for n in (0, -1):
-        with pytest.raises(ValueError, match="n_stages must be >= 1"):
+        with pytest.raises(ValueError, match="n_stages must be an integer >= 1"):
             optimize.eta_candidates(0.3, 0.2, 0.01, n)
+
+
+_CHANNEL = ChannelParams(0.3, 0.3)
+# every entry point that takes a stage count, called with one
+STAGE_COUNT_ENTRIES = {
+    "success_prob": lambda n: success_prob(n, _CHANNEL, 0.5),
+    "eps_ladder": lambda n: eps_ladder(n, 0.5, 0.2),
+    "purity_ladder": lambda n: purity_ladder(n, 0.5, 0.2),
+    "eta_candidates": lambda n: optimize.eta_candidates(0.3, 0.3, 0.01, n),
+    "scissor_circuit": lambda n: nla.scissor_circuit(n, _CHANNEL, 0.5, 8),
+    "closed_form_state": lambda n: nla.closed_form_state(n, _CHANNEL, 0.5, 8),
+    "truncated_pair_state": lambda n: nla.truncated_pair_state(n, 0.5),
+    "optimize_entanglement":
+        lambda n: optimize.optimize_entanglement(0.5, 0.01, n),
+    "purity_for_target_entanglement":
+        lambda n: optimize.purity_for_target_entanglement(0.9, 0.5, 0.01, n),
+    "best_entanglement_vs_stages": optimize.best_entanglement_vs_stages,
+    "figure_params": lambda n: figures.figure_params("fig11", max_stages=n),
+}
+
+
+@pytest.mark.parametrize("entry", STAGE_COUNT_ENTRIES)
+def test_stage_counts_are_integers(entry):
+    # a float, a bool, a string or a NaN stage count is a ValueError, not a
+    # TypeError from range() or a result; a numpy integer is an integer
+    call = STAGE_COUNT_ENTRIES[entry]
+    for n in (2.5, 2.0, True, "3", math.nan):
+        with pytest.raises(ValueError):
+            call(n)
+    call(np.int64(2))
+
+
+@pytest.mark.parametrize("form,args", [
+    (eps_opt_formula, (0.3, 0.3, 1.5)), (purity_formula, (0.3, 0.3, 1.5)),
+    (optimize.eta_from_pi, (0.3, 0.3, 1.5)),
+    (optimize.eta_candidates, (0.3, 0.3, 1.5, 1)),
+    (optimize.eta_candidates, (0.3, 0.3, 1.5, 2)),
+    (optimize.eta_from_pi, (0.3, 1.5, 0.01)),
+    (optimize.eta_from_pi, (-0.5, 0.3, 0.01)),
+    (purity_formula, (-0.3, 0.3, 0.01)), (purity_formula, (0.3, 1.5, 0.01)),
+    (eps_opt_formula, (math.nan, 0.3, 0.01)),
+])
+def test_one_stage_forms_check_their_domains(form, args):
+    # an (r, lam, pi) outside its domain is an input error, not a number, an
+    # empty root list or an unreachable operating point
+    with pytest.raises(ValueError) as exc:
+        form(*args)
+    assert type(exc.value) is ValueError, exc.value
 
 
 @pytest.mark.parametrize("r", [20.0, 25.0, 356.0, 400.0, 1e3])
