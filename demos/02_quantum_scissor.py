@@ -8,24 +8,25 @@ compares the heralded branch against its compact closed form
 
 import math
 
-from nla_distill import (ChannelParams, NlaParams, closed_form_state,
-                         debug_serialize, distill_and_measure, epr_criterion,
-                         fidelity, lossy_channel_state, norm_sq,
-                         single_stage_circuit, success_prob_1stage)
+from nla_distill import (ChannelParams, closed_form_state, debug_serialize,
+                         distill_and_measure, epr_criterion, fidelity,
+                         kappa_rho, lossy_channel_state, norm_sq,
+                         single_stage_circuit, success_prob)
 
 r, lam, eta = 0.5, 0.3, 0.8
 ch = ChannelParams(r, lam)
-p = NlaParams(1, eta, ch)
+kappa, rho = kappa_rho(r, lam, eta)
 print(f"operating point: r={r}, loss={lam}, gain splitter eta={eta}")
-print(f"amplitude gain g = {p.g:.4f}, pair amplitude kappa = {p.kappa:.4f}, "
-      f"residual decoherence tanh(rho) = {math.tanh(p.rho):.4f}")
+print(f"amplitude gain g = {math.sqrt(eta / (1.0 - eta)):.4f}, "
+      f"pair amplitude kappa = {kappa:.4f}, "
+      f"residual decoherence tanh(rho) = {math.tanh(rho):.4f}")
 
 print()
 print("=== heralded branch from the brute-force circuit ===")
 hs = single_stage_circuit(ch, eta, cutoff=12)
 print(f"success probability (both detection patterns): {hs.success_prob:.6f}")
 print(f"closed-form success probability:               "
-      f"{success_prob_1stage(ch, eta):.6f}")
+      f"{success_prob(1, ch, eta):.6f}")
 
 print()
 print("largest amplitudes of the (A, B, L) branch:")

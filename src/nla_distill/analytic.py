@@ -7,13 +7,15 @@ never hand-simplified; their correctness is established purely by agreement
 with the independent simulation pipeline.  `eps_opt_formula` is the one-stage
 search objective, whose roundoff the benchmark references pin; `purity_formula`
 is an oracle for `verify` and the tests, as the ladder sums report purity.
+The heralding probability has one form for every stage count, `success_prob`.
 
 The success weights, the ladder sums behind `eps_ladder` and the parameter
 layer's `_kappa_rho` and `_cosh2` also take numpy arrays, which is how the
 searches scan a whole grid in one pass, on the ladder sums at every stage
-count (the closed forms, `ChannelParams` and `NlaParams` take floats).  The
-elementary functions are picked by argument type (`_xp`), so a float argument
-goes through `math`.  `_check_params` is the one check of each domain.
+count (the closed forms, `ChannelParams` and the checked `kappa_rho` take
+floats).  The elementary functions are picked by argument type (`_xp`), so a
+float argument goes through `math`.  `_check_params` is the one check of each
+domain.
 """
 
 from __future__ import annotations
@@ -27,14 +29,13 @@ import numpy as np
 __all__ = [
     "RECORD_SQUEEZING_DB",
     "ChannelParams",
-    "NlaParams",
     "DistillationResult",
     "InfeasibleParameterError",
     "eps_no_nla",
     "eps_infinity",
     "purity_no_nla",
     "purity_tradeoff",
-    "success_prob_1stage",
+    "kappa_rho",
     "success_prob",
     "eps_opt_formula",
     "purity_formula",
@@ -93,6 +94,13 @@ def _kappa_rho(r, lam: float, eta):
     return g * math.sqrt(1.0 - lam) * chi, _xp(chi).atanh(math.sqrt(lam) * chi)
 
 
+def kappa_rho(r: float, lam: float, eta: float) -> tuple[float, float]:
+    """The (kappa, rho) that `eps_ladder` and `purity_ladder` take at squeezing
+    r, loss lam and scissor transmissivity eta, checked; floats only."""
+    _check_params(r, lam, eta=eta)
+    return _kappa_rho(r, lam, eta)
+
+
 def _cosh2(r):
     """cosh^2 r, +inf past a double's range (r > ~355.6); r may be an array."""
     try:
@@ -115,33 +123,6 @@ class ChannelParams:
     def chi(self) -> float:
         """EPR amplitude ratio chi = tanh(r)."""
         return math.tanh(self.r)
-
-
-@dataclass(frozen=True)
-class NlaParams:
-    """Amplifier configuration: stage count and scissor transmissivity."""
-
-    n_stages: int
-    eta: float
-    channel: ChannelParams
-
-    def __post_init__(self):
-        _check_params(n_stages=self.n_stages, eta=self.eta)
-
-    @property
-    def g(self) -> float:
-        """Amplitude gain sqrt(eta / (1 - eta))."""
-        return math.sqrt(self.eta / (1.0 - self.eta))
-
-    @property
-    def kappa(self) -> float:
-        """Heralded pair amplitude g sqrt(1 - lam) tanh(r)."""
-        return _kappa_rho(self.channel.r, self.channel.lam, self.eta)[0]
-
-    @property
-    def rho(self) -> float:
-        """Residual decoherence strength: tanh(rho) = sqrt(lam) tanh(r)."""
-        return _kappa_rho(self.channel.r, self.channel.lam, self.eta)[1]
 
 
 @dataclass(frozen=True)
@@ -205,15 +186,6 @@ def purity_tradeoff(eps: float, lam: float) -> float:
 
 # ---------------------------------------------------------------------------
 # single-stage amplifier
-
-
-def success_prob_1stage(params: ChannelParams, eta: float) -> float:
-    """Heralding probability of the one-stage amplifier (both patterns)."""
-    _check_params(eta=eta)
-    lam, r = params.lam, params.r
-    t2 = math.tanh(r) ** 2
-    num = 1.0 - eta + (eta - lam) * t2
-    return num / ((1.0 - lam * t2) ** 2 * _cosh2(r))  # 0 past r ~ 355.6
 
 
 def eps_opt_formula(r: float, lam: float, pi: float) -> float:
@@ -319,9 +291,14 @@ def success_prob(n_stages: int, params: ChannelParams, eta: float) -> float:
 def _ladder(n_stages: int, kappa: float, rho: float):
     """T, q = 1/(1 - T), and v_j = w_j q^j with w_j = (N!/(N-j)! (kappa/N)^j)^2,
     by recurrence (no factorials or powers), up to one common power-of-two
-    factor (per element when kappa or rho is an array)."""
+    factor (per element when kappa or rho is an array).  ValueError where
+    tanh^2 rho is not below 1: rho past ~19.06 (it rounds to 1), inf or NaN."""
     _check_params(n_stages=n_stages)
     big_t = _xp(rho).tanh(rho) ** 2
+    below = big_t < 1.0
+    if not (below.all() if isinstance(below, np.ndarray) else below):
+        bad = rho[~below] if isinstance(below, np.ndarray) else rho
+        raise ValueError(f"the ladder sums need tanh^2 rho < 1, got rho = {bad}")
     q = 1.0 / (1.0 - big_t)
     v, vj = [1.0], 1.0
     for j in range(1, n_stages + 1):
@@ -340,7 +317,8 @@ def eps_ladder(n_stages: int, kappa: float, rho: float) -> tuple[float, float]:
 
     First moments vanish and X- mirrors X+, so both products follow from
     <a'a>, <b'b> and <ab>; B holds j photons with weight q v_j.
-    kappa and rho may be arrays (of one shape, or one of them a float).
+    kappa and rho may be arrays (of one shape, or one of them a float);
+    rho needs tanh^2 rho < 1 (`_ladder`).
     """
     return _eps_sums(n_stages, kappa, _ladder(n_stages, kappa, rho))
 

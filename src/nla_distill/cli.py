@@ -2,7 +2,8 @@
 evaluation, and the verification suite.
 
 Exit codes: 0 success, 1 infeasible parameters / validation failure /
-failed verification, 2 I/O error.
+failed verification, 2 I/O error or a usage error (an unknown command or
+flag, or a malformed or missing flag value, which argparse rejects).
 """
 
 from __future__ import annotations

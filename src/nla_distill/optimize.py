@@ -36,7 +36,6 @@ from .analytic import (DistillationResult, InfeasibleParameterError,
 __all__ = [
     "DistillationResult",
     "UnachievableTargetError",
-    "eta_from_pi",
     "eta_candidates",
     "optimize_entanglement",
     "purity_for_target_entanglement",
@@ -69,21 +68,6 @@ class UnachievableTargetError(InfeasibleParameterError):
     """Requested entanglement is below the optimum for these constraints."""
 
 
-def eta_from_pi(r: float, lam: float, pi: float) -> float:
-    """Invert the one-stage success probability for the transmissivity.
-
-    The relation is linear in eta; raises when the required eta falls outside
-    (0, 1), i.e. the success rate is unreachable at this squeezing.
-    """
-    _check_params(r, lam, pi)
-    eta = _linear_eta(r, lam, pi)
-    if not 0.0 < eta < 1.0:
-        raise InfeasibleParameterError(
-            f"success probability {pi} unreachable at (r={r}, lam={lam}): "
-            f"eta would be {eta}")
-    return eta
-
-
 def _linear_eta(r, lam: float, pi: float):
     """The eta of the one-stage success probability pi, unchecked; r may be
     an array."""
@@ -97,12 +81,13 @@ def _linear_eta(r, lam: float, pi: float):
 
 
 def eta_candidates(r: float, lam: float, pi: float, n_stages: int) -> list[float]:
-    """All transmissivities in (0, 1) with the N-stage success probability pi.
+    """All transmissivities in (0, 1) with the N-stage success probability pi,
+    ascending: the one inversion of `analytic.success_prob` at every N.
 
-    The joint success probability (`analytic.success_prob`) is a degree-N
-    polynomial in eta, solved by `_unit_roots`; for N = 1 this reduces to
-    `eta_from_pi`.  Returns [] when unreachable; raises ValueError for an r,
-    lam, pi or N outside its domain.
+    The joint success probability is a degree-N polynomial in eta, solved by
+    `_unit_roots`; at N = 1 it is linear, and its one root is solved in closed
+    form.  Returns [] when unreachable; raises ValueError for an r, lam, pi or
+    N outside its domain.
     """
     _check_params(r, lam, pi, n_stages=n_stages)
     if n_stages == 1:
@@ -310,7 +295,7 @@ def _minimize_on_grid(objective, sub, eps, runs) -> tuple[float, float, float]:
     if not math.isfinite(eps_opt):  # boundary roundoff: fall back to grid point
         r_opt = sub[k]
         eps_opt, eta_opt = objective(r_opt)
-    return r_opt, eps_opt, eta_opt
+    return float(r_opt), eps_opt, eta_opt
 
 
 def optimize_entanglement(lam: float, pi: float,

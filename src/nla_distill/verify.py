@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock, metrics, moments, nla, optimize
-from .analytic import (ChannelParams, NlaParams, eps_infinity, eps_no_nla,
-                       eps_opt_formula, purity_formula, purity_no_nla,
-                       purity_tradeoff, success_prob_1stage)
+from .analytic import (ChannelParams, eps_infinity, eps_no_nla,
+                       eps_opt_formula, kappa_rho, purity_formula,
+                       purity_no_nla, purity_tradeoff, success_prob)
 
 __all__ = ["CheckResult", "run_all", "TAIL_BUDGET", "MAX_CUTOFF"]
 
@@ -112,8 +112,9 @@ def _check_circuits(tail: list) -> list[CheckResult]:
         k2 = nla.closed_form_state(2, ch, eta, cut)
         tail.extend(h.state.tail_mass for h in (c1, k1, c2, k2))
         f1 = max(f1, 1.0 - fock.fidelity(c1.state, k1.state))
-        dpi = max(dpi, abs(success_prob_1stage(ch, eta) - c1.success_prob))
         f2 = max(f2, 1.0 - fock.fidelity(c2.state, k2.state))
+        dpi = max(dpi, abs(success_prob(1, ch, eta) - c1.success_prob),
+                  abs(success_prob(2, ch, eta) - c2.success_prob))
     return [CheckResult("single_stage_circuit_vs_closed_form", f1, 1e-10),
             CheckResult("dual_stage_circuit_vs_closed_form", f2, 1e-8),
             CheckResult("success_prob_vs_heralding", dpi, 1e-10)]
@@ -138,10 +139,15 @@ def _check_patterns(tail: list) -> list[CheckResult]:
 
 
 def _check_eta_roundtrip() -> CheckResult:
+    """Every eta root of Pi_N = pi at N = 1 and 2 against `success_prob`; a
+    point with no root fails the check."""
     worst = 0.0
-    for r, lam, pi in ((0.1, 0.3, 0.01), (0.2, 0.1, 0.3), (0.8, 0.6, 0.3)):
-        eta = optimize.eta_from_pi(r, lam, pi)
-        worst = max(worst, abs(success_prob_1stage(ChannelParams(r, lam), eta) - pi))
+    for n in (1, 2):
+        for r, lam, pi in ((0.1, 0.3, 0.01), (0.2, 0.1, 0.3), (0.8, 0.6, 0.3)):
+            ch = ChannelParams(r, lam)
+            errs = [abs(success_prob(n, ch, eta) - pi)
+                    for eta in optimize.eta_candidates(r, lam, pi, n)]
+            worst = max(worst, max(errs, default=math.inf))
     return CheckResult("eta_inversion_roundtrip", worst, 1e-12)
 
 
@@ -173,7 +179,7 @@ def _check_formulas(tail: list) -> list[CheckResult]:
     de = dp = 0.0
     for r, lam, eta in _FORMULA_GRID:
         ch = ChannelParams(r, lam)
-        pi = success_prob_1stage(ch, eta)
+        pi = success_prob(1, ch, eta)
         hs = nla.single_stage_circuit(ch, eta, _auto_cutoff(r))
         tail.append(hs.state.tail_mass)
         res = nla.distill_and_measure(hs)
@@ -300,12 +306,10 @@ def _check_minimum(tail: list) -> CheckResult:
 def _check_moments_engine(tail: list) -> CheckResult:
     worst = 0.0
     for n_st, r, lam, eta in ((1, 0.5, 0.3, 0.8), (2, 0.3, 0.3, 0.7)):
-        ch = ChannelParams(r, lam)
-        p = NlaParams(n_st, eta, ch)
-        hs = nla.closed_form_state(n_st, ch, eta, 40)
+        hs = nla.closed_form_state(n_st, ChannelParams(r, lam), eta, 40)
         tail.append(hs.state.tail_mass)
         sim = metrics.epr_criterion(hs.state, "A", "B").eps_b_given_a
-        alg = moments.eps_via_moments(n_st, p.kappa, p.rho)
+        alg = moments.eps_via_moments(n_st, *kappa_rho(r, lam, eta))
         worst = max(worst, abs(sim - alg))
     return CheckResult("moment_engine_vs_sim", worst, 1e-10)
 

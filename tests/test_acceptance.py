@@ -13,7 +13,7 @@ from nla_distill import fock, metrics, nla, optimize, verify
 from nla_distill.analytic import (ChannelParams, InfeasibleParameterError,
                                   eps_infinity, eps_no_nla, lambda_from_db,
                                   purity_formula, purity_no_nla,
-                                  purity_tradeoff, success_prob_1stage)
+                                  purity_tradeoff, success_prob)
 
 BENCH_GRID = [(r, lam) for r in (0.2, 0.5, 0.7) for lam in (0.1, 0.3, 0.6)]
 CIRCUIT_GRID = [(r, lam, eta) for r in (0.2, 0.3) for lam in (0.2, 0.5)
@@ -85,7 +85,7 @@ def test_criterion_05_success_probability():
     for r, lam, eta in CIRCUIT_GRID:
         ch = ChannelParams(r, lam)
         circ = nla.single_stage_circuit(ch, eta, 20)
-        worst = max(worst, abs(success_prob_1stage(ch, eta)
+        worst = max(worst, abs(success_prob(1, ch, eta)
                                - 2.0 * fock.norm_sq(circ.state)))
     report(5, "success-probability", worst <= 1e-10,
            f"max err {worst:.2e} <= 1e-10")
@@ -121,13 +121,12 @@ def test_criterion_09_purity_formula():
     # (0, 1): pi = 0.01 lies below the eta -> 1 floor ~0.0718 there, so the
     # comparison is made at feasible neighbors instead and the stated point
     # must signal infeasibility (see the decisions ledger).
-    with pytest.raises(InfeasibleParameterError):
-        optimize.eta_from_pi(0.4, 0.5, 0.01)
+    assert optimize.eta_candidates(0.4, 0.5, 0.01, 1) == []
     with pytest.raises(InfeasibleParameterError):
         purity_formula(0.4, 0.5, 0.01)
     worst = 0.0
     for r, lam, pi in ((0.4, 0.5, 0.1), (0.1, 0.5, 0.01), (0.4, 0.3, 0.2)):
-        eta = optimize.eta_from_pi(r, lam, pi)
+        eta, = optimize.eta_candidates(r, lam, pi, 1)
         ch = ChannelParams(r, lam)
         hs = nla.single_stage_circuit(ch, eta, 40)
         sim = nla.distill_and_measure(hs).purity

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from nla_distill import analytic
+from nla_distill import analytic, optimize
 from nla_distill.analytic import (ChannelParams, InfeasibleParameterError,
-                                  NlaParams, eps_infinity, eps_no_nla,
-                                  eps_opt_formula, purity_formula,
-                                  purity_no_nla, purity_tradeoff,
-                                  success_prob, success_prob_1stage)
+                                  eps_infinity, eps_no_nla, eps_opt_formula,
+                                  kappa_rho, purity_formula, purity_no_nla,
+                                  purity_tradeoff, success_prob)
 
 
 def test_eps_no_nla_lossless():
@@ -38,8 +37,7 @@ def test_closed_forms_past_the_cosh_overflow_are_their_limits(r, lam):
     # cosh 2r (r > ~355) and cosh^2 r (r > ~355.6) overflow a double; the
     # closed forms return their r -> infinity limits instead of raising
     ch = ChannelParams(r, lam)
-    assert success_prob(2, ch, 0.5) == 0.0
-    assert success_prob_1stage(ch, 0.5) == 0.0
+    assert success_prob(1, ch, 0.5) == success_prob(2, ch, 0.5) == 0.0
     assert eps_no_nla(ch) == (lam ** 2, lam ** 2 / (1.0 - lam) ** 2)
     assert purity_no_nla(ch) == (1.0 if lam == 0.0 else 0.0)
 
@@ -85,12 +83,12 @@ def test_tradeoff_is_exact_eliminant(r, lam):
 
 
 def test_success_prob_zero_squeezing():
-    assert success_prob_1stage(ChannelParams(0.0, 0.3), 0.25) == pytest.approx(
+    assert success_prob(1, ChannelParams(0.0, 0.3), 0.25) == pytest.approx(
         0.75, abs=1e-15)
 
 
 def test_success_prob_vanishes_at_full_gain_zero_squeezing():
-    vals = [success_prob_1stage(ChannelParams(1e-6, 0.0), eta)
+    vals = [success_prob(1, ChannelParams(1e-6, 0.0), eta)
             for eta in (0.9, 0.99, 0.999)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 2e-3
@@ -99,7 +97,7 @@ def test_success_prob_vanishes_at_full_gain_zero_squeezing():
 def test_success_prob_linear_in_eta():
     ch = ChannelParams(0.5, 0.3)
     etas = np.linspace(0.05, 0.95, 7)
-    pis = [success_prob_1stage(ch, e) for e in etas]
+    pis = [success_prob(1, ch, e) for e in etas]
     diffs = np.diff(pis) / np.diff(etas)
     assert np.allclose(diffs, diffs[0], atol=1e-12)
 
@@ -107,17 +105,18 @@ def test_success_prob_linear_in_eta():
 @pytest.mark.parametrize("r,lam,eta", [(0.0, 0.3, 0.25), (0.4, 0.2, 0.6),
                                        (1.3, 0.9, 0.05), (2.5, 0.0, 0.97)])
 def test_success_prob_one_stage_is_the_closed_form(r, lam, eta):
-    ch = ChannelParams(r, lam)
-    assert abs(analytic.success_prob(1, ch, eta)
-               - success_prob_1stage(ch, eta)) <= 1e-15
+    # the published one-stage heralding probability, kept here as a reference
+    t2 = math.tanh(r) ** 2
+    closed = (1.0 - eta + (eta - lam) * t2) / ((1.0 - lam * t2) ** 2
+                                               * math.cosh(r) ** 2)
+    assert abs(success_prob(1, ChannelParams(r, lam), eta) - closed) <= 1e-15
 
 
 def _norm_inf_sum(n, ch, eta):
     """The untruncated closed-form branch norm, summed term by term over the
     (1 + (kappa/N) a'b')^N expansion (each photon pair weighted by
     cosh^2 rho from the loss ladder)."""
-    p = NlaParams(n, eta, ch)
-    kappa, rho = p.kappa, p.rho
+    kappa, rho = kappa_rho(ch.r, ch.lam, eta)
     scale = (math.cosh(rho) / math.cosh(ch.r)) * ((1.0 - eta) / 2.0) ** (n / 2.0)
     return scale**2 * sum(
         (math.comb(n, j) * (kappa / n) ** j * math.factorial(j)) ** 2
@@ -151,19 +150,15 @@ def test_eps_formula_large_loss_floor():
     rs = np.geomspace(1e-4, 0.5, 400)
     vals = []
     for r in rs:
-        try:
-            from nla_distill.optimize import eta_from_pi
-            eta_from_pi(r, lam, pi)
-        except InfeasibleParameterError:
-            continue
-        vals.append(eps_opt_formula(r, lam, pi))
+        if optimize.eta_candidates(r, lam, pi, 1):
+            vals.append(eps_opt_formula(r, lam, pi))
     assert vals, "no feasible point found"
     assert 0.81 < min(vals) < 1.0
 
 
 def test_purity_formula_lossless_is_pure():
     for r in (0.2, 0.7):
-        pi = success_prob_1stage(ChannelParams(r, 0.0), 0.6)
+        pi = success_prob(1, ChannelParams(r, 0.0), 0.6)
         assert purity_formula(r, 0.0, pi) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -190,16 +185,15 @@ def test_cosh2_is_inf_past_a_double():
 
 
 def test_kappa_rho_is_the_nla_params_map():
-    # the searches read kappa and rho from the one map NlaParams reads, for
-    # floats and arrays alike
-    p = NlaParams(2, 0.7, ChannelParams(0.4, 0.3))
-    assert analytic._kappa_rho(0.4, 0.3, 0.7) == (p.kappa, p.rho)
+    # the searches read the amplifier's kappa and rho from the one unchecked
+    # map the public, checked kappa_rho reads, for floats and arrays alike
+    assert analytic._kappa_rho(0.4, 0.3, 0.7) == kappa_rho(0.4, 0.3, 0.7)
     r, eta = np.array([0.4, 1.2]), np.array([0.7, 0.2])
     kappa, rho = analytic._kappa_rho(r, 0.3, eta)
     for i in range(2):
-        q = NlaParams(2, float(eta[i]), ChannelParams(float(r[i]), 0.3))
-        assert abs(kappa[i] - q.kappa) <= 1e-15 * q.kappa
-        assert abs(rho[i] - q.rho) <= 1e-15 * q.rho
+        k, p = kappa_rho(float(r[i]), 0.3, float(eta[i]))
+        assert abs(kappa[i] - k) <= 1e-15 * k
+        assert abs(rho[i] - p) <= 1e-15 * p
 
 
 def test_channel_params_validation():
@@ -215,15 +209,15 @@ def test_channel_params_validation():
 
 
 def test_nla_params_derived_quantities():
-    ch = ChannelParams(0.5, 0.3)
-    p = NlaParams(1, 0.8, ch)
-    assert p.g == pytest.approx(2.0, abs=1e-15)
-    assert p.kappa == pytest.approx(2.0 * math.sqrt(0.7) * math.tanh(0.5), abs=1e-15)
-    assert math.tanh(p.rho) == pytest.approx(math.sqrt(0.3) * math.tanh(0.5), abs=1e-15)
-    with pytest.raises(ValueError):
-        NlaParams(0, 0.5, ch)
-    with pytest.raises(ValueError):
-        NlaParams(1, 1.0, ch)
+    # at eta = 0.8 the amplitude gain sqrt(eta / (1 - eta)) is 2
+    kappa, rho = kappa_rho(0.5, 0.3, 0.8)
+    assert kappa == pytest.approx(2.0 * math.sqrt(0.7) * math.tanh(0.5), abs=1e-15)
+    assert math.tanh(rho) == pytest.approx(math.sqrt(0.3) * math.tanh(0.5), abs=1e-15)
+    for args, match in (((0.5, 0.3, 1.0), "eta"), ((0.5, 0.3, math.nan), "eta"),
+                        ((-0.5, 0.3, 0.8), "squeezing"),
+                        ((0.5, 1.0, 0.8), "loss reflectivity")):
+        with pytest.raises(ValueError, match=match):
+            kappa_rho(*args)
 
 
 def test_db_conventions():

@@ -6,15 +6,15 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nla_distill import fock, metrics, moments, nla
-from nla_distill.analytic import (ChannelParams, NlaParams, _eps_slope,
-                                  _ladder, eps_ladder, eps_opt_formula,
-                                  purity_formula, purity_ladder,
-                                  success_prob_1stage)
+from nla_distill.analytic import (ChannelParams, _eps_slope, _ladder,
+                                  eps_ladder, eps_opt_formula, kappa_rho,
+                                  purity_formula, purity_ladder, success_prob)
 
 # r up to 1 keeps T = lam tanh^2 r below 0.47, so a cutoff of 80 leaves a
 # truncation tail far below the tolerances
@@ -26,15 +26,15 @@ transmissivity = st.floats(0.05, 0.95)
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(1, 3), r=squeezing, lam=loss, eta=transmissivity)
 def test_ladder_matches_fock_closed_form_state(n, r, lam, eta):
-    p = NlaParams(n, eta, ChannelParams(r, lam))
-    hs = nla.closed_form_state(n, p.channel, eta, 80)
+    kappa, rho = kappa_rho(r, lam, eta)
+    hs = nla.closed_form_state(n, ChannelParams(r, lam), eta, 80)
     assert hs.state.tail_mass < 1e-12
     sim = metrics.epr_criterion(hs.state, "A", "B")
     sim_purity = fock.purity(hs.state, ["A", "B"])
-    eps_ba, eps_ab = eps_ladder(n, p.kappa, p.rho)
+    eps_ba, eps_ab = eps_ladder(n, kappa, rho)
     assert abs(eps_ba - sim.eps_b_given_a) < 1e-10
     assert abs(eps_ab - sim.eps_a_given_b) < 1e-10
-    assert abs(purity_ladder(n, p.kappa, p.rho) - sim_purity) < 1e-10
+    assert abs(purity_ladder(n, kappa, rho) - sim_purity) < 1e-10
 
 
 @settings(max_examples=20, deadline=None)
@@ -47,12 +47,11 @@ def test_ladder_matches_moments_engine(n, kappa, rho):
 @settings(max_examples=50, deadline=None)
 @given(r=squeezing, lam=loss, eta=transmissivity)
 def test_ladder_matches_one_stage_closed_forms(r, lam, eta):
-    ch = ChannelParams(r, lam)
-    pi = success_prob_1stage(ch, eta)
-    p = NlaParams(1, eta, ch)
-    assert abs(eps_ladder(1, p.kappa, p.rho)[0]
+    pi = success_prob(1, ChannelParams(r, lam), eta)
+    kappa, rho = kappa_rho(r, lam, eta)
+    assert abs(eps_ladder(1, kappa, rho)[0]
                - eps_opt_formula(r, lam, pi)) < 1e-12
-    assert abs(purity_ladder(1, p.kappa, p.rho)
+    assert abs(purity_ladder(1, kappa, rho)
                - purity_formula(r, lam, pi)) < 1e-12
 
 
@@ -135,3 +134,26 @@ def test_ladder_matches_exact_rational_sums(n, kappa, rho):
     got = eps_ladder(n, float(kappa), rho) + (purity_ladder(n, float(kappa), rho),)
     for value, exact in zip(got, exact_ladder(n, kappa, rho)):
         assert value == pytest.approx(float(exact), rel=1e-13)
+
+
+@pytest.mark.parametrize("rho", [20.0, math.inf, math.nan])
+def test_ladder_sums_reject_rho_where_tanh_squared_is_not_below_one(rho):
+    # tanh^2 rho rounds to 1 past rho ~ 19.06 (and at inf), and is NaN at
+    # NaN: q = 1 / (1 - T) has no value, for a float or an array element
+    for sums in (lambda x: eps_ladder(1, 0.5, x),
+                 lambda x: purity_ladder(2, 0.5, x)):
+        for value in (rho, np.array([0.5, rho])):
+            with pytest.raises(ValueError, match="rho"):
+                sums(value)
+
+
+def test_ladder_sums_are_finite_just_below_where_tanh_squared_rounds_to_one():
+    assert math.tanh(19.0) ** 2 < 1.0
+    for n in (1, 2, 4):
+        assert all(map(math.isfinite, eps_ladder(n, 0.5, 19.0)))
+        assert math.isfinite(purity_ladder(n, 0.5, 19.0))
+    # numpy's tanh may round to 1 a little before math's does (at 19.0 on
+    # x86-64 numpy 2.4), so the array case stays a little lower
+    rho = np.array([0.5, 18.0])
+    assert np.isfinite(eps_ladder(2, 0.5, rho)).all()
+    assert np.isfinite(purity_ladder(2, 0.5, rho)).all()

@@ -7,6 +7,7 @@ two routes share no code beyond the bottom layer.
 """
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -69,3 +70,17 @@ def test_importing_the_package_loads_no_process_pool():
                          text=True, check=True, env=env).stdout.split("\n")
     assert "'nla_distill.verify'" in out[0] and "'nla_distill.cli'" in out[0]
     assert out[1] == "False"
+
+
+@pytest.mark.parametrize("module", ["nla_distill", "nla_distill.analytic",
+                                    "nla_distill.optimize"])
+def test_every_exported_name_resolves(module):
+    # a removed function must leave no stale name in an __all__
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_star_import_runs():
+    namespace = {}
+    exec("from nla_distill import *", namespace)
+    assert set(nla_distill.__all__) <= set(namespace)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nla_distill import fock, metrics, moments, nla
-from nla_distill.analytic import ChannelParams, NlaParams
+from nla_distill.analytic import ChannelParams, kappa_rho
 
 A_DAG, A = ("A", True), ("A", False)
 L_DAG, L = ("L", True), ("L", False)
@@ -184,20 +184,20 @@ def test_commutation_route_matches_simulation(rho):
 def test_quadrature_moment_takes_the_fock_spec(n_st):
     # one factor spec drives both routes on the heralded state
     ch = ChannelParams(0.3, 0.4)
-    p = NlaParams(n_st, 0.7, ch)
+    kappa, rho = kappa_rho(ch.r, ch.lam, 0.7)
     st = nla.closed_form_state(n_st, ch, 0.7, 40).state
     z = fock.norm_sq(st)
-    zg = moments.quadrature_moment(n_st, p.kappa, p.rho, [])
-    assert zg == moments.heralded_moment(n_st, p.kappa, p.rho, [(1.0, ())]).real
+    zg = moments.quadrature_moment(n_st, kappa, rho, [])
+    assert zg == moments.heralded_moment(n_st, kappa, rho, [(1.0, ())]).real
     for factors in ([("B", "+")] * 2, [("B", "-"), ("A", "-")], [("A", "+")],
                     [("L", "+"), ("B", "-")], [("A", "-"), ("L", "-")]):
         sim = fock.quadrature_moment(st, factors) / z
-        alg = moments.quadrature_moment(n_st, p.kappa, p.rho, factors) / zg
+        alg = moments.quadrature_moment(n_st, kappa, rho, factors) / zg
         assert abs(sim - alg) < 1e-10, factors
     xb, xa = moments._x_poly("B", "-"), moments._x_poly("A", "-")
-    assert moments.quadrature_moment(n_st, p.kappa, p.rho,
+    assert moments.quadrature_moment(n_st, kappa, rho,
                                      [("B", "-"), ("A", "-")]) == \
-        moments.heralded_moment(n_st, p.kappa, p.rho,
+        moments.heralded_moment(n_st, kappa, rho,
                                 moments._poly_mul(xb, xa)).real
 
 
@@ -207,11 +207,9 @@ def test_quadrature_moment_takes_the_fock_spec(n_st):
     (2, 0.3, 0.3, 0.7),
 ])
 def test_eps_via_moments_matches_fock_route(n_st, r, lam, eta):
-    ch = ChannelParams(r, lam)
-    p = NlaParams(n_st, eta, ch)
-    hs = nla.closed_form_state(n_st, ch, eta, 40)
+    hs = nla.closed_form_state(n_st, ChannelParams(r, lam), eta, 40)
     sim = metrics.epr_criterion(hs.state, "A", "B").eps_b_given_a
-    alg = moments.eps_via_moments(n_st, p.kappa, p.rho)
+    alg = moments.eps_via_moments(n_st, *kappa_rho(r, lam, eta))
     assert abs(sim - alg) < 1e-10
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nla_distill import analytic, fock, metrics, nla, optimize
-from nla_distill.analytic import ChannelParams, NlaParams, success_prob_1stage
+from nla_distill.analytic import ChannelParams, kappa_rho, success_prob
 
 GRID = [(r, lam, eta) for r in (0.2, 0.3) for lam in (0.2, 0.5)
         for eta in (0.5, 0.8)]
@@ -37,7 +37,7 @@ def test_single_stage_matches_closed_form(r, lam, eta):
 def test_single_stage_success_prob_matches_formula(r, lam, eta):
     ch = ChannelParams(r, lam)
     circ = nla.single_stage_circuit(ch, eta, 20)
-    ana = success_prob_1stage(ch, eta)
+    ana = success_prob(1, ch, eta)
     assert abs(2.0 * fock.norm_sq(circ.state) - ana) < 1e-10
     assert abs(circ.success_prob - ana) < 1e-10
 
@@ -47,7 +47,7 @@ def test_heralding_probability_at_reference_point():
     ch = ChannelParams(0.5, 0.3)
     circ = nla.single_stage_circuit(ch, 0.8, 20)
     assert fock.norm_sq(circ.state) == pytest.approx(
-        success_prob_1stage(ch, 0.8) / 2.0, abs=1e-10)
+        success_prob(1, ch, 0.8) / 2.0, abs=1e-10)
 
 
 def test_single_stage_pattern_symmetry():
@@ -101,7 +101,7 @@ def test_closed_form_n1_lossless_structure():
     ch = ChannelParams(0.4, 0.0)
     eta = 0.6
     hs = nla.closed_form_state(1, ch, eta, 8)
-    kappa = NlaParams(1, eta, ch).kappa
+    kappa = kappa_rho(ch.r, ch.lam, eta)[0]
     amps = hs.state.amps
     nz = {idx: amps[idx] for idx in np.ndindex(amps.shape) if abs(amps[idx]) > 1e-15}
     assert set(nz) == {(0, 0, 0), (1, 1, 0)}
@@ -112,7 +112,7 @@ def test_closed_form_n2_coefficients():
     # two-photon term: operator coefficient kappa^2/4, state amplitude kappa^2/2
     ch = ChannelParams(0.3, 0.0)
     eta = 0.7
-    kappa = NlaParams(2, eta, ch).kappa
+    kappa = kappa_rho(ch.r, ch.lam, eta)[0]
     hs = nla.closed_form_state(2, ch, eta, 8)
     a = hs.state.amps
     amp11 = a[1, 1, 0] / a[0, 0, 0]

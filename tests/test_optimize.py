@@ -1,5 +1,6 @@
 """Operating-point searches and the success-probability inversion."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,36 +8,38 @@ import pytest
 
 from nla_distill import figures, nla, optimize
 from nla_distill.analytic import (ChannelParams, InfeasibleParameterError,
-                                  NlaParams, eps_ladder, eps_opt_formula,
+                                  eps_ladder, eps_opt_formula, kappa_rho,
                                   lambda_from_db, purity_formula,
-                                  purity_ladder, success_prob,
-                                  success_prob_1stage)
+                                  purity_ladder, success_prob)
 
 
-def test_eta_from_pi_zero_squeezing():
-    assert optimize.eta_from_pi(0.0, 0.3, 0.25) == pytest.approx(0.75, abs=1e-15)
+def test_one_stage_eta_zero_squeezing():
+    assert optimize.eta_candidates(0.0, 0.3, 0.25, 1) == [
+        pytest.approx(0.75, abs=1e-15)]
 
 
 @pytest.mark.parametrize("r,lam,pi", [(0.1, 0.3, 0.01), (0.2, 0.1, 0.3),
                                       (0.8, 0.6, 0.3)])
-def test_eta_from_pi_roundtrip(r, lam, pi):
-    eta = optimize.eta_from_pi(r, lam, pi)
-    assert success_prob_1stage(ChannelParams(r, lam), eta) == pytest.approx(
+def test_one_stage_eta_roundtrip(r, lam, pi):
+    eta, = optimize.eta_candidates(r, lam, pi, 1)
+    assert success_prob(1, ChannelParams(r, lam), eta) == pytest.approx(
         pi, abs=1e-12)
 
 
-def test_eta_from_pi_infeasible():
-    with pytest.raises(InfeasibleParameterError):
-        optimize.eta_from_pi(1.0, 0.5, 0.99)
+def test_one_stage_eta_infeasible():
+    assert optimize.eta_candidates(1.0, 0.5, 0.99, 1) == []
     # small success rates are unreachable at moderate squeezing: the required
     # gain exceeds its eta -> 1 limit
-    with pytest.raises(InfeasibleParameterError):
-        optimize.eta_from_pi(0.5, 0.3, 0.01)
+    assert optimize.eta_candidates(0.5, 0.3, 0.01, 1) == []
 
 
 def test_eta_candidates_reduce_to_linear_inversion():
+    # Pi_1 is linear in eta: its one root is the secant's through two values
     r, lam, pi = 0.2, 0.1, 0.3
-    assert optimize.eta_candidates(r, lam, pi, 1) == [optimize.eta_from_pi(r, lam, pi)]
+    ch = ChannelParams(r, lam)
+    a, b = success_prob(1, ch, 0.25), success_prob(1, ch, 0.75)
+    assert optimize.eta_candidates(r, lam, pi, 1) == [
+        pytest.approx(0.25 + 0.5 * (pi - a) / (b - a), abs=1e-14)]
 
 
 @pytest.mark.parametrize("r,lam,pi", [(0.2, 0.3, 0.05), (0.3, 0.1, 0.1)])
@@ -127,11 +130,11 @@ def test_stage_counts_are_integers(entry):
 
 @pytest.mark.parametrize("form,args", [
     (eps_opt_formula, (0.3, 0.3, 1.5)), (purity_formula, (0.3, 0.3, 1.5)),
-    (optimize.eta_from_pi, (0.3, 0.3, 1.5)),
+    (success_prob, (1, _CHANNEL, 1.5)),
     (optimize.eta_candidates, (0.3, 0.3, 1.5, 1)),
     (optimize.eta_candidates, (0.3, 0.3, 1.5, 2)),
-    (optimize.eta_from_pi, (0.3, 1.5, 0.01)),
-    (optimize.eta_from_pi, (-0.5, 0.3, 0.01)),
+    (optimize.eta_candidates, (0.3, 1.5, 0.01, 1)),
+    (optimize.eta_candidates, (-0.5, 0.3, 0.01, 1)),
     (purity_formula, (-0.3, 0.3, 0.01)), (purity_formula, (0.3, 1.5, 0.01)),
     (eps_opt_formula, (math.nan, 0.3, 0.01)),
 ])
@@ -151,8 +154,6 @@ def test_eta_inversion_where_tanh_squared_rounds_to_one(r):
     assert math.tanh(r) ** 2 == 1.0
     for n in (1, 2, 3, 4):
         assert optimize.eta_candidates(r, 0.3, 0.5, n) == []
-    with pytest.raises(InfeasibleParameterError, match="eta would be -inf"):
-        optimize.eta_from_pi(r, 0.3, 0.5)
 
 
 def test_eta_candidates_below_the_cosh_squared_overflow():
@@ -195,8 +196,8 @@ def test_one_stage_purity_is_reported_from_the_ladder(lam, pi):
     best, results = optimize.purity_for_target_entanglement(
         0.85, lam, pi, 1, full_output=True)
     for res in [optimize.optimize_entanglement(lam, pi, 1), *results]:
-        p = NlaParams(1, res.eta_opt, ChannelParams(res.r_opt, lam))
-        assert res.purity == purity_ladder(1, p.kappa, p.rho)
+        kappa, rho = kappa_rho(res.r_opt, lam, res.eta_opt)
+        assert res.purity == purity_ladder(1, kappa, rho)
         assert abs(res.purity - purity_formula(res.r_opt, lam, pi)) < 1e-12
 
 
@@ -204,10 +205,23 @@ def test_optimize_result_is_consistent():
     res = optimize.optimize_entanglement(0.9, 1e-2, 1)
     assert 0 < res.eta_opt < 1
     assert res.success_prob == 1e-2
-    assert success_prob_1stage(ChannelParams(res.r_opt, 0.9),
-                               res.eta_opt) == pytest.approx(1e-2, abs=1e-9)
+    assert success_prob(1, ChannelParams(res.r_opt, 0.9),
+                        res.eta_opt) == pytest.approx(1e-2, abs=1e-9)
     assert res.eps_b_given_a < res.eps_a_given_b
     assert res.n_stages == 1
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_search_results_hold_python_floats(n):
+    # r_opt comes off the numpy grid; isinstance would pass a numpy scalar,
+    # so the type is compared exactly
+    for res in (optimize.optimize_entanglement(0.9, 1e-2, n),
+                optimize.purity_for_target_entanglement(0.9, 0.9, 1e-2, n)):
+        for field in dataclasses.fields(res):
+            value = getattr(res, field.name)
+            expect = int if field.name == "n_stages" else float
+            assert type(value) is expect, (field.name, type(value))
+        assert "np.float64" not in repr(res)
 
 
 def test_optimize_second_feasible_pocket_is_handled():
@@ -237,8 +251,8 @@ def test_many_stage_search_matches_ladder_sums(n):
     # operating point by the independent ladder sums
     res = optimize.optimize_entanglement(0.9, 1e-2, n)
     assert res.n_stages == n and 0 < res.eta_opt < 1
-    p = NlaParams(n, res.eta_opt, ChannelParams(res.r_opt, 0.9))
-    assert abs(res.eps_b_given_a - eps_ladder(n, p.kappa, p.rho)[0]) < 1e-12
+    kappa, rho = kappa_rho(res.r_opt, 0.9, res.eta_opt)
+    assert abs(res.eps_b_given_a - eps_ladder(n, kappa, rho)[0]) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -1,7 +1,7 @@
 """The oracle suite's truncation rule: every cutoff comes from the tail rule,
 and every state a check builds is counted on the tail-budget line.  Its
 circuit search brackets the circuit's minimum, and runs no search step of
-`optimize`."""
+`optimize`.  Its success-probability checks reach two stages."""
 
 import inspect
 
@@ -90,3 +90,32 @@ def test_circuit_minimum_runs_no_search_step_of_optimize(monkeypatch):
     for name in ("_minimize_on_grid", "_feasible_grid", "_golden_min"):
         monkeypatch.setattr(optimize, name, forbidden)
     assert abs(verify._circuit_minimum(lam, pi, []) - closed) < 1e-10
+
+
+def _check(results, name):
+    found, = (c for c in results if c.name == name)
+    return found
+
+
+def test_heralding_check_reads_the_two_stage_success_prob(monkeypatch):
+    # success_prob 1e-9 off at N = 2 only must show against the dual circuit
+    exact = verify.success_prob
+    assert _check(verify._check_circuits([]), "success_prob_vs_heralding").passed
+    monkeypatch.setattr(verify, "success_prob", lambda n, ch, eta: exact(
+        n, ch, eta) + (1e-9 if n == 2 else 0.0))
+    assert not _check(verify._check_circuits([]),
+                      "success_prob_vs_heralding").passed
+
+
+def test_eta_roundtrip_checks_the_two_stage_roots(monkeypatch):
+    # eta roots 1e-9 off at N = 2 only must fail the round trip
+    exact = optimize.eta_candidates
+    assert verify._check_eta_roundtrip().passed
+    monkeypatch.setattr(optimize, "eta_candidates", lambda r, lam, pi, n: [
+        eta + (1e-9 if n == 2 else 0.0) for eta in exact(r, lam, pi, n)])
+    assert not verify._check_eta_roundtrip().passed
+
+
+def test_eta_roundtrip_fails_a_point_with_no_root(monkeypatch):
+    monkeypatch.setattr(optimize, "eta_candidates", lambda r, lam, pi, n: [])
+    assert verify._check_eta_roundtrip().error == float("inf")
