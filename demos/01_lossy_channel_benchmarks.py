@@ -6,9 +6,9 @@ entanglement floor at lambda^2, and how purity trades against entanglement.
 Every closed form is cross-checked against the truncated-Fock simulation.
 """
 
-from nla_distill import (ChannelParams, epr_criterion, eps_infinity,
-                         eps_no_nla, lossy_channel_state, purity,
-                         purity_no_nla, purity_tradeoff)
+from nla_distill import (epr_criterion, eps_infinity, eps_no_nla,
+                         lossy_channel_state, purity, purity_no_nla,
+                         purity_tradeoff)
 
 CUTOFF = 25
 
@@ -18,17 +18,15 @@ print(f"{'r':>5} {'loss':>5} | {'eps sim':>10} {'eps form':>10} "
       f"| {'purity sim':>10} {'purity form':>11}")
 for r in (0.3, 0.6, 1.0):
     for lam in (0.1, 0.3, 0.6):
-        ch = ChannelParams(r, lam)
-        st = lossy_channel_state(ch, CUTOFF)
+        st = lossy_channel_state(r, lam, CUTOFF)
         eps_sim = epr_criterion(st, "A", "B").eps_b_given_a
         pur_sim = purity(st, ["A", "B"])
-        print(f"{r:5.2f} {lam:5.2f} | {eps_sim:10.6f} {eps_no_nla(ch)[0]:10.6f} "
-              f"| {pur_sim:10.6f} {purity_no_nla(ch):11.6f}")
+        print(f"{r:5.2f} {lam:5.2f} | {eps_sim:10.6f} {eps_no_nla(r, lam)[0]:10.6f} "
+              f"| {pur_sim:10.6f} {purity_no_nla(r, lam):11.6f}")
 
 print()
 print("=== the conditioning direction matters ===")
-ch = ChannelParams(0.6, 0.3)
-st = lossy_channel_state(ch, CUTOFF)
+st = lossy_channel_state(0.6, 0.3, CUTOFF)
 res = epr_criterion(st, "A", "B")
 print(f"eps_B|A = {res.eps_b_given_a:.6f}  (infer the lossy mode from the kept one)")
 print(f"eps_A|B = {res.eps_a_given_b:.6f}  (the other way round is always worse)")
@@ -36,7 +34,7 @@ print(f"eps_A|B = {res.eps_a_given_b:.6f}  (the other way round is always worse)
 print()
 print("=== infinite squeezing floors the entanglement at lambda^2 ===")
 for lam in (0.2, 0.5, 0.8):
-    big_r = eps_no_nla(ChannelParams(8.0, lam))[0]
+    big_r = eps_no_nla(8.0, lam)[0]
     print(f"loss {lam:.1f}: eps(r=8) = {big_r:.6f}  vs  lambda^2 = {eps_infinity(lam):.6f}")
 
 print()

@@ -8,13 +8,12 @@ compares the heralded branch against its compact closed form
 
 import math
 
-from nla_distill import (ChannelParams, closed_form_state, debug_serialize,
+from nla_distill import (closed_form_state, debug_serialize,
                          distill_and_measure, epr_criterion, fidelity,
                          kappa_rho, lossy_channel_state, norm_sq,
                          single_stage_circuit, success_prob)
 
 r, lam, eta = 0.5, 0.3, 0.8
-ch = ChannelParams(r, lam)
 kappa, rho = kappa_rho(r, lam, eta)
 print(f"operating point: r={r}, loss={lam}, gain splitter eta={eta}")
 print(f"amplitude gain g = {math.sqrt(eta / (1.0 - eta)):.4f}, "
@@ -23,10 +22,10 @@ print(f"amplitude gain g = {math.sqrt(eta / (1.0 - eta)):.4f}, "
 
 print()
 print("=== heralded branch from the brute-force circuit ===")
-hs = single_stage_circuit(ch, eta, cutoff=12)
+hs = single_stage_circuit(r, lam, eta, cutoff=12)
 print(f"success probability (both detection patterns): {hs.success_prob:.6f}")
 print(f"closed-form success probability:               "
-      f"{success_prob(1, ch, eta):.6f}")
+      f"{success_prob(1, r, lam, eta):.6f}")
 
 print()
 print("largest amplitudes of the (A, B, L) branch:")
@@ -37,7 +36,7 @@ for ln in ranked[:6]:
 
 print()
 print("=== against the closed form ===")
-cf = closed_form_state(1, ch, eta, cutoff=12)
+cf = closed_form_state(1, r, lam, eta, cutoff=12)
 print(f"fidelity with (1 + kappa a'b') sigma^rho |0>: "
       f"{fidelity(hs.state, cf.state):.15f}")
 print(f"branch norms: circuit {norm_sq(hs.state):.12f}, "
@@ -45,8 +44,8 @@ print(f"branch norms: circuit {norm_sq(hs.state):.12f}, "
 
 print()
 print("=== what one scissor buys ===")
-res = distill_and_measure(single_stage_circuit(ch, eta, cutoff=30))
-before = epr_criterion(lossy_channel_state(ch, 30), "A", "B").eps_b_given_a
+res = distill_and_measure(single_stage_circuit(r, lam, eta, cutoff=30))
+before = epr_criterion(lossy_channel_state(r, lam, 30), "A", "B").eps_b_given_a
 print(f"eps_B|A before distillation: {before:.6f}")
 print(f"eps_B|A after the scissor:   {res.eps_b_given_a:.6f} "
       f"(purity {res.purity:.6f}, success {res.success_prob:.4f})")

@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-from nla_distill import (ChannelParams, best_entanglement_vs_stages,
-                         closed_form_state, epr_state, fidelity, norm_sq,
-                         project_fock, scissor_circuit, truncated_pair_state)
+from nla_distill import (best_entanglement_vs_stages, closed_form_state,
+                         epr_state, fidelity, norm_sq, project_fock,
+                         scissor_circuit, truncated_pair_state)
 
 print("=== best distillable entanglement per stage count ===")
 print(f"{'N':>3} {'eps floor':>10} {'best kappa':>10}")
@@ -44,7 +44,7 @@ for n in (1, 4, 16, 64):
 print()
 print("the same convergence holds for the full heralded state at zero loss:")
 ch_r = math.atanh(kappa)  # unit gain: kappa = tanh(r)
-hs = closed_form_state(64, ChannelParams(ch_r, 0.0), 0.5, 30)
+hs = closed_form_state(64, ch_r, 0.0, 0.5, 30)
 branch = project_fock(hs.state, "L", 0)
 amps = np.zeros((31, 31), dtype=complex)
 amps[:31, :31] = branch.amps[:, :31]
@@ -56,9 +56,8 @@ print()
 print("=== three scissors, simulated photon by photon ===")
 # the lossy arm split evenly over three scissors and recombined, against
 # the closed form (1 + (kappa/3) a'b')^3 sigma_AL^rho |0>
-ch = ChannelParams(0.3, 0.3)
-circ = scissor_circuit(3, ch, 0.7, cutoff=10)
-cf = closed_form_state(3, ch, 0.7, cutoff=10)
+circ = scissor_circuit(3, 0.3, 0.3, 0.7, cutoff=10)
+cf = closed_form_state(3, 0.3, 0.3, 0.7, cutoff=10)
 print(f"N = 3 circuit vs closed form: fidelity "
       f"{fidelity(circ.state, cf.state):.15f}, norm ratio "
       f"{norm_sq(circ.state) / norm_sq(cf.state):.15f}")

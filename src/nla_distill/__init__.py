@@ -5,12 +5,12 @@ forms for every benchmark and operating curve, and the constrained searches
 that reproduce the operating-point figures.
 """
 
-from .analytic import (RECORD_SQUEEZING_DB, ChannelParams,
-                       InfeasibleParameterError, db_from_lambda, eps_infinity,
-                       eps_ladder, eps_no_nla, eps_opt_formula, kappa_rho,
-                       lambda_from_db, purity_formula, purity_ladder,
-                       purity_no_nla, purity_tradeoff, r_from_squeeze_db,
-                       squeeze_db_from_r, success_prob)
+from .analytic import (RECORD_SQUEEZING_DB, InfeasibleParameterError,
+                       db_from_lambda, eps_infinity, eps_ladder, eps_no_nla,
+                       eps_opt_formula, kappa_rho, lambda_from_db,
+                       purity_formula, purity_ladder, purity_no_nla,
+                       purity_tradeoff, r_from_squeeze_db, squeeze_db_from_r,
+                       success_prob)
 from .fock import (PureState, apply_beamsplitter, debug_serialize, epr_state,
                    fidelity, fock_state, herald_beamsplitter, norm_sq,
                    partial_trace, project_fock, purity, quadrature_moment,
@@ -28,8 +28,8 @@ from .optimize import (UnachievableTargetError, best_entanglement_vs_stages,
 __version__ = "0.1.0"
 
 __all__ = [
-    "RECORD_SQUEEZING_DB", "ChannelParams",
-    "InfeasibleParameterError", "UnachievableTargetError",
+    "RECORD_SQUEEZING_DB", "InfeasibleParameterError",
+    "UnachievableTargetError",
     "eps_no_nla", "eps_infinity", "purity_no_nla", "purity_tradeoff",
     "success_prob", "eps_opt_formula", "purity_formula",
     "kappa_rho", "eps_ladder", "purity_ladder",

@@ -12,10 +12,10 @@ The heralding probability has one form for every stage count, `success_prob`.
 The success weights, the ladder sums behind `eps_ladder` and the parameter
 layer's `_kappa_rho` and `_cosh2` also take numpy arrays, which is how the
 searches scan a whole grid in one pass, on the ladder sums at every stage
-count (the closed forms, `ChannelParams` and the checked `kappa_rho` take
-floats).  The elementary functions are picked by argument type (`_xp`), so a
-float argument goes through `math`.  `_check_params` is the one check of each
-domain.
+count (the closed forms and the checked `kappa_rho` take floats).  The
+elementary functions are picked by argument type (`_xp`), so a float argument
+goes through `math`.  `_check_params` is the one check of each domain, run by
+every function on what it takes: the channel as the floats (r, lam) included.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import numpy as np
 
 __all__ = [
     "RECORD_SQUEEZING_DB",
-    "ChannelParams",
     "DistillationResult",
     "InfeasibleParameterError",
     "eps_no_nla",
@@ -110,22 +109,6 @@ def _cosh2(r):
 
 
 @dataclass(frozen=True)
-class ChannelParams:
-    """Source squeezing r and channel-loss reflectivity lam (lambda)."""
-
-    r: float
-    lam: float
-
-    def __post_init__(self):
-        _check_params(self.r, self.lam)
-
-    @property
-    def chi(self) -> float:
-        """EPR amplitude ratio chi = tanh(r)."""
-        return math.tanh(self.r)
-
-
-@dataclass(frozen=True)
 class DistillationResult:
     """Observables of one operating point of the distiller."""
 
@@ -142,9 +125,9 @@ class DistillationResult:
 # loss-only benchmarks
 
 
-def eps_no_nla(params: ChannelParams) -> tuple[float, float]:
+def eps_no_nla(r: float, lam: float) -> tuple[float, float]:
     """EPR-criterion products (eps_B|A, eps_A|B) of the lossy EPR state."""
-    lam, r = params.lam, params.r
+    _check_params(r, lam)
     try:
         sech2r = 1.0 / math.cosh(2.0 * r)
     except OverflowError:  # r > ~355: the infinite-squeezing limit
@@ -160,13 +143,13 @@ def eps_infinity(lam: float) -> float:
     return lam * lam
 
 
-def purity_no_nla(params: ChannelParams) -> float:
+def purity_no_nla(r: float, lam: float) -> float:
     """Purity of the two-mode state after loss, 1/[1 + lam (cosh 2r - 1)]."""
-    try:
-        ch2r = math.cosh(2.0 * params.r)
+    _check_params(r, lam)
+    try:  # lam = 0 is pure at every r, r = inf included (0 * inf is NaN)
+        return 1.0 / (1.0 + lam * (math.cosh(2.0 * r) - 1.0)) if lam else 1.0
     except OverflowError:  # r > ~355: the infinite-squeezing limit
-        return 0.0 if params.lam > 0.0 else 1.0
-    return 1.0 / (1.0 + params.lam * (ch2r - 1.0))
+        return 0.0
 
 
 def purity_tradeoff(eps: float, lam: float) -> float:
@@ -258,8 +241,9 @@ def purity_formula(r: float, lam: float, pi: float) -> float:
 #
 # (1 + (kappa/N) a'b')^N sigma_AL^rho |0> puts j photons in B and n + j in A
 # when the loss mode holds n.  Tracing the loss mode out leaves an orthogonal
-# mixture over n whose sums close in q = 1/(1 - T), T = tanh^2(rho), so every
-# quantity is a finite sum over j <= N.
+# mixture over n whose sums close in T = tanh^2(rho) and q = cosh^2(rho)
+# (formed as 1/(1 - T) it loses digits as T nears 1), so every quantity is a
+# finite sum over j <= N.
 
 
 def _success_weights(n_stages: int, r: float, lam: float):
@@ -275,31 +259,32 @@ def _success_weights(n_stages: int, r: float, lam: float):
     return u, ch2rho
 
 
-def success_prob(n_stages: int, params: ChannelParams, eta: float) -> float:
+def success_prob(n_stages: int, r: float, lam: float, eta: float) -> float:
     """Heralding probability of the N-stage amplifier (all 2^N patterns).
 
     Summed in the Bernstein form, whose terms are all positive; the expanded
     monomial coefficients cancel catastrophically at large N.
     """
-    _check_params(n_stages=n_stages, eta=eta)
-    u, ch2rho = _success_weights(n_stages, params.r, params.lam)
+    _check_params(r, lam, n_stages=n_stages, eta=eta)
+    u, ch2rho = _success_weights(n_stages, r, lam)
     total = sum(uj * eta**j * (1.0 - eta) ** (n_stages - j)
                 for j, uj in enumerate(u))
-    return total * ch2rho / _cosh2(params.r)  # 0 past r ~ 355.6
+    return total * ch2rho / _cosh2(r)  # 0 past r ~ 355.6
 
 
 def _ladder(n_stages: int, kappa: float, rho: float):
-    """T, q = 1/(1 - T), and v_j = w_j q^j with w_j = (N!/(N-j)! (kappa/N)^j)^2,
+    """T, q = cosh^2 rho, and v_j = w_j q^j with w_j = (N!/(N-j)! (kappa/N)^j)^2,
     by recurrence (no factorials or powers), up to one common power-of-two
-    factor (per element when kappa or rho is an array).  ValueError where
-    tanh^2 rho is not below 1: rho past ~19.06 (it rounds to 1), inf or NaN."""
+    factor (per element when kappa or rho is an array).  ValueError unless
+    |rho| <= 19 (NaN fails), one bound on rho itself for a float and an array
+    element (tanh rounds to 1 from 19.0 in numpy, 19.07 in math); every rho
+    the (r, lam, eta) map returns is atanh of a double below 1, at most 18.72."""
     _check_params(n_stages=n_stages)
-    big_t = _xp(rho).tanh(rho) ** 2
-    below = big_t < 1.0
-    if not (below.all() if isinstance(below, np.ndarray) else below):
-        bad = rho[~below] if isinstance(below, np.ndarray) else rho
-        raise ValueError(f"the ladder sums need tanh^2 rho < 1, got rho = {bad}")
-    q = 1.0 / (1.0 - big_t)
+    ok = abs(rho) <= 19.0
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        bad = rho[~ok] if isinstance(ok, np.ndarray) else rho
+        raise ValueError(f"the ladder sums need |rho| <= 19, got rho = {bad}")
+    big_t, q = _xp(rho).tanh(rho) ** 2, _cosh2(rho)
     v, vj = [1.0], 1.0
     for j in range(1, n_stages + 1):
         vj = vj * ((n_stages - j + 1) * kappa / n_stages) ** 2 * q
@@ -318,7 +303,7 @@ def eps_ladder(n_stages: int, kappa: float, rho: float) -> tuple[float, float]:
     First moments vanish and X- mirrors X+, so both products follow from
     <a'a>, <b'b> and <ab>; B holds j photons with weight q v_j.
     kappa and rho may be arrays (of one shape, or one of them a float);
-    rho needs tanh^2 rho < 1 (`_ladder`).
+    rho needs |rho| <= 19 (`_ladder`).
     """
     return _eps_sums(n_stages, kappa, _ladder(n_stages, kappa, rho))
 

@@ -20,10 +20,9 @@ import os
 from typing import Iterable, Sequence
 
 from . import analytic, optimize
-from .analytic import (RECORD_SQUEEZING_DB, ChannelParams, _check_params,
-                       db_from_lambda, eps_infinity, eps_no_nla,
-                       lambda_from_db, purity_no_nla, purity_tradeoff,
-                       r_from_squeeze_db)
+from .analytic import (RECORD_SQUEEZING_DB, _check_params, db_from_lambda,
+                       eps_no_nla, lambda_from_db, purity_no_nla,
+                       purity_tradeoff, r_from_squeeze_db)
 
 __all__ = ["FIGURES", "figure_rows", "figure_params", "format_number",
            "write_csv", "write_svg", "DEFAULT_PIS", "DEFAULT_LAMBDA_DB",
@@ -115,17 +114,12 @@ def _fig3(lambdas: Iterable[float]):
     head = ("lambda_db", "lambda", "squeeze_db", "r", "eps_b_given_a")
     head_b = ("lambda_db", "lambda", "squeeze_db", "r", "purity")
     rows_a, rows_b = [], []
-    for sdb in FIG3_SQUEEZE_DB:
+    # the last squeezing, inf, gives the infinite-squeezing benchmark
+    for sdb in FIG3_SQUEEZE_DB + (math.inf,):
         r = r_from_squeeze_db(sdb)
         for lam in lambdas:
-            ch = ChannelParams(r, lam)
-            rows_a.append((db_from_lambda(lam), lam, sdb, r, eps_no_nla(ch)[0]))
-            rows_b.append((db_from_lambda(lam), lam, sdb, r, purity_no_nla(ch)))
-    for lam in lambdas:  # infinite-squeezing benchmark
-        rows_a.append((db_from_lambda(lam), lam, math.inf, math.inf,
-                       eps_infinity(lam)))
-        rows_b.append((db_from_lambda(lam), lam, math.inf, math.inf,
-                       1.0 if lam == 0.0 else 0.0))
+            rows_a.append((db_from_lambda(lam), lam, sdb, r, eps_no_nla(r, lam)[0]))
+            rows_b.append((db_from_lambda(lam), lam, sdb, r, purity_no_nla(r, lam)))
     return [("a", head, rows_a, None), ("b", head_b, rows_b, None)]
 
 

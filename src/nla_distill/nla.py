@@ -10,7 +10,8 @@ Two constructions of the same physics:
 
 Each heralds on one concrete detection pattern; the success probability folds
 in the 2^N symmetric patterns, whose branches coincide after the documented
-phase compensation on the amplified mode.
+phase compensation on the amplified mode.  Every builder takes the channel as
+the floats (r, lam) and checks them before it builds any state.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from math import comb
 import numpy as np
 
 from . import fock, metrics
-from .analytic import (ChannelParams, DistillationResult, _check_params,
-                       _kappa_rho, success_prob)
+from .analytic import (DistillationResult, _check_params, _kappa_rho,
+                       success_prob)
 
 __all__ = [
     "HeraldedState",
@@ -96,15 +97,16 @@ def _arm_transmissivity(n_stages: int, k: int) -> float:
     return 1.0 - 1.0 / (n_stages - k)
 
 
-def lossy_channel_state(channel: ChannelParams, cutoff: int) -> fock.PureState:
+def lossy_channel_state(r: float, lam: float, cutoff: int) -> fock.PureState:
     """EPR pair on (A, B) with B sent through the loss splitter into L."""
-    st = fock.epr_state(channel.chi, ("A", "B"), cutoff)
+    _check_params(r, lam)
+    st = fock.epr_state(math.tanh(r), ("A", "B"), cutoff)
     st = fock.tensor(st, fock.vacuum(["L"], [cutoff]))
     # vacuum-first ordering keeps the loss-arm amplitudes positive
-    return fock.apply_beamsplitter(st, ("L", "B"), 1.0 - channel.lam)
+    return fock.apply_beamsplitter(st, ("L", "B"), 1.0 - lam)
 
 
-def scissor_circuit(n_stages: int, channel: ChannelParams, eta: float,
+def scissor_circuit(n_stages: int, r: float, lam: float, eta: float,
                     cutoff: int, patterns=None) -> HeraldedState:
     """Full circuit: EPR source, loss on one arm, the lossy arm split evenly
     over N scissors and coherently recombined (Ralph & Lund's N-splitter
@@ -118,12 +120,12 @@ def scissor_circuit(n_stages: int, channel: ChannelParams, eta: float,
     outputs N together.  The returned state's ``tail_mass`` is that clipped
     population; the caller picks the cutoff and judges the tail.
     """
-    _check_params(n_stages=n_stages, eta=eta)
+    _check_params(r, lam, n_stages=n_stages, eta=eta)
     n = n_stages
     patterns = [(1, 0)] * n if patterns is None else [tuple(p) for p in patterns]
     if len(patterns) != n or not set(patterns) <= set(_PATTERNS):
         raise ValueError(f"need {n} detection patterns, each (1,0) or (0,1): {patterns}")
-    st = lossy_channel_state(channel, cutoff)
+    st = lossy_channel_state(r, lam, cutoff)
     for k in range(n - 1):
         st = fock.tensor(st, fock.vacuum([f"W{k}"], [cutoff]))
         st = fock.apply_beamsplitter(st, (f"W{k}", "B"), _arm_transmissivity(n, k))
@@ -137,19 +139,19 @@ def scissor_circuit(n_stages: int, channel: ChannelParams, eta: float,
     return HeraldedState(st, n)
 
 
-def single_stage_circuit(channel: ChannelParams, eta: float, cutoff: int,
+def single_stage_circuit(r: float, lam: float, eta: float, cutoff: int,
                          pattern=(1, 0)) -> HeraldedState:
     """One scissor on the lossy arm: ``scissor_circuit(1, ...)``."""
-    return scissor_circuit(1, channel, eta, cutoff, [pattern])
+    return scissor_circuit(1, r, lam, eta, cutoff, [pattern])
 
 
-def dual_stage_circuit(channel: ChannelParams, eta: float, cutoff: int,
+def dual_stage_circuit(r: float, lam: float, eta: float, cutoff: int,
                        patterns=None) -> HeraldedState:
     """Two scissors on the evenly split lossy arm: ``scissor_circuit(2, ...)``."""
-    return scissor_circuit(2, channel, eta, cutoff, patterns)
+    return scissor_circuit(2, r, lam, eta, cutoff, patterns)
 
 
-def closed_form_state(n_stages: int, channel: ChannelParams, eta: float,
+def closed_form_state(n_stages: int, r: float, lam: float, eta: float,
                       cutoff: int) -> HeraldedState:
     """Heralded branch (1 + (kappa/N) a'b')^N sigma_AL^rho |0> at exact scale.
 
@@ -158,10 +160,14 @@ def closed_form_state(n_stages: int, channel: ChannelParams, eta: float,
     cosh(rho)/cosh(r) * ((1-eta)/2)^(N/2), each scissor contributing one
     factor sqrt((1-eta)/2).
     """
-    _check_params(n_stages=n_stages, eta=eta)
-    kappa, rho = _kappa_rho(channel.r, channel.lam, eta)
+    _check_params(r, lam, n_stages=n_stages, eta=eta)
+    kappa, rho = _kappa_rho(r, lam, eta)
     n = n_stages
-    scale = (math.cosh(rho) / math.cosh(channel.r)) * ((1.0 - eta) / 2.0) ** (n / 2.0)
+    try:
+        cosh_r = math.cosh(r)
+    except OverflowError:  # r > ~710: the r = inf branch, all zero
+        cosh_r = math.inf
+    scale = (math.cosh(rho) / cosh_r) * ((1.0 - eta) / 2.0) ** (n / 2.0)
     tl = math.tanh(rho)
     sech = 1.0 / math.cosh(rho)
     coef = [comb(n, j) * (kappa / n) ** j * math.sqrt(math.factorial(j))
@@ -175,7 +181,7 @@ def closed_form_state(n_stages: int, channel: ChannelParams, eta: float,
                 break
             amps[nl + j, j, nl] = base * coef[j] * math.sqrt(math.perm(nl + j, j))
     # the untruncated branch holds one pattern's share of the success rate
-    norm_inf = success_prob(n, channel, eta) / 2.0**n
+    norm_inf = success_prob(n, r, lam, eta) / 2.0**n
     tail = max(norm_inf - float(np.vdot(amps, amps).real), 0.0)
     state = fock.PureState(("A", "B", "L"), amps, tail_mass=tail)
     return HeraldedState(state, n)

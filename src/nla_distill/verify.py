@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock, metrics, moments, nla, optimize
-from .analytic import (ChannelParams, eps_infinity, eps_no_nla,
-                       eps_opt_formula, kappa_rho, purity_formula,
-                       purity_no_nla, purity_tradeoff, success_prob)
+from .analytic import (eps_infinity, eps_no_nla, eps_opt_formula, kappa_rho,
+                       purity_formula, purity_no_nla, purity_tradeoff,
+                       success_prob)
 
 __all__ = ["CheckResult", "run_all", "TAIL_BUDGET", "MAX_CUTOFF"]
 
@@ -62,25 +62,24 @@ def _auto_cutoff(r: float) -> int:
 def _check_benchmarks(tail: list) -> list[CheckResult]:
     e_ba = e_ab = pur = 0.0
     for r, lam in _BENCH_GRID:
-        ch = ChannelParams(r, lam)
-        st = nla.lossy_channel_state(ch, _auto_cutoff(r))
+        st = nla.lossy_channel_state(r, lam, _auto_cutoff(r))
         tail.append(st.tail_mass)
         res = metrics.epr_criterion(st, "A", "B")
-        ana_ba, ana_ab = eps_no_nla(ch)
+        ana_ba, ana_ab = eps_no_nla(r, lam)
         e_ba = max(e_ba, abs(res.eps_b_given_a - ana_ba))
         e_ab = max(e_ab, abs(res.eps_a_given_b - ana_ab))
         p = fock.purity(st, ["A", "B"])
-        pur = max(pur, abs(p - purity_no_nla(ch)))
+        pur = max(pur, abs(p - purity_no_nla(r, lam)))
     return [CheckResult("benchmark_eps_b_given_a_vs_sim", e_ba, 1e-6),
             CheckResult("benchmark_eps_a_given_b_vs_sim", e_ab, 1e-6),
             CheckResult("benchmark_purity_vs_sim", pur, 1e-6)]
 
 
 def _check_limits() -> list[CheckResult]:
-    err = max(abs(eps_no_nla(ChannelParams(10.0, lam))[0] - eps_infinity(lam))
+    err = max(abs(eps_no_nla(10.0, lam)[0] - eps_infinity(lam))
               for lam in (0.3, 0.7, 0.9))
-    elim = max(abs(purity_tradeoff(eps_no_nla(ChannelParams(r, lam))[0], lam)
-                   - purity_no_nla(ChannelParams(r, lam)))
+    elim = max(abs(purity_tradeoff(eps_no_nla(r, lam)[0], lam)
+                   - purity_no_nla(r, lam))
                for r, lam in _BENCH_GRID)
     return [CheckResult("infinite_squeezing_limit", err, 1e-8),
             CheckResult("purity_tradeoff_eliminant", elim, 1e-12)]
@@ -104,33 +103,32 @@ def _check_epr_identity(tail: list) -> CheckResult:
 def _check_circuits(tail: list) -> list[CheckResult]:
     f1 = f2 = dpi = 0.0
     for r, lam, eta in _CIRCUIT_GRID:
-        ch = ChannelParams(r, lam)
         cut = _auto_cutoff(r)
-        c1 = nla.single_stage_circuit(ch, eta, cut)
-        k1 = nla.closed_form_state(1, ch, eta, cut)
-        c2 = nla.dual_stage_circuit(ch, eta, cut)
-        k2 = nla.closed_form_state(2, ch, eta, cut)
+        c1 = nla.single_stage_circuit(r, lam, eta, cut)
+        k1 = nla.closed_form_state(1, r, lam, eta, cut)
+        c2 = nla.dual_stage_circuit(r, lam, eta, cut)
+        k2 = nla.closed_form_state(2, r, lam, eta, cut)
         tail.extend(h.state.tail_mass for h in (c1, k1, c2, k2))
         f1 = max(f1, 1.0 - fock.fidelity(c1.state, k1.state))
         f2 = max(f2, 1.0 - fock.fidelity(c2.state, k2.state))
-        dpi = max(dpi, abs(success_prob(1, ch, eta) - c1.success_prob),
-                  abs(success_prob(2, ch, eta) - c2.success_prob))
+        dpi = max(dpi, abs(success_prob(1, r, lam, eta) - c1.success_prob),
+                  abs(success_prob(2, r, lam, eta) - c2.success_prob))
     return [CheckResult("single_stage_circuit_vs_closed_form", f1, 1e-10),
             CheckResult("dual_stage_circuit_vs_closed_form", f2, 1e-8),
             CheckResult("success_prob_vs_heralding", dpi, 1e-10)]
 
 
 def _check_patterns(tail: list) -> list[CheckResult]:
-    ch = ChannelParams(0.3, 0.3)
-    cut = _auto_cutoff(ch.r)
-    base1 = nla.single_stage_circuit(ch, 0.7, cut)
-    alt1 = nla.single_stage_circuit(ch, 0.7, cut, pattern=(0, 1))
-    base2 = nla.dual_stage_circuit(ch, 0.7, cut)
+    r, lam = 0.3, 0.3
+    cut = _auto_cutoff(r)
+    base1 = nla.single_stage_circuit(r, lam, 0.7, cut)
+    alt1 = nla.single_stage_circuit(r, lam, 0.7, cut, pattern=(0, 1))
+    base2 = nla.dual_stage_circuit(r, lam, 0.7, cut)
     tail.extend(h.state.tail_mass for h in (base1, alt1, base2))
     dn = abs(fock.norm_sq(alt1.state) - fock.norm_sq(base1.state))
     df = 1.0 - fock.fidelity(alt1.state, base1.state)
     for pats in (((1, 0), (0, 1)), ((0, 1), (1, 0)), ((0, 1), (0, 1))):
-        alt2 = nla.dual_stage_circuit(ch, 0.7, cut, patterns=pats)
+        alt2 = nla.dual_stage_circuit(r, lam, 0.7, cut, patterns=pats)
         tail.append(alt2.state.tail_mass)
         dn = max(dn, abs(fock.norm_sq(alt2.state) - fock.norm_sq(base2.state)))
         df = max(df, 1.0 - fock.fidelity(alt2.state, base2.state))
@@ -144,8 +142,7 @@ def _check_eta_roundtrip() -> CheckResult:
     worst = 0.0
     for n in (1, 2):
         for r, lam, pi in ((0.1, 0.3, 0.01), (0.2, 0.1, 0.3), (0.8, 0.6, 0.3)):
-            ch = ChannelParams(r, lam)
-            errs = [abs(success_prob(n, ch, eta) - pi)
+            errs = [abs(success_prob(n, r, lam, eta) - pi)
                     for eta in optimize.eta_candidates(r, lam, pi, n)]
             worst = max(worst, max(errs, default=math.inf))
     return CheckResult("eta_inversion_roundtrip", worst, 1e-12)
@@ -178,9 +175,8 @@ def _check_commutation(tail: list) -> CheckResult:
 def _check_formulas(tail: list) -> list[CheckResult]:
     de = dp = 0.0
     for r, lam, eta in _FORMULA_GRID:
-        ch = ChannelParams(r, lam)
-        pi = success_prob(1, ch, eta)
-        hs = nla.single_stage_circuit(ch, eta, _auto_cutoff(r))
+        pi = success_prob(1, r, lam, eta)
+        hs = nla.single_stage_circuit(r, lam, eta, _auto_cutoff(r))
         tail.append(hs.state.tail_mass)
         res = nla.distill_and_measure(hs)
         de = max(de, abs(res.eps_b_given_a - eps_opt_formula(r, lam, pi)))
@@ -275,7 +271,7 @@ def _circuit_eps(r: float, lam: float, pi: float, tail: list) -> float:
     cutoff = _auto_cutoff(r)
     if not etas or cutoff > MAX_CUTOFF:
         return math.inf
-    hs = nla.single_stage_circuit(ChannelParams(r, lam), etas[0], cutoff)
+    hs = nla.single_stage_circuit(r, lam, etas[0], cutoff)
     tail.append(hs.state.tail_mass)
     return metrics.epr_criterion(hs.state, "A", "B").eps_b_given_a
 
@@ -306,7 +302,7 @@ def _check_minimum(tail: list) -> CheckResult:
 def _check_moments_engine(tail: list) -> CheckResult:
     worst = 0.0
     for n_st, r, lam, eta in ((1, 0.5, 0.3, 0.8), (2, 0.3, 0.3, 0.7)):
-        hs = nla.closed_form_state(n_st, ChannelParams(r, lam), eta, 40)
+        hs = nla.closed_form_state(n_st, r, lam, eta, 40)
         tail.append(hs.state.tail_mass)
         sim = metrics.epr_criterion(hs.state, "A", "B").eps_b_given_a
         alg = moments.eps_via_moments(n_st, *kappa_rho(r, lam, eta))

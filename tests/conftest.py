@@ -10,8 +10,9 @@ settings.load_profile("reproducible")
 
 @pytest.fixture
 def eps_mp():
-    """eps_B|A(N, kappa, rho) of the ladder sums in 40-digit mpmath, from the
-    weights w_j q^j with their factorials and powers written out."""
+    """(eps_B|A, eps_A|B)(N, kappa, rho) of the ladder sums in 40-digit
+    mpmath, from the weights w_j q^j with their factorials and powers written
+    out."""
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
 
@@ -25,6 +26,7 @@ def eps_mp():
         na = nb + big_t * q * (nb + 1)
         ab = q * kappa / n * mp.fsum(v[j - 1] * j * (n - j + 1)
                                      for j in range(1, n + 1)) / z
-        return (1 + 2 * nb - 4 * ab ** 2 / (1 + 2 * na)) ** 2
+        v_a, v_b, c2 = 1 + 2 * na, 1 + 2 * nb, 4 * ab ** 2
+        return (v_b - c2 / v_a) ** 2, (v_a - c2 / v_b) ** 2
 
     return eps

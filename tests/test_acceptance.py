@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from nla_distill import fock, metrics, nla, optimize, verify
-from nla_distill.analytic import (ChannelParams, InfeasibleParameterError,
-                                  eps_infinity, eps_no_nla, lambda_from_db,
-                                  purity_formula, purity_no_nla,
-                                  purity_tradeoff, success_prob)
+from nla_distill.analytic import (InfeasibleParameterError, eps_infinity,
+                                  eps_no_nla, lambda_from_db, purity_formula,
+                                  purity_no_nla, purity_tradeoff,
+                                  success_prob)
 
 BENCH_GRID = [(r, lam) for r in (0.2, 0.5, 0.7) for lam in (0.1, 0.3, 0.6)]
 CIRCUIT_GRID = [(r, lam, eta) for r in (0.2, 0.3) for lam in (0.2, 0.5)
@@ -30,14 +30,13 @@ def test_criterion_01_benchmark_formulas():
     t0 = time.perf_counter()
     worst = 0.0
     for r, lam in BENCH_GRID:
-        ch = ChannelParams(r, lam)
-        st = nla.lossy_channel_state(ch, 25)
+        st = nla.lossy_channel_state(r, lam, 25)
         res = metrics.epr_criterion(st, "A", "B")
-        ana_ba, ana_ab = eps_no_nla(ch)
+        ana_ba, ana_ab = eps_no_nla(r, lam)
         pur = fock.purity(st, ["A", "B"])
         worst = max(worst, abs(res.eps_b_given_a - ana_ba),
                     abs(res.eps_a_given_b - ana_ab),
-                    abs(pur - purity_no_nla(ch)))
+                    abs(pur - purity_no_nla(r, lam)))
     dt = time.perf_counter() - t0
     report(1, "benchmark-formulas",
            worst <= 1e-6 and dt < 10.0,
@@ -45,15 +44,15 @@ def test_criterion_01_benchmark_formulas():
 
 
 def test_criterion_02_infinite_squeezing_floor():
-    worst = max(abs(eps_no_nla(ChannelParams(10.0, lam))[0] - eps_infinity(lam))
+    worst = max(abs(eps_no_nla(10.0, lam)[0] - eps_infinity(lam))
                 for lam in (0.3, 0.7, 0.9))
     report(2, "infinite-squeezing-floor", worst <= 1e-8,
            f"max err {worst:.2e} <= 1e-8")
 
 
 def test_criterion_03_tradeoff_identity():
-    worst = max(abs(purity_tradeoff(eps_no_nla(ChannelParams(r, lam))[0], lam)
-                    - purity_no_nla(ChannelParams(r, lam)))
+    worst = max(abs(purity_tradeoff(eps_no_nla(r, lam)[0], lam)
+                    - purity_no_nla(r, lam))
                 for r, lam in BENCH_GRID)
     report(3, "tradeoff-identity", worst <= 1e-12,
            f"max err {worst:.2e} <= 1e-12")
@@ -62,16 +61,14 @@ def test_criterion_03_tradeoff_identity():
 def test_criterion_04_circuit_closed_form_equivalence():
     worst1 = 0.0
     for r, lam, eta in CIRCUIT_GRID:
-        ch = ChannelParams(r, lam)
-        circ = nla.single_stage_circuit(ch, eta, 20)
-        cf = nla.closed_form_state(1, ch, eta, 20)
+        circ = nla.single_stage_circuit(r, lam, eta, 20)
+        cf = nla.closed_form_state(1, r, lam, eta, 20)
         worst1 = max(worst1, 1.0 - fock.fidelity(circ.state, cf.state))
     t0 = time.perf_counter()
     worst2 = 0.0
     for r, lam, eta in CIRCUIT_GRID:
-        ch = ChannelParams(r, lam)
-        circ = nla.dual_stage_circuit(ch, eta, 8)
-        cf = nla.closed_form_state(2, ch, eta, 8)
+        circ = nla.dual_stage_circuit(r, lam, eta, 8)
+        cf = nla.closed_form_state(2, r, lam, eta, 8)
         worst2 = max(worst2, 1.0 - fock.fidelity(circ.state, cf.state))
     dt = time.perf_counter() - t0
     report(4, "circuit-closed-form-equivalence",
@@ -83,9 +80,8 @@ def test_criterion_04_circuit_closed_form_equivalence():
 def test_criterion_05_success_probability():
     worst = 0.0
     for r, lam, eta in CIRCUIT_GRID:
-        ch = ChannelParams(r, lam)
-        circ = nla.single_stage_circuit(ch, eta, 20)
-        worst = max(worst, abs(success_prob(1, ch, eta)
+        circ = nla.single_stage_circuit(r, lam, eta, 20)
+        worst = max(worst, abs(success_prob(1, r, lam, eta)
                                - 2.0 * fock.norm_sq(circ.state)))
     report(5, "success-probability", worst <= 1e-10,
            f"max err {worst:.2e} <= 1e-10")
@@ -127,8 +123,7 @@ def test_criterion_09_purity_formula():
     worst = 0.0
     for r, lam, pi in ((0.4, 0.5, 0.1), (0.1, 0.5, 0.01), (0.4, 0.3, 0.2)):
         eta, = optimize.eta_candidates(r, lam, pi, 1)
-        ch = ChannelParams(r, lam)
-        hs = nla.single_stage_circuit(ch, eta, 40)
+        hs = nla.single_stage_circuit(r, lam, eta, 40)
         sim = nla.distill_and_measure(hs).purity
         worst = max(worst, abs(sim - purity_formula(r, lam, pi)))
     report(9, "purity-formula", worst <= 1e-6,

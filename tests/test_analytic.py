@@ -6,40 +6,39 @@ import numpy as np
 import pytest
 
 from nla_distill import analytic, optimize
-from nla_distill.analytic import (ChannelParams, InfeasibleParameterError,
-                                  eps_infinity, eps_no_nla, eps_opt_formula,
-                                  kappa_rho, purity_formula, purity_no_nla,
+from nla_distill.analytic import (InfeasibleParameterError, eps_infinity,
+                                  eps_no_nla, eps_opt_formula, kappa_rho,
+                                  purity_formula, purity_no_nla,
                                   purity_tradeoff, success_prob)
 
 
 def test_eps_no_nla_lossless():
-    ch = ChannelParams(0.7, 0.0)
-    ba, ab = eps_no_nla(ch)
+    ba, ab = eps_no_nla(0.7, 0.0)
     expect = (1 / math.cosh(1.4)) ** 2
     assert ba == pytest.approx(expect, abs=1e-15)
     assert ab == pytest.approx(expect, abs=1e-15)
 
 
 def test_eps_no_nla_no_squeezing():
-    ba, ab = eps_no_nla(ChannelParams(0.0, 0.4))
+    ba, ab = eps_no_nla(0.0, 0.4)
     assert ba == 1.0 and ab == 1.0
 
 
 def test_eps_no_nla_large_r_approaches_loss_floor():
     for lam in (0.3, 0.4, 0.7):
-        ba, _ = eps_no_nla(ChannelParams(10.0, lam))
+        ba, _ = eps_no_nla(10.0, lam)
         assert abs(ba - lam * lam) < 1e-8
 
 
-@pytest.mark.parametrize("r", [356.0, 400.0, 1e3])
+@pytest.mark.parametrize("r", [356.0, 400.0, 1e3, math.inf])
 @pytest.mark.parametrize("lam", [0.0, 0.3])
 def test_closed_forms_past_the_cosh_overflow_are_their_limits(r, lam):
     # cosh 2r (r > ~355) and cosh^2 r (r > ~355.6) overflow a double; the
-    # closed forms return their r -> infinity limits instead of raising
-    ch = ChannelParams(r, lam)
-    assert success_prob(1, ch, 0.5) == success_prob(2, ch, 0.5) == 0.0
-    assert eps_no_nla(ch) == (lam ** 2, lam ** 2 / (1.0 - lam) ** 2)
-    assert purity_no_nla(ch) == (1.0 if lam == 0.0 else 0.0)
+    # closed forms return their r -> infinity limits instead of raising, and
+    # at r = inf itself (where lam (cosh 2r - 1) is 0 * inf at lam = 0)
+    assert success_prob(1, r, lam, 0.5) == success_prob(2, r, lam, 0.5) == 0.0
+    assert eps_no_nla(r, lam) == (lam ** 2, lam ** 2 / (1.0 - lam) ** 2)
+    assert purity_no_nla(r, lam) == (1.0 if lam == 0.0 else 0.0)
 
 
 def test_eps_infinity_values():
@@ -50,15 +49,15 @@ def test_eps_infinity_values():
 def test_eps_monotonicity():
     lams = np.linspace(0.0, 0.95, 30)
     rs = np.linspace(0.05, 2.0, 30)
-    fixed_lam = [eps_no_nla(ChannelParams(r, 0.4))[0] for r in rs]
+    fixed_lam = [eps_no_nla(r, 0.4)[0] for r in rs]
     assert all(b < a for a, b in zip(fixed_lam, fixed_lam[1:]))
-    fixed_r = [eps_no_nla(ChannelParams(0.7, l))[0] for l in lams]
+    fixed_r = [eps_no_nla(0.7, l)[0] for l in lams]
     assert all(b > a for a, b in zip(fixed_r, fixed_r[1:]))
 
 
 def test_purity_no_nla_limits():
-    assert purity_no_nla(ChannelParams(0.7, 0.0)) == 1.0
-    assert purity_no_nla(ChannelParams(0.0, 0.6)) == 1.0
+    assert purity_no_nla(0.7, 0.0) == 1.0
+    assert purity_no_nla(0.0, 0.6) == 1.0
 
 
 def test_purity_tradeoff_limits():
@@ -77,27 +76,24 @@ def test_purity_tradeoff_limits():
 
 @pytest.mark.parametrize("r,lam", [(0.8, 0.25), (0.3, 0.1), (1.2, 0.6)])
 def test_tradeoff_is_exact_eliminant(r, lam):
-    ch = ChannelParams(r, lam)
-    assert purity_tradeoff(eps_no_nla(ch)[0], lam) == pytest.approx(
-        purity_no_nla(ch), abs=1e-12)
+    assert purity_tradeoff(eps_no_nla(r, lam)[0], lam) == pytest.approx(
+        purity_no_nla(r, lam), abs=1e-12)
 
 
 def test_success_prob_zero_squeezing():
-    assert success_prob(1, ChannelParams(0.0, 0.3), 0.25) == pytest.approx(
-        0.75, abs=1e-15)
+    assert success_prob(1, 0.0, 0.3, 0.25) == pytest.approx(0.75, abs=1e-15)
 
 
 def test_success_prob_vanishes_at_full_gain_zero_squeezing():
-    vals = [success_prob(1, ChannelParams(1e-6, 0.0), eta)
-            for eta in (0.9, 0.99, 0.999)]
+    vals = [success_prob(1, 1e-6, 0.0, eta) for eta in (0.9, 0.99, 0.999)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 2e-3
 
 
 def test_success_prob_linear_in_eta():
-    ch = ChannelParams(0.5, 0.3)
+    r, lam = 0.5, 0.3
     etas = np.linspace(0.05, 0.95, 7)
-    pis = [success_prob(1, ch, e) for e in etas]
+    pis = [success_prob(1, r, lam, e) for e in etas]
     diffs = np.diff(pis) / np.diff(etas)
     assert np.allclose(diffs, diffs[0], atol=1e-12)
 
@@ -109,15 +105,15 @@ def test_success_prob_one_stage_is_the_closed_form(r, lam, eta):
     t2 = math.tanh(r) ** 2
     closed = (1.0 - eta + (eta - lam) * t2) / ((1.0 - lam * t2) ** 2
                                                * math.cosh(r) ** 2)
-    assert abs(success_prob(1, ChannelParams(r, lam), eta) - closed) <= 1e-15
+    assert abs(success_prob(1, r, lam, eta) - closed) <= 1e-15
 
 
-def _norm_inf_sum(n, ch, eta):
+def _norm_inf_sum(n, r, lam, eta):
     """The untruncated closed-form branch norm, summed term by term over the
     (1 + (kappa/N) a'b')^N expansion (each photon pair weighted by
     cosh^2 rho from the loss ladder)."""
-    kappa, rho = kappa_rho(ch.r, ch.lam, eta)
-    scale = (math.cosh(rho) / math.cosh(ch.r)) * ((1.0 - eta) / 2.0) ** (n / 2.0)
+    kappa, rho = kappa_rho(r, lam, eta)
+    scale = (math.cosh(rho) / math.cosh(r)) * ((1.0 - eta) / 2.0) ** (n / 2.0)
     return scale**2 * sum(
         (math.comb(n, j) * (kappa / n) ** j * math.factorial(j)) ** 2
         * math.cosh(rho) ** (2 * j) for j in range(n + 1))
@@ -127,16 +123,15 @@ def _norm_inf_sum(n, ch, eta):
 @pytest.mark.parametrize("r,lam,eta", [(0.3, 0.3, 0.7), (0.9, 0.6, 0.2),
                                        (1.5, 0.1, 0.95)])
 def test_success_prob_matches_the_branch_norm_sum(n, r, lam, eta):
-    ch = ChannelParams(r, lam)
-    ref = 2.0**n * _norm_inf_sum(n, ch, eta)
-    assert abs(analytic.success_prob(n, ch, eta) / ref - 1.0) <= 1e-13
+    ref = 2.0**n * _norm_inf_sum(n, r, lam, eta)
+    assert abs(analytic.success_prob(n, r, lam, eta) / ref - 1.0) <= 1e-13
 
 
 def test_success_prob_validates():
-    ch = ChannelParams(0.3, 0.3)
+    r, lam = 0.3, 0.3
     for n, eta in ((0, 0.5), (2, 0.0), (2, 1.0)):
         with pytest.raises(ValueError):
-            analytic.success_prob(n, ch, eta)
+            analytic.success_prob(n, r, lam, eta)
 
 
 def test_eps_formula_r_to_zero_limit():
@@ -158,7 +153,7 @@ def test_eps_formula_large_loss_floor():
 
 def test_purity_formula_lossless_is_pure():
     for r in (0.2, 0.7):
-        pi = success_prob(1, ChannelParams(r, 0.0), 0.6)
+        pi = success_prob(1, r, 0.0, 0.6)
         assert purity_formula(r, 0.0, pi) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -196,18 +191,6 @@ def test_kappa_rho_is_the_nla_params_map():
         assert abs(rho[i] - p) <= 1e-15 * p
 
 
-def test_channel_params_validation():
-    with pytest.raises(ValueError):
-        ChannelParams(-0.1, 0.3)
-    with pytest.raises(ValueError, match="squeezing"):
-        ChannelParams(math.nan, 0.3)
-    with pytest.raises(ValueError):
-        ChannelParams(0.5, 1.0)
-    with pytest.raises(ValueError, match="loss reflectivity"):
-        ChannelParams(0.5, math.nan)
-    assert ChannelParams(0.5, 0.0).chi == pytest.approx(math.tanh(0.5))
-
-
 def test_nla_params_derived_quantities():
     # at eta = 0.8 the amplitude gain sqrt(eta / (1 - eta)) is 2
     kappa, rho = kappa_rho(0.5, 0.3, 0.8)
@@ -240,11 +223,10 @@ def test_benchmarks_agree_with_simulation_at_tail_rule_cutoff(r, lam):
     from nla_distill import fock, metrics, nla
     chi = math.tanh(r)
     cutoff = max(12, math.ceil(math.log(1e-11) / (2 * math.log(chi))) - 1)
-    ch = ChannelParams(r, lam)
-    st = nla.lossy_channel_state(ch, cutoff)
+    st = nla.lossy_channel_state(r, lam, cutoff)
     res = metrics.epr_criterion(st, "A", "B")
-    ana_ba, ana_ab = eps_no_nla(ch)
+    ana_ba, ana_ab = eps_no_nla(r, lam)
     assert abs(res.eps_b_given_a - ana_ba) < 1e-6
     assert abs(res.eps_a_given_b - ana_ab) < 1e-6
     pur = fock.purity(st, ["A", "B"])
-    assert abs(pur - purity_no_nla(ch)) < 1e-6
+    assert abs(pur - purity_no_nla(r, lam)) < 1e-6

@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nla_distill import fock, nla
-from nla_distill.analytic import ChannelParams
 
 
 @st.composite
@@ -364,8 +363,8 @@ def test_norm_sq_is_the_validated_norm_of_every_state():
         fock.herald_beamsplitter(raw, ("A", "B"), 0.3, (1, 2)),
         fock.herald_beamsplitter(epr, ("N", "S"), 0.4, (2, 1), ancilla=sq),
         fock.project_fock(raw, "B", 3),
-        nla.scissor_circuit(2, ChannelParams(0.3, 0.4), 0.6, 8).state,
-        nla.closed_form_state(2, ChannelParams(0.3, 0.4), 0.6, 8).state,
+        nla.scissor_circuit(2, 0.3, 0.4, 0.6, 8).state,
+        nla.closed_form_state(2, 0.3, 0.4, 0.6, 8).state,
         nla.truncated_pair_state(3, 0.7),
     ]
     for state in states:
@@ -446,7 +445,7 @@ def test_purity_matches_partial_trace_reference(state):
 
 
 def test_purity_of_heralded_branch_matches_partial_trace_reference():
-    hs = nla.single_stage_circuit(ChannelParams(0.5, 0.3), 0.7, 12)
+    hs = nla.single_stage_circuit(0.5, 0.3, 0.7, 12)
     assert fock.norm_sq(hs.state) < 0.5  # subnormalized
     assert_purity_matches_partial_trace(hs.state)
 

@@ -144,12 +144,12 @@ def test_floor_meets_the_mpmath_floor(eps_mp):
     floor = optimize.best_entanglement_vs_stages(150)
     for n in [*range(1, 13), 40, 100, 150]:
         def slope(x, n=n):
-            return mp.diff(lambda k: eps_mp(n, k, 0), x)
+            return mp.diff(lambda k: eps_mp(n, k, 0)[0], x)
 
         kappa_star = mp.findroot(slope, (0.3, 1.1), solver="anderson")
         assert floor[n - 1][0] == n
         assert abs(floor[n - 1][2] - kappa_star) <= 1e-12, n
-        assert abs(floor[n - 1][1] - eps_mp(n, kappa_star, 0)) <= 1e-13, n
+        assert abs(floor[n - 1][1] - eps_mp(n, kappa_star, 0)[0]) <= 1e-13, n
 
 
 # ---------------------------------------------------------------------------

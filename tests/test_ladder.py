@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nla_distill import fock, metrics, moments, nla
-from nla_distill.analytic import (ChannelParams, _eps_slope, _ladder,
-                                  eps_ladder, eps_opt_formula, kappa_rho,
-                                  purity_formula, purity_ladder, success_prob)
+from nla_distill.analytic import (_eps_slope, _ladder, eps_ladder,
+                                  eps_opt_formula, kappa_rho, purity_formula,
+                                  purity_ladder, success_prob)
 
 # r up to 1 keeps T = lam tanh^2 r below 0.47, so a cutoff of 80 leaves a
 # truncation tail far below the tolerances
@@ -27,7 +27,7 @@ transmissivity = st.floats(0.05, 0.95)
 @given(n=st.integers(1, 3), r=squeezing, lam=loss, eta=transmissivity)
 def test_ladder_matches_fock_closed_form_state(n, r, lam, eta):
     kappa, rho = kappa_rho(r, lam, eta)
-    hs = nla.closed_form_state(n, ChannelParams(r, lam), eta, 80)
+    hs = nla.closed_form_state(n, r, lam, eta, 80)
     assert hs.state.tail_mass < 1e-12
     sim = metrics.epr_criterion(hs.state, "A", "B")
     sim_purity = fock.purity(hs.state, ["A", "B"])
@@ -47,7 +47,7 @@ def test_ladder_matches_moments_engine(n, kappa, rho):
 @settings(max_examples=50, deadline=None)
 @given(r=squeezing, lam=loss, eta=transmissivity)
 def test_ladder_matches_one_stage_closed_forms(r, lam, eta):
-    pi = success_prob(1, ChannelParams(r, lam), eta)
+    pi = success_prob(1, r, lam, eta)
     kappa, rho = kappa_rho(r, lam, eta)
     assert abs(eps_ladder(1, kappa, rho)[0]
                - eps_opt_formula(r, lam, pi)) < 1e-12
@@ -85,7 +85,7 @@ def test_slope_matches_the_mpmath_derivative(n, rho, eps_mp):
     mp = pytest.importorskip("mpmath")
     for kappa, tol in ((0.05, 1e-13), (0.36, 1e-13), (0.9, 1e-13),
                        (2.5, 1e-10), (4.0, 1e-10)):
-        want = mp.diff(lambda x: eps_mp(n, x, rho), kappa)
+        want = mp.diff(lambda x: eps_mp(n, x, rho)[0], kappa)
         got = _eps_slope(n, kappa, _ladder(n, kappa, rho))
         assert abs(got - want) <= tol * max(1.0, abs(want)), (kappa, got)
 
@@ -138,8 +138,8 @@ def test_ladder_matches_exact_rational_sums(n, kappa, rho):
 
 @pytest.mark.parametrize("rho", [20.0, math.inf, math.nan])
 def test_ladder_sums_reject_rho_where_tanh_squared_is_not_below_one(rho):
-    # tanh^2 rho rounds to 1 past rho ~ 19.06 (and at inf), and is NaN at
-    # NaN: q = 1 / (1 - T) has no value, for a float or an array element
+    # the sums take |rho| <= 19, past every rho the (r, lam, eta) map returns,
+    # for a float or an array element; tanh^2 rho rounds to 1 there
     for sums in (lambda x: eps_ladder(1, 0.5, x),
                  lambda x: purity_ladder(2, 0.5, x)):
         for value in (rho, np.array([0.5, rho])):
@@ -152,8 +152,31 @@ def test_ladder_sums_are_finite_just_below_where_tanh_squared_rounds_to_one():
     for n in (1, 2, 4):
         assert all(map(math.isfinite, eps_ladder(n, 0.5, 19.0)))
         assert math.isfinite(purity_ladder(n, 0.5, 19.0))
-    # numpy's tanh may round to 1 a little before math's does (at 19.0 on
-    # x86-64 numpy 2.4), so the array case stays a little lower
     rho = np.array([0.5, 18.0])
     assert np.isfinite(eps_ladder(2, 0.5, rho)).all()
     assert np.isfinite(purity_ladder(2, 0.5, rho)).all()
+
+
+@pytest.mark.parametrize("rho", [19.0, 19.03])
+def test_ladder_sums_take_a_float_and_an_array_alike(rho):
+    # numpy's tanh rounds 19.0 to 1 and math's does not until ~19.07: the
+    # bound is on rho itself, so a float and an array element pass or fail
+    # together, and agree where they pass
+    for sums in (lambda x: eps_ladder(2, 0.5, x),
+                 lambda x: (purity_ladder(2, 0.5, x),)):
+        if rho > 19.0:
+            for value in (rho, np.array([rho])):
+                with pytest.raises(ValueError, match="rho"):
+                    sums(value)
+            continue
+        for want, got in zip(sums(rho), sums(np.array([rho]))):
+            assert got[0] == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("rho", [10.0, 15.0, 18.0, 19.0])
+@pytest.mark.parametrize("n", [1, 2])
+def test_ladder_sums_keep_their_digits_at_large_rho(n, rho, eps_mp):
+    # formed as 1/(1 - tanh^2 rho), q lost the digits tanh^2 rho shares with
+    # 1: eps_A|B read 2.2e-8 off at rho = 10, 3.3e-4 at 15 and 68 % at 19
+    for got, want in zip(eps_ladder(n, 0.5, rho), eps_mp(n, 0.5, rho)):
+        assert abs(got / float(want) - 1.0) <= 1e-14, (got, want)

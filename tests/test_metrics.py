@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nla_distill import fock, metrics, nla
-from nla_distill.analytic import ChannelParams, eps_no_nla
+from nla_distill.analytic import eps_no_nla
 from test_fock import random_states
 
 
@@ -33,7 +33,7 @@ def test_beamsplit_vacua_stay_uncorrelated():
 
 def test_lossy_epr_matches_closed_form():
     r, lam = 0.6, 0.3
-    st = nla.lossy_channel_state(ChannelParams(r, lam), 25)
+    st = nla.lossy_channel_state(r, lam, 25)
     cv = metrics.conditional_variances(st, "B", "A")
     expect = lam + (1 - lam) / math.cosh(2 * r)
     assert math.sqrt(cv.v_plus * cv.v_minus) == pytest.approx(expect, abs=1e-6)
@@ -51,22 +51,22 @@ def test_pure_epr_criterion_value():
 
 def test_lossy_epr_directionality_and_eq9():
     r, lam = 0.6, 0.3
-    st = nla.lossy_channel_state(ChannelParams(r, lam), 25)
+    st = nla.lossy_channel_state(r, lam, 25)
     res = metrics.epr_criterion(st, "A", "B")
-    ana_ba, ana_ab = eps_no_nla(ChannelParams(r, lam))
+    ana_ba, ana_ab = eps_no_nla(r, lam)
     assert res.eps_b_given_a < res.eps_a_given_b
     assert res.eps_a_given_b == pytest.approx(ana_ab, abs=1e-6)
 
 
 @pytest.mark.parametrize("r,lam", [(0.3, 0.2), (0.8, 0.5), (0.5, 0.05)])
 def test_directionality_property(r, lam):
-    st = nla.lossy_channel_state(ChannelParams(r, lam), 30)
+    st = nla.lossy_channel_state(r, lam, 30)
     res = metrics.epr_criterion(st, "A", "B")
     assert res.eps_b_given_a < res.eps_a_given_b
 
 
 def test_gamma_is_the_true_minimizer():
-    st = nla.lossy_channel_state(ChannelParams(0.6, 0.3), 25)
+    st = nla.lossy_channel_state(0.6, 0.3, 25)
     w = fock.norm_sq(st)
     cv = metrics.conditional_variances(st, "B", "A")
     for sign, v_opt, g_opt in (("+", cv.v_plus, cv.gamma_plus),
@@ -80,7 +80,7 @@ def test_gamma_is_the_true_minimizer():
 
 
 def test_scale_invariance():
-    st = nla.lossy_channel_state(ChannelParams(0.5, 0.2), 20)
+    st = nla.lossy_channel_state(0.5, 0.2, 20)
     scaled = fock.PureState(st.modes, 0.5 * st.amps)
     a = metrics.epr_criterion(st, "A", "B")
     b = metrics.epr_criterion(scaled, "A", "B")
@@ -130,7 +130,7 @@ def test_second_moments_make_no_quadrature_moment_calls(monkeypatch):
         return real(obj, factors)
 
     monkeypatch.setattr(fock, "quadrature_moment", counting)
-    st = nla.lossy_channel_state(ChannelParams(0.5, 0.3), 12)
+    st = nla.lossy_channel_state(0.5, 0.3, 12)
     res = metrics.epr_criterion(st, "A", "B")
     ba = metrics.conditional_variances(st, "B", "A")
     ab = metrics.conditional_variances(st, "A", "B")

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from nla_distill import figures, nla, optimize
-from nla_distill.analytic import (ChannelParams, InfeasibleParameterError,
-                                  eps_ladder, eps_opt_formula, kappa_rho,
+from nla_distill.analytic import (InfeasibleParameterError, eps_ladder,
+                                  eps_no_nla, eps_opt_formula, kappa_rho,
                                   lambda_from_db, purity_formula,
-                                  purity_ladder, success_prob)
+                                  purity_ladder, purity_no_nla, success_prob)
 
 
 def test_one_stage_eta_zero_squeezing():
@@ -22,8 +22,7 @@ def test_one_stage_eta_zero_squeezing():
                                       (0.8, 0.6, 0.3)])
 def test_one_stage_eta_roundtrip(r, lam, pi):
     eta, = optimize.eta_candidates(r, lam, pi, 1)
-    assert success_prob(1, ChannelParams(r, lam), eta) == pytest.approx(
-        pi, abs=1e-12)
+    assert success_prob(1, r, lam, eta) == pytest.approx(pi, abs=1e-12)
 
 
 def test_one_stage_eta_infeasible():
@@ -36,8 +35,7 @@ def test_one_stage_eta_infeasible():
 def test_eta_candidates_reduce_to_linear_inversion():
     # Pi_1 is linear in eta: its one root is the secant's through two values
     r, lam, pi = 0.2, 0.1, 0.3
-    ch = ChannelParams(r, lam)
-    a, b = success_prob(1, ch, 0.25), success_prob(1, ch, 0.75)
+    a, b = success_prob(1, r, lam, 0.25), success_prob(1, r, lam, 0.75)
     assert optimize.eta_candidates(r, lam, pi, 1) == [
         pytest.approx(0.25 + 0.5 * (pi - a) / (b - a), abs=1e-14)]
 
@@ -47,7 +45,7 @@ def test_eta_candidates_two_stage_roundtrip(r, lam, pi):
     etas = optimize.eta_candidates(r, lam, pi, 2)
     assert etas
     for eta in etas:
-        hs = nla.closed_form_state(2, ChannelParams(r, lam), eta, 60)
+        hs = nla.closed_form_state(2, r, lam, eta, 60)
         assert hs.success_prob == pytest.approx(pi, abs=1e-9)
 
 
@@ -98,15 +96,14 @@ def test_eta_candidates_reject_stage_counts_below_one():
             optimize.eta_candidates(0.3, 0.2, 0.01, n)
 
 
-_CHANNEL = ChannelParams(0.3, 0.3)
 # every entry point that takes a stage count, called with one
 STAGE_COUNT_ENTRIES = {
-    "success_prob": lambda n: success_prob(n, _CHANNEL, 0.5),
+    "success_prob": lambda n: success_prob(n, 0.3, 0.3, 0.5),
     "eps_ladder": lambda n: eps_ladder(n, 0.5, 0.2),
     "purity_ladder": lambda n: purity_ladder(n, 0.5, 0.2),
     "eta_candidates": lambda n: optimize.eta_candidates(0.3, 0.3, 0.01, n),
-    "scissor_circuit": lambda n: nla.scissor_circuit(n, _CHANNEL, 0.5, 8),
-    "closed_form_state": lambda n: nla.closed_form_state(n, _CHANNEL, 0.5, 8),
+    "scissor_circuit": lambda n: nla.scissor_circuit(n, 0.3, 0.3, 0.5, 8),
+    "closed_form_state": lambda n: nla.closed_form_state(n, 0.3, 0.3, 0.5, 8),
     "truncated_pair_state": lambda n: nla.truncated_pair_state(n, 0.5),
     "optimize_entanglement":
         lambda n: optimize.optimize_entanglement(0.5, 0.01, n),
@@ -128,19 +125,35 @@ def test_stage_counts_are_integers(entry):
     call(np.int64(2))
 
 
+# every entry point that takes the lossy channel, with the arguments that go
+# before and after its (r, lam)
+CHANNEL_ENTRIES = [
+    (success_prob, (1,), (0.5,)), (eps_no_nla, (), ()), (purity_no_nla, (), ()),
+    (nla.lossy_channel_state, (), (8,)), (nla.scissor_circuit, (2,), (0.5, 8)),
+    (nla.single_stage_circuit, (), (0.5, 8)),
+    (nla.dual_stage_circuit, (), (0.5, 8)),
+    (nla.closed_form_state, (2,), (0.5, 8)),
+]
+
+
 @pytest.mark.parametrize("form,args", [
     (eps_opt_formula, (0.3, 0.3, 1.5)), (purity_formula, (0.3, 0.3, 1.5)),
-    (success_prob, (1, _CHANNEL, 1.5)),
+    (success_prob, (1, 0.3, 0.3, 1.5)),
     (optimize.eta_candidates, (0.3, 0.3, 1.5, 1)),
     (optimize.eta_candidates, (0.3, 0.3, 1.5, 2)),
     (optimize.eta_candidates, (0.3, 1.5, 0.01, 1)),
     (optimize.eta_candidates, (-0.5, 0.3, 0.01, 1)),
     (purity_formula, (-0.3, 0.3, 0.01)), (purity_formula, (0.3, 1.5, 0.01)),
     (eps_opt_formula, (math.nan, 0.3, 0.01)),
-])
-def test_one_stage_forms_check_their_domains(form, args):
+] + [(form, (*head, r, lam, *tail)) for form, head, tail in CHANNEL_ENTRIES
+     for r, lam in ((-0.1, 0.3), (math.nan, 0.3), (0.5, 1.0), (0.5, math.nan))])
+def test_one_stage_forms_check_their_domains(form, args, monkeypatch):
     # an (r, lam, pi) outside its domain is an input error, not a number, an
-    # empty root list or an unreachable operating point
+    # empty root list or an unreachable operating point; a Fock-route builder
+    # raises it before it builds any state (nla's state constructors are
+    # unbound here, so building one would raise AttributeError)
+    monkeypatch.setattr(nla, "fock", None)
+    monkeypatch.setattr(nla, "np", None)
     with pytest.raises(ValueError) as exc:
         form(*args)
     assert type(exc.value) is ValueError, exc.value
@@ -205,8 +218,8 @@ def test_optimize_result_is_consistent():
     res = optimize.optimize_entanglement(0.9, 1e-2, 1)
     assert 0 < res.eta_opt < 1
     assert res.success_prob == 1e-2
-    assert success_prob(1, ChannelParams(res.r_opt, 0.9),
-                        res.eta_opt) == pytest.approx(1e-2, abs=1e-9)
+    assert success_prob(1, res.r_opt, 0.9, res.eta_opt) == pytest.approx(
+        1e-2, abs=1e-9)
     assert res.eps_b_given_a < res.eps_a_given_b
     assert res.n_stages == 1
 
@@ -236,7 +249,7 @@ def test_optimize_two_stage_simulate_agrees():
     # the optimum found on the ladder algebra, re-measured on the simulated
     # two-stage state at the reported operating point
     a = optimize.optimize_entanglement(0.9, 1e-3, 2)
-    hs = nla.closed_form_state(2, ChannelParams(a.r_opt, 0.9), a.eta_opt, 60)
+    hs = nla.closed_form_state(2, a.r_opt, 0.9, a.eta_opt, 60)
     assert hs.state.tail_mass < 1e-12
     sim = nla.distill_and_measure(hs)
     assert abs(a.eps_b_given_a - sim.eps_b_given_a) < 1e-8

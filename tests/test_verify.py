@@ -101,8 +101,8 @@ def test_heralding_check_reads_the_two_stage_success_prob(monkeypatch):
     # success_prob 1e-9 off at N = 2 only must show against the dual circuit
     exact = verify.success_prob
     assert _check(verify._check_circuits([]), "success_prob_vs_heralding").passed
-    monkeypatch.setattr(verify, "success_prob", lambda n, ch, eta: exact(
-        n, ch, eta) + (1e-9 if n == 2 else 0.0))
+    monkeypatch.setattr(verify, "success_prob", lambda n, r, lam, eta: exact(
+        n, r, lam, eta) + (1e-9 if n == 2 else 0.0))
     assert not _check(verify._check_circuits([]),
                       "success_prob_vs_heralding").passed
 
