@@ -45,7 +45,7 @@ print(f"branch norms: circuit {norm_sq(hs.state):.12f}, "
 print()
 print("=== what one scissor buys ===")
 res = distill_and_measure(single_stage_circuit(r, lam, eta, cutoff=30))
-before = epr_criterion(lossy_channel_state(r, lam, 30), "A", "B").eps_b_given_a
+before = epr_criterion(lossy_channel_state(r, lam, 30), "A", "B")[0]
 print(f"eps_B|A before distillation: {before:.6f}")
 print(f"eps_B|A after the scissor:   {res.eps_b_given_a:.6f} "
       f"(purity {res.purity:.6f}, success {res.success_prob:.4f})")

@@ -31,7 +31,6 @@ __all__ = [
     "DistillationResult",
     "InfeasibleParameterError",
     "eps_no_nla",
-    "eps_infinity",
     "purity_no_nla",
     "purity_tradeoff",
     "kappa_rho",
@@ -135,12 +134,6 @@ def eps_no_nla(r: float, lam: float) -> tuple[float, float]:
     eps_ba = (lam + (1.0 - lam) * sech2r) ** 2
     eps_ab = eps_ba / (1.0 - lam * (1.0 - sech2r)) ** 2
     return eps_ba, eps_ab
-
-
-def eps_infinity(lam: float) -> float:
-    """Infinite-squeezing floor lam^2 of the transmitted entanglement."""
-    _check_params(lam=lam)
-    return lam * lam
 
 
 def purity_no_nla(r: float, lam: float) -> float:

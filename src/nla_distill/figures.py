@@ -78,7 +78,10 @@ def _db_range(spec: tuple[float, float, float]) -> list[float]:
 
 
 def _pmap(fn, items: Sequence, workers: int) -> list:
-    if workers <= 1 or len(items) <= 1:
+    """fn over items, in order, on at most min(workers, len(items), CPU count)
+    processes: the fork start method forks the whole pool on the first submit."""
+    workers = min(workers, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(item) for item in items]
     # imported here: it pulls in multiprocessing, which a single-worker run
     # (and every command that does not sweep) never needs

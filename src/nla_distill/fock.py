@@ -451,13 +451,24 @@ def norm_sq(state: PureState) -> float:
     return state._norm_sq
 
 
+def _positive_norm_sq(state: PureState) -> float:
+    """The squared norm that a scale-free measure divides by; ValueError for a
+    state with none (the all-zero branch, say)."""
+    w = state._norm_sq
+    if not w > 0.0:
+        raise ValueError("state has zero norm; nothing to normalize")
+    return w
+
+
 def purity(state: PureState, keep: Sequence[ModeLabel]) -> float:
     """Tr(rho^2) of the trace-normalized reduced state of the modes in ``keep``.
 
     With M the (kept x traced) amplitude matrix, rho = M M' shares its nonzero
     spectrum with M' M, so the smaller of the two Gram matrices G gives
     Tr(rho^2) / Tr(rho)^2 = |G|_F^2 / Tr(G)^2 without forming rho itself.
+    A zero-norm state raises ValueError.
     """
+    _positive_norm_sq(state)
     mat = _kept_by_traced(state, keep)
     if mat.shape[0] <= mat.shape[1]:
         gram = mat @ mat.conj().T
@@ -468,11 +479,12 @@ def purity(state: PureState, keep: Sequence[ModeLabel]) -> float:
 
 
 def fidelity(a: PureState, b: PureState) -> float:
-    """|<a|b>|^2 between normalized versions of two pure states."""
+    """|<a|b>|^2 between normalized versions of two pure states; ValueError
+    if either has zero norm."""
     if a.modes != b.modes or a.amps.shape != b.amps.shape:
         raise ValueError("states live on different mode layouts")
     ov = np.vdot(a.amps, b.amps)
-    return float(abs(ov) ** 2 / (norm_sq(a) * norm_sq(b)))
+    return float(abs(ov) ** 2 / (_positive_norm_sq(a) * _positive_norm_sq(b)))
 
 
 def debug_serialize(state: PureState) -> str:

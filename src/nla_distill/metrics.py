@@ -1,38 +1,20 @@
-"""Entanglement and purity measures: conditional variances and the EPR product.
+"""The directional EPR product of the Fock-simulated states.
 
-The criterion is directional: eps_B|A multiplies the two conditional variances
-of B's quadratures given the optimal linear estimate from A's.  Values below 1
-certify entanglement; smaller is stronger.
+eps_B|A multiplies the two conditional variances of B's quadratures given the
+optimal linear estimate from A's; values below 1 certify entanglement, and
+smaller is stronger.  `epr_criterion` returns the pair (eps_B|A, eps_A|B) as
+two floats, the form the closed forms `eps_no_nla` and `eps_ladder` return.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .fock import ModeLabel, PureState, norm_sq
+from .fock import ModeLabel, PureState, _positive_norm_sq
 
-__all__ = ["ConditionalVariancePair", "EprResult", "conditional_variances",
-           "epr_criterion"]
+__all__ = ["epr_criterion"]
 
 _DEGENERATE_VAR = 1e-12
-
-
-@dataclass(frozen=True)
-class ConditionalVariancePair:
-    """Optimal conditional variances V+/V- and their estimation gains."""
-
-    v_plus: float
-    v_minus: float
-    gamma_plus: float
-    gamma_minus: float
-
-
-@dataclass(frozen=True)
-class EprResult:
-    eps_b_given_a: float
-    eps_a_given_b: float
 
 
 def _lower(arr: np.ndarray, ax: int) -> np.ndarray:
@@ -55,9 +37,7 @@ def _second_moments(state: PureState, target: ModeLabel, conditioner: ModeLabel)
         raise ValueError("target and conditioner must differ")
     t, c = state.axis(target), state.axis(conditioner)
     psi = state.amps
-    w = norm_sq(state)
-    if w <= _DEGENERATE_VAR:
-        raise ValueError("state has (near-)zero norm; nothing to normalize")
+    w = _positive_norm_sq(state)
     low = {ax: _lower(psi, ax) for ax in (t, c)}
     a = [np.vdot(psi, low[ax]) for ax in (t, c)]
     a2 = [np.vdot(psi, _lower(low[ax], ax)) for ax in (t, c)]
@@ -74,32 +54,21 @@ def _second_moments(state: PureState, target: ModeLabel, conditioner: ModeLabel)
     return out
 
 
-def _conditioned(sign: str, var_t: float, var_c: float,
-                 cov: float) -> tuple[float, float]:
+def _conditioned(sign: str, var_t: float, var_c: float, cov: float) -> float:
+    """min over gamma of Var(X_t - gamma X_c): Var_t - Cov^2 / Var_c, reached
+    at gamma = Cov / Var_c."""
     if var_c < _DEGENERATE_VAR:
         raise ValueError(f"conditioner quadrature X{sign} has (near-)zero variance")
-    return var_t - cov * cov / var_c, cov / var_c
+    return var_t - cov * cov / var_c
 
 
-def conditional_variances(state: PureState, target: ModeLabel,
-                          conditioner: ModeLabel) -> ConditionalVariancePair:
-    """min_gamma Var(X_target - gamma X_conditioner) for both quadratures.
-
-    The optimum is V = Var_t - Cov^2 / Var_c at gamma = Cov / Var_c (the
-    input is normalized internally).
-    """
-    (v_plus, g_plus), (v_minus, g_minus) = (
-        _conditioned(*m) for m in _second_moments(state, target, conditioner))
-    return ConditionalVariancePair(v_plus=v_plus, v_minus=v_minus,
-                                   gamma_plus=g_plus, gamma_minus=g_minus)
-
-
-def epr_criterion(state: PureState, a: ModeLabel, b: ModeLabel) -> EprResult:
-    """EPR products in both directions; eps_B|A conditions B's variance on A.
+def epr_criterion(state: PureState, a: ModeLabel,
+                  b: ModeLabel) -> tuple[float, float]:
+    """EPR products (eps_B|A, eps_A|B); eps_B|A conditions B's variance on A.
 
     Each quadrature moment is computed once and serves both directions.
     """
     moments = _second_moments(state, b, a)
-    ba = [_conditioned(s, vb, va, cov)[0] for s, vb, va, cov in moments]
-    ab = [_conditioned(s, va, vb, cov)[0] for s, vb, va, cov in moments]
-    return EprResult(eps_b_given_a=ba[0] * ba[1], eps_a_given_b=ab[0] * ab[1])
+    ba = [_conditioned(s, vb, va, cov) for s, vb, va, cov in moments]
+    ab = [_conditioned(s, va, vb, cov) for s, vb, va, cov in moments]
+    return float(ba[0] * ba[1]), float(ab[0] * ab[1])

@@ -53,10 +53,6 @@ class HeraldedState:
     n_stages: int
 
     @property
-    def pattern_count(self) -> int:
-        return 2**self.n_stages
-
-    @property
     def success_prob(self) -> float:
         return 2.0**self.n_stages * fock.norm_sq(self.state)
 
@@ -202,10 +198,10 @@ def truncated_pair_state(n_stages: int, kappa: float) -> fock.PureState:
 def distill_and_measure(heralded: HeraldedState) -> DistillationResult:
     """Trace out the loss mode and evaluate the entanglement/purity figures."""
     st = heralded.state
-    res = metrics.epr_criterion(st, "A", "B")
+    eps_ba, eps_ab = metrics.epr_criterion(st, "A", "B")
     return DistillationResult(
-        eps_b_given_a=res.eps_b_given_a,
-        eps_a_given_b=res.eps_a_given_b,
+        eps_b_given_a=eps_ba,
+        eps_a_given_b=eps_ab,
         purity=fock.purity(st, ["A", "B"]),
         success_prob=heralded.success_prob,
         n_stages=heralded.n_stages,

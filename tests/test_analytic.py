@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from nla_distill import analytic, optimize
-from nla_distill.analytic import (InfeasibleParameterError, eps_infinity,
-                                  eps_no_nla, eps_opt_formula, kappa_rho,
+from nla_distill.analytic import (InfeasibleParameterError, eps_no_nla, eps_opt_formula, kappa_rho,
                                   purity_formula, purity_no_nla,
                                   purity_tradeoff, success_prob)
 
@@ -41,9 +40,9 @@ def test_closed_forms_past_the_cosh_overflow_are_their_limits(r, lam):
     assert purity_no_nla(r, lam) == (1.0 if lam == 0.0 else 0.0)
 
 
-def test_eps_infinity_values():
-    assert eps_infinity(0.0) == 0.0
-    assert eps_infinity(0.5) == 0.25
+def test_infinite_squeezing_floor_values():
+    assert eps_no_nla(math.inf, 0.0)[0] == 0.0
+    assert eps_no_nla(math.inf, 0.5)[0] == 0.25
 
 
 def test_eps_monotonicity():
@@ -224,9 +223,9 @@ def test_benchmarks_agree_with_simulation_at_tail_rule_cutoff(r, lam):
     chi = math.tanh(r)
     cutoff = max(12, math.ceil(math.log(1e-11) / (2 * math.log(chi))) - 1)
     st = nla.lossy_channel_state(r, lam, cutoff)
-    res = metrics.epr_criterion(st, "A", "B")
+    sim_ba, sim_ab = metrics.epr_criterion(st, "A", "B")
     ana_ba, ana_ab = eps_no_nla(r, lam)
-    assert abs(res.eps_b_given_a - ana_ba) < 1e-6
-    assert abs(res.eps_a_given_b - ana_ab) < 1e-6
+    assert abs(sim_ba - ana_ba) < 1e-6
+    assert abs(sim_ab - ana_ab) < 1e-6
     pur = fock.purity(st, ["A", "B"])
     assert abs(pur - purity_no_nla(r, lam)) < 1e-6

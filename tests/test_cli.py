@@ -166,6 +166,49 @@ def test_bad_flag_validation_exits_one():
     assert cli.main(["fig6", "-o", "/tmp/x.csv", "--pi", "2.0"]) == 1
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every process pool opened: the pool is replaced by
+    an in-process stand-in, so no process starts (the fork start method forks
+    every worker of a real pool on its first submit)."""
+    import concurrent.futures
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+@pytest.mark.parametrize("workers,n_items,cpus,pool", [
+    (64, 2, 8, 2), (64, 10, 4, 4), (3, 10, 4, 3), (2, 10, None, None),
+    (8, 1, 8, None), (1, 10, 8, None)])
+def test_worker_pool_is_capped_by_points_and_cpus(monkeypatch, pool_sizes,
+                                                  workers, n_items, cpus, pool):
+    monkeypatch.setattr(figures.os, "cpu_count", lambda: cpus)
+    items = list(range(n_items))
+    assert figures._pmap(abs, items, workers) == items
+    assert pool_sizes == ([] if pool is None else [pool])
+
+
+def test_cli_pool_is_no_larger_than_the_sweep(monkeypatch, pool_sizes, tmp_path):
+    monkeypatch.setattr(figures.os, "cpu_count", lambda: 8)
+    assert cli.main(["fig6", "-o", str(tmp_path / "fig6.csv"), "--lambda-db",
+                     "10", "12", "2", "--pi", "0.01", "--workers", "64"]) == 0
+    assert pool_sizes == [2]
+
+
 def test_sweep_rows_follow_axis_order(tmp_path):
     out = tmp_path / "fig6.csv"
     assert cli.main(["fig6", "-o", str(out), "--lambda-db", "10", "14", "2",

@@ -450,6 +450,20 @@ def test_purity_of_heralded_branch_matches_partial_trace_reference():
     assert_purity_matches_partial_trace(hs.state)
 
 
+def test_zero_norm_state_has_no_fidelity_or_purity():
+    # past r ~ 710 the closed-form branch is all zero: nothing to normalize
+    zero = nla.closed_form_state(1, 800.0, 0.3, 0.5, 10).state
+    assert fock.norm_sq(zero) == 0.0
+    other = nla.closed_form_state(1, 0.5, 0.3, 0.5, 10).state
+    for measure in (lambda: fock.fidelity(zero, zero),
+                    lambda: fock.fidelity(other, zero),
+                    lambda: fock.fidelity(zero, other),
+                    lambda: fock.purity(zero, ["A", "B"]),
+                    lambda: fock.purity(zero, ["A"])):
+        with pytest.raises(ValueError, match="zero norm"):
+            measure()
+
+
 def test_quadrature_first_moment_vacuum():
     v = fock.vacuum(["A"], [4])
     assert fock.quadrature_moment(v, [("A", "+")]) == 0.0

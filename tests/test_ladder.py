@@ -29,11 +29,11 @@ def test_ladder_matches_fock_closed_form_state(n, r, lam, eta):
     kappa, rho = kappa_rho(r, lam, eta)
     hs = nla.closed_form_state(n, r, lam, eta, 80)
     assert hs.state.tail_mass < 1e-12
-    sim = metrics.epr_criterion(hs.state, "A", "B")
+    sim_ba, sim_ab = metrics.epr_criterion(hs.state, "A", "B")
     sim_purity = fock.purity(hs.state, ["A", "B"])
     eps_ba, eps_ab = eps_ladder(n, kappa, rho)
-    assert abs(eps_ba - sim.eps_b_given_a) < 1e-10
-    assert abs(eps_ab - sim.eps_a_given_b) < 1e-10
+    assert abs(eps_ba - sim_ba) < 1e-10
+    assert abs(eps_ab - sim_ab) < 1e-10
     assert abs(purity_ladder(n, kappa, rho) - sim_purity) < 1e-10
 
 
@@ -58,10 +58,11 @@ def test_ladder_matches_one_stage_closed_forms(r, lam, eta):
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 8), kappa=st.floats(0.0, 4.0))
 def test_ladder_at_zero_loss_matches_pair_state(n, kappa):
-    sim = metrics.epr_criterion(nla.truncated_pair_state(n, kappa), "A", "B")
+    sim_ba, sim_ab = metrics.epr_criterion(nla.truncated_pair_state(n, kappa),
+                                           "A", "B")
     eps_ba, eps_ab = eps_ladder(n, kappa, 0.0)
-    assert abs(eps_ba - sim.eps_b_given_a) < 1e-12
-    assert abs(eps_ab - sim.eps_a_given_b) < 1e-12
+    assert abs(eps_ba - sim_ba) < 1e-12
+    assert abs(eps_ab - sim_ab) < 1e-12
     assert purity_ladder(n, kappa, 0.0) == pytest.approx(1.0, abs=1e-14)
 
 

@@ -1,4 +1,4 @@
-"""Conditional variances and the directional EPR product."""
+"""The directional EPR product of Fock-simulated states."""
 
 import math
 
@@ -8,75 +8,82 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nla_distill import fock, metrics, nla
-from nla_distill.analytic import eps_no_nla
+from nla_distill.analytic import eps_ladder, eps_no_nla, kappa_rho
 from test_fock import random_states
 
 
 def test_vacuum_pair_uncorrelated():
     st = fock.vacuum(["A", "B"], [4, 4])
-    cv = metrics.conditional_variances(st, "B", "A")
-    assert cv.v_plus == pytest.approx(1.0, abs=1e-14)
-    assert cv.v_minus == pytest.approx(1.0, abs=1e-14)
-    assert cv.gamma_plus == 0.0 and cv.gamma_minus == 0.0
-    res = metrics.epr_criterion(st, "A", "B")
-    assert res.eps_b_given_a == pytest.approx(1.0, abs=1e-14)
-    assert res.eps_a_given_b == pytest.approx(1.0, abs=1e-14)
+    assert [cov for *_, cov in metrics._second_moments(st, "B", "A")] == [0.0, 0.0]
+    eps_ba, eps_ab = metrics.epr_criterion(st, "A", "B")
+    assert eps_ba == pytest.approx(1.0, abs=1e-14)
+    assert eps_ab == pytest.approx(1.0, abs=1e-14)
+
+
+def test_criterion_returns_two_python_floats():
+    out = metrics.epr_criterion(nla.lossy_channel_state(0.5, 0.3, 12), "A", "B")
+    assert type(out) is tuple and [type(x) for x in out] == [float, float]
 
 
 def test_beamsplit_vacua_stay_uncorrelated():
     st = fock.vacuum(["A", "B", "C"], [4, 4, 4])
     st = fock.apply_beamsplitter(st, ("B", "C"), 0.3)
-    cv = metrics.conditional_variances(st, "B", "A")
-    assert cv.v_plus == pytest.approx(1.0, abs=1e-14)
-    assert cv.v_minus == pytest.approx(1.0, abs=1e-14)
+    eps_ba, eps_ab = metrics.epr_criterion(st, "A", "B")
+    assert eps_ba == pytest.approx(1.0, abs=1e-14)
+    assert eps_ab == pytest.approx(1.0, abs=1e-14)
 
 
 def test_lossy_epr_matches_closed_form():
     r, lam = 0.6, 0.3
     st = nla.lossy_channel_state(r, lam, 25)
-    cv = metrics.conditional_variances(st, "B", "A")
+    eps_ba, _ = metrics.epr_criterion(st, "A", "B")
     expect = lam + (1 - lam) / math.cosh(2 * r)
-    assert math.sqrt(cv.v_plus * cv.v_minus) == pytest.approx(expect, abs=1e-6)
+    assert math.sqrt(eps_ba) == pytest.approx(expect, abs=1e-6)
 
 
 def test_pure_epr_criterion_value():
     r = 0.6
     st = fock.epr_state(math.tanh(r), ("A", "B"), 25)
-    res = metrics.epr_criterion(st, "A", "B")
+    eps_ba, eps_ab = metrics.epr_criterion(st, "A", "B")
     # oracle: the lossless limit of the loss-channel closed form
     expect = (1.0 / math.cosh(2 * r)) ** 2
-    assert res.eps_b_given_a == pytest.approx(expect, abs=1e-6)
-    assert res.eps_a_given_b == pytest.approx(expect, abs=1e-6)
+    assert eps_ba == pytest.approx(expect, abs=1e-6)
+    assert eps_ab == pytest.approx(expect, abs=1e-6)
 
 
 def test_lossy_epr_directionality_and_eq9():
     r, lam = 0.6, 0.3
     st = nla.lossy_channel_state(r, lam, 25)
-    res = metrics.epr_criterion(st, "A", "B")
+    eps_ba, eps_ab = metrics.epr_criterion(st, "A", "B")
     ana_ba, ana_ab = eps_no_nla(r, lam)
-    assert res.eps_b_given_a < res.eps_a_given_b
-    assert res.eps_a_given_b == pytest.approx(ana_ab, abs=1e-6)
+    assert eps_ba < eps_ab
+    assert eps_ab == pytest.approx(ana_ab, abs=1e-6)
 
 
 @pytest.mark.parametrize("r,lam", [(0.3, 0.2), (0.8, 0.5), (0.5, 0.05)])
 def test_directionality_property(r, lam):
     st = nla.lossy_channel_state(r, lam, 30)
-    res = metrics.epr_criterion(st, "A", "B")
-    assert res.eps_b_given_a < res.eps_a_given_b
+    eps_ba, eps_ab = metrics.epr_criterion(st, "A", "B")
+    assert eps_ba < eps_ab
 
 
 def test_gamma_is_the_true_minimizer():
+    # eps_B|A is the product of min_g Var(X_B - g X_A) over the two
+    # quadratures: no gain on a grid around the oracle's optimum does better
     st = nla.lossy_channel_state(0.6, 0.3, 25)
     w = fock.norm_sq(st)
-    cv = metrics.conditional_variances(st, "B", "A")
-    for sign, v_opt, g_opt in (("+", cv.v_plus, cv.gamma_plus),
-                               ("-", cv.v_minus, cv.gamma_minus)):
+    eps_ba, _ = metrics.epr_criterion(st, "A", "B")
+    curves = []
+    for sign in ("+", "-"):
         var_b = fock.quadrature_moment(st, [("B", sign)] * 2) / w
         var_a = fock.quadrature_moment(st, [("A", sign)] * 2) / w
         cov = fock.quadrature_moment(st, [("B", sign), ("A", sign)]) / w
-        for g in np.linspace(g_opt - 0.5, g_opt + 0.5, 20):
-            val = var_b - 2 * g * cov + g * g * var_a
-            assert val >= v_opt - 1e-12
+        g_opt = cov / var_a
+        gs = np.append(np.linspace(g_opt - 0.5, g_opt + 0.5, 20), g_opt)
+        curves.append(var_b - 2 * gs * cov + gs * gs * var_a)
+    products = np.outer(*curves)
+    assert np.all(eps_ba <= products + 1e-12)
+    assert products.min() == pytest.approx(eps_ba, abs=1e-12)
 
 
 def test_scale_invariance():
@@ -84,8 +91,8 @@ def test_scale_invariance():
     scaled = fock.PureState(st.modes, 0.5 * st.amps)
     a = metrics.epr_criterion(st, "A", "B")
     b = metrics.epr_criterion(scaled, "A", "B")
-    assert abs(a.eps_b_given_a - b.eps_b_given_a) < 1e-12
-    assert abs(a.eps_a_given_b - b.eps_a_given_b) < 1e-12
+    assert abs(a[0] - b[0]) < 1e-12
+    assert abs(a[1] - b[1]) < 1e-12
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -98,25 +105,37 @@ def test_separable_bound_on_product_states(seed):
         states.append(a)
     amps = np.tensordot(states[0], states[1], axes=0)
     st = fock.PureState(("A", "B"), amps)
-    res = metrics.epr_criterion(st, "A", "B")
-    assert res.eps_b_given_a >= 1 - 1e-10
-    assert res.eps_a_given_b >= 1 - 1e-10
+    eps_ba, eps_ab = metrics.epr_criterion(st, "A", "B")
+    assert eps_ba >= 1 - 1e-10
+    assert eps_ab >= 1 - 1e-10
 
 
-def test_degenerate_conditioner_rejected():
-    # scissor-style mode with cutoff 1 in a sharp Fock state has zero X variance
-    # only for vanishing norm; build a zero-variance conditioner via a trick:
-    amps = np.zeros((2, 3), dtype=complex)
-    amps[0, 0] = 1e-9
-    st = fock.PureState(("A", "B"), amps)
-    with pytest.raises(ValueError):
-        metrics.conditional_variances(st, "B", "A")
+def test_zero_norm_state_rejected():
+    for st in (fock.PureState(("A", "B"), np.zeros((2, 3))),
+               nla.closed_form_state(1, 800.0, 0.3, 0.5, 10).state):
+        with pytest.raises(ValueError, match="zero norm"):
+            metrics.epr_criterion(st, "A", "B")
+
+
+def test_tiny_norm_state_equals_its_rescaled_self():
+    # the criterion is scale-free, however small the branch's probability
+    tiny_vacuum = np.zeros((2, 3))
+    tiny_vacuum[0, 0] = 1e-9
+    hs = nla.closed_form_state(20, 0.3, 0.3, 0.9, 30)
+    assert fock.norm_sq(hs.state) < 1e-25
+    for st in (fock.PureState(("A", "B"), tiny_vacuum),
+               fock.PureState(("A", "B", "L"), hs.state.amps)):
+        unit = fock.PureState(st.modes, st.amps / math.sqrt(fock.norm_sq(st)))
+        got, want = (metrics.epr_criterion(s, "A", "B") for s in (st, unit))
+        assert got == pytest.approx(want, rel=1e-12)
+    kappa, rho = kappa_rho(0.3, 0.3, 0.9)
+    assert got == pytest.approx(eps_ladder(20, kappa, rho), rel=1e-12)
 
 
 def test_same_mode_rejected():
     st = fock.vacuum(["A", "B"], [2, 2])
     with pytest.raises(ValueError):
-        metrics.conditional_variances(st, "A", "A")
+        metrics.epr_criterion(st, "A", "A")
 
 
 def test_second_moments_make_no_quadrature_moment_calls(monkeypatch):
@@ -130,13 +149,10 @@ def test_second_moments_make_no_quadrature_moment_calls(monkeypatch):
         return real(obj, factors)
 
     monkeypatch.setattr(fock, "quadrature_moment", counting)
-    st = nla.lossy_channel_state(0.5, 0.3, 12)
-    res = metrics.epr_criterion(st, "A", "B")
-    ba = metrics.conditional_variances(st, "B", "A")
-    ab = metrics.conditional_variances(st, "A", "B")
+    st = nla.lossy_channel_state(0.5, 0.3, 24)
+    eps = metrics.epr_criterion(st, "A", "B")
     assert calls == []
-    assert res.eps_b_given_a == ba.v_plus * ba.v_minus
-    assert abs(res.eps_a_given_b - ab.v_plus * ab.v_minus) < 1e-14
+    assert eps == pytest.approx(eps_no_nla(0.5, 0.3), abs=1e-10)
 
 
 @settings(max_examples=60)

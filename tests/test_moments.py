@@ -208,7 +208,7 @@ def test_quadrature_moment_takes_the_fock_spec(n_st):
 ])
 def test_eps_via_moments_matches_fock_route(n_st, r, lam, eta):
     hs = nla.closed_form_state(n_st, r, lam, eta, 40)
-    sim = metrics.epr_criterion(hs.state, "A", "B").eps_b_given_a
+    sim = metrics.epr_criterion(hs.state, "A", "B")[0]
     alg = moments.eps_via_moments(n_st, *kappa_rho(r, lam, eta))
     assert abs(sim - alg) < 1e-10
 

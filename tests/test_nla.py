@@ -20,7 +20,7 @@ def test_single_stage_trivial_point():
     # no squeezing: the ancilla photon must reflect straight into the detector
     hs = nla.single_stage_circuit(0.0, 0.0, 0.3, 6)
     assert hs.success_prob == pytest.approx(0.7, abs=1e-12)
-    assert hs.pattern_count == 2
+    assert hs.n_stages == 1
     vac = fock.vacuum(["A", "B", "L"], [6, 1, 6])
     assert fock.fidelity(hs.state, vac) == pytest.approx(1.0, abs=1e-12)
 
@@ -153,7 +153,7 @@ def test_closed_form_rejects_zero_stages():
 
 def test_dual_stage_trivial_point():
     hs = nla.dual_stage_circuit(0.0, 0.0, 0.3, 4)
-    assert hs.pattern_count == 4
+    assert hs.n_stages == 2
     assert hs.success_prob == pytest.approx(0.7 ** 2, abs=1e-12)
     vac = fock.vacuum(["A", "B", "L"], [4, 2, 4])
     assert fock.fidelity(hs.state, vac) == pytest.approx(1.0, abs=1e-12)
@@ -188,7 +188,7 @@ def test_heralded_state_invariant():
     for n, hs in ((1, nla.single_stage_circuit(r, lam, 0.6, 15)),
                   (2, nla.dual_stage_circuit(r, lam, 0.6, 8)),
                   (3, nla.closed_form_state(3, r, lam, 0.6, 15))):
-        assert hs.n_stages == n and hs.pattern_count == 2**n
+        assert hs.n_stages == n
         assert hs.success_prob == 2.0**n * fock.norm_sq(hs.state)
         assert nla.distill_and_measure(hs).n_stages == n
 
@@ -232,16 +232,22 @@ def test_distill_and_measure_vacuum_branch():
     assert res.n_stages == 1
 
 
+def test_distill_and_measure_fields_are_python_floats():
+    res = nla.distill_and_measure(nla.single_stage_circuit(0.3, 0.3, 0.7, 12))
+    assert {type(x) for x in (res.eps_b_given_a, res.eps_a_given_b,
+                              res.purity, res.success_prob)} == {float}
+
+
 def test_distill_ideal_single_stage_floor():
     # kappa = 0.36 on the pure truncated pair state sits at the quoted floor
     st = nla.truncated_pair_state(1, 0.36)
-    eps = metrics.epr_criterion(st, "A", "B").eps_b_given_a
+    eps = metrics.epr_criterion(st, "A", "B")[0]
     assert eps == pytest.approx(0.81, abs=5e-3)
 
 
 def test_distill_ideal_dual_stage_floor():
     st = nla.truncated_pair_state(2, 0.59)
-    eps = metrics.epr_criterion(st, "A", "B").eps_b_given_a
+    eps = metrics.epr_criterion(st, "A", "B")[0]
     assert eps == pytest.approx(0.57, abs=5e-3)
 
 
@@ -268,7 +274,7 @@ def test_n_stage_circuit_matches_closed_form(n, r, lam, eta):
     circ = nla.scissor_circuit(n, r, lam, eta, 10)
     cf = nla.closed_form_state(n, r, lam, eta, 10)
     assert circ.state.modes == cf.state.modes
-    assert circ.pattern_count == 2**n
+    assert circ.n_stages == n
     assert fock.fidelity(circ.state, cf.state) >= 1 - 1e-12
     assert abs(fock.norm_sq(circ.state) / fock.norm_sq(cf.state) - 1) <= 1e-12
     # only the source clips: every scissor output has room for all N photons
