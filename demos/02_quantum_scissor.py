@@ -23,13 +23,13 @@ print(f"amplitude gain g = {math.sqrt(eta / (1.0 - eta)):.4f}, "
 print()
 print("=== heralded branch from the brute-force circuit ===")
 hs = single_stage_circuit(r, lam, eta, cutoff=12)
-print(f"success probability (both detection patterns): {hs.success_prob:.6f}")
+print(f"success probability (both detection patterns): {2 * norm_sq(hs):.6f}")
 print(f"closed-form success probability:               "
       f"{success_prob(1, r, lam, eta):.6f}")
 
 print()
 print("largest amplitudes of the (A, B, L) branch:")
-lines = debug_serialize(hs.state).splitlines()
+lines = debug_serialize(hs).splitlines()
 ranked = sorted(lines, key=lambda ln: -abs(float(ln.split()[1].split(",")[0])))
 for ln in ranked[:6]:
     print("  ", ln)
@@ -38,13 +38,13 @@ print()
 print("=== against the closed form ===")
 cf = closed_form_state(1, r, lam, eta, cutoff=12)
 print(f"fidelity with (1 + kappa a'b') sigma^rho |0>: "
-      f"{fidelity(hs.state, cf.state):.15f}")
-print(f"branch norms: circuit {norm_sq(hs.state):.12f}, "
-      f"closed form {norm_sq(cf.state):.12f}")
+      f"{fidelity(hs, cf):.15f}")
+print(f"branch norms: circuit {norm_sq(hs):.12f}, "
+      f"closed form {norm_sq(cf):.12f}")
 
 print()
 print("=== what one scissor buys ===")
-res = distill_and_measure(single_stage_circuit(r, lam, eta, cutoff=30))
+res = distill_and_measure(1, single_stage_circuit(r, lam, eta, cutoff=30))
 before = epr_criterion(lossy_channel_state(r, lam, 30), "A", "B")[0]
 print(f"eps_B|A before distillation: {before:.6f}")
 print(f"eps_B|A after the scissor:   {res.eps_b_given_a:.6f} "

@@ -45,7 +45,7 @@ print()
 print("the same convergence holds for the full heralded state at zero loss:")
 ch_r = math.atanh(kappa)  # unit gain: kappa = tanh(r)
 hs = closed_form_state(64, ch_r, 0.0, 0.5, 30)
-branch = project_fock(hs.state, "L", 0)
+branch = project_fock(hs, "L", 0)
 amps = np.zeros((31, 31), dtype=complex)
 amps[:31, :31] = branch.amps[:, :31]
 emb = PureState(("A", "B"), amps)
@@ -59,7 +59,7 @@ print("=== three scissors, simulated photon by photon ===")
 circ = scissor_circuit(3, 0.3, 0.3, 0.7, cutoff=10)
 cf = closed_form_state(3, 0.3, 0.3, 0.7, cutoff=10)
 print(f"N = 3 circuit vs closed form: fidelity "
-      f"{fidelity(circ.state, cf.state):.15f}, norm ratio "
-      f"{norm_sq(circ.state) / norm_sq(cf.state):.15f}")
+      f"{fidelity(circ, cf):.15f}, norm ratio "
+      f"{norm_sq(circ) / norm_sq(cf):.15f}")
 print(f"success probability over the 8 detection patterns: "
-      f"{circ.success_prob:.6e}")
+      f"{2**3 * norm_sq(circ):.6e}")

@@ -16,9 +16,9 @@ from .fock import (PureState, apply_beamsplitter, debug_serialize, epr_state,
                    rename_modes, reorder_modes, squeezed_vacuum, tensor,
                    vacuum)
 from .metrics import epr_criterion
-from .nla import (DistillationResult, HeraldedState, closed_form_state,
-                  distill_and_measure, dual_stage_circuit, lossy_channel_state,
-                  scissor_circuit, single_stage_circuit, truncated_pair_state)
+from .nla import (DistillationResult, closed_form_state, distill_and_measure,
+                  dual_stage_circuit, lossy_channel_state, scissor_circuit,
+                  single_stage_circuit, truncated_pair_state)
 from .optimize import (UnachievableTargetError, best_entanglement_vs_stages,
                        eta_candidates, optimize_entanglement,
                        purity_for_target_entanglement)
@@ -38,7 +38,7 @@ __all__ = [
     "project_fock", "partial_trace", "quadrature_moment", "norm_sq", "purity",
     "fidelity", "debug_serialize", "rename_modes", "reorder_modes",
     "epr_criterion",
-    "HeraldedState", "DistillationResult", "lossy_channel_state",
+    "DistillationResult", "lossy_channel_state",
     "scissor_circuit", "single_stage_circuit", "dual_stage_circuit",
     "closed_form_state", "truncated_pair_state", "distill_and_measure",
     "eta_candidates", "optimize_entanglement",

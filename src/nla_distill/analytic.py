@@ -265,19 +265,27 @@ def success_prob(n_stages: int, r: float, lam: float, eta: float) -> float:
     return total * ch2rho / _cosh2(r)  # 0 past r ~ 355.6
 
 
+def _require(ok, need: str, name: str, x) -> None:
+    """The ladder sums' ValueError, naming the elements of x where ok fails."""
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        bad = np.broadcast_to(x, ok.shape)[~ok] if isinstance(ok, np.ndarray) else x
+        raise ValueError(f"the ladder sums need {need}, got {name} = {bad}")
+
+
 def _ladder(n_stages: int, kappa: float, rho: float):
     """T, q = cosh^2 rho, and v_j = w_j q^j with w_j = (N!/(N-j)! (kappa/N)^j)^2,
     by recurrence (no factorials or powers), up to one common power-of-two
-    factor (per element when kappa or rho is an array).  ValueError unless
-    |rho| <= 19 (NaN fails), one bound on rho itself for a float and an array
-    element (tanh rounds to 1 from 19.0 in numpy, 19.07 in math); every rho
-    the (r, lam, eta) map returns is atanh of a double below 1, at most 18.72."""
+    factor (per element when kappa or rho is an array).  ValueError, for a
+    float and an array element alike (NaN fails), unless |rho| <= 19 (tanh
+    rounds to 1 from 19.0 in numpy, 19.07 in math; the (r, lam, eta) map's rho
+    is at most 18.72) and kappa^2 q <= 2^256, so that no step outgrows the
+    rescale (the searches' kappa^2 q is below 1e18, the floor's below 16)."""
     _check_params(n_stages=n_stages)
-    ok = abs(rho) <= 19.0
-    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
-        bad = rho[~ok] if isinstance(ok, np.ndarray) else rho
-        raise ValueError(f"the ladder sums need |rho| <= 19, got rho = {bad}")
+    _require(abs(rho) <= 19.0, "|rho| <= 19", "rho", rho)
     big_t, q = _xp(rho).tanh(rho) ** 2, _cosh2(rho)
+    # kappa is compared, not squared: its square can overflow
+    _require(abs(kappa) <= 2.0**128 / _xp(q).sqrt(q),
+             "kappa^2 cosh^2 rho <= 2^256", "kappa", kappa)
     v, vj = [1.0], 1.0
     for j in range(1, n_stages + 1):
         vj = vj * ((n_stages - j + 1) * kappa / n_stages) ** 2 * q
@@ -296,7 +304,7 @@ def eps_ladder(n_stages: int, kappa: float, rho: float) -> tuple[float, float]:
     First moments vanish and X- mirrors X+, so both products follow from
     <a'a>, <b'b> and <ab>; B holds j photons with weight q v_j.
     kappa and rho may be arrays (of one shape, or one of them a float);
-    rho needs |rho| <= 19 (`_ladder`).
+    they need |rho| <= 19 and kappa^2 cosh^2 rho <= 2^256 (`_ladder`).
     """
     return _eps_sums(n_stages, kappa, _ladder(n_stages, kappa, rho))
 

@@ -275,20 +275,20 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence],
 _PALETTE = ("#e08214", "#41ab5d", "#4292c6", "#d4b106", "#807dba", "#d6616b",
             "#636363", "#8c6d31")
 
-# per-panel plotting layout: (x column, y column, group-by column)
+# per-panel plotting layout: (x column, y column, columns naming each line)
 _PLOT_SPEC = {
-    "fig3a": ("lambda", "eps_b_given_a", "squeeze_db"),
-    "fig3b": ("lambda", "purity", "squeeze_db"),
-    "fig4": ("lambda", "purity", "eps_target"),
-    "fig6a": ("lambda_db", "eps_opt", "pi"),
-    "fig6b": ("lambda_db", "purity", "pi"),
-    "fig7": ("lambda_db", "purity", "pi"),
-    "fig8a": ("lambda_db", "eps_opt", "pi"),
-    "fig8b": ("lambda_db", "purity", "pi"),
-    "fig9": ("lambda_db", "purity", "pi"),
-    "fig10a": ("lambda_db", "eps_opt", "pi"),
-    "fig10b": ("lambda_db", "purity", "pi"),
-    "fig11": ("n_stages", "eps_best", None),
+    "fig3a": ("lambda", "eps_b_given_a", ("squeeze_db",)),
+    "fig3b": ("lambda", "purity", ("squeeze_db",)),
+    "fig4": ("lambda", "purity", ("eps_target",)),
+    "fig6a": ("lambda_db", "eps_opt", ("pi",)),
+    "fig6b": ("lambda_db", "purity", ("pi",)),
+    "fig7": ("lambda_db", "purity", ("pi",)),
+    "fig8a": ("lambda_db", "eps_opt", ("pi",)),
+    "fig8b": ("lambda_db", "purity", ("pi",)),
+    "fig9": ("lambda_db", "purity", ("pi",)),
+    "fig10a": ("lambda_db", "eps_opt", ("pi", "n_stages")),
+    "fig10b": ("lambda_db", "purity", ("pi", "n_stages")),
+    "fig11": ("n_stages", "eps_best", ()),
 }
 
 
@@ -297,12 +297,11 @@ def write_svg(path: str, title: str, header: Sequence[str],
     spec = _PLOT_SPEC.get(panel)
     if spec is None or not rows:
         return
-    xcol, ycol, gcol = spec
+    xcol, ycol, gcols = spec
     xi, yi = header.index(xcol), header.index(ycol)
-    gi = header.index(gcol) if gcol else None
     groups: dict = {}
     for row in rows:
-        key = row[gi] if gi is not None else ""
+        key = " ".join(f"{col}={row[header.index(col)]}" for col in gcols)
         x, y = float(row[xi]), float(row[yi])
         if math.isfinite(x) and math.isfinite(y):
             groups.setdefault(key, []).append((x, y))
@@ -333,14 +332,14 @@ def write_svg(path: str, title: str, header: Sequence[str],
              f'<text x="16" y="{h/2:.0f}" text-anchor="middle" '
              f'font-family="sans-serif" font-size="12" '
              f'transform="rotate(-90 16 {h/2:.0f})">{ycol}</text>']
-    for k, (key, pts_k) in enumerate(sorted(groups.items(), key=lambda t: str(t[0]))):
+    for k, (key, pts_k) in enumerate(sorted(groups.items())):
         color = _PALETTE[k % len(_PALETTE)]
         path_d = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts_k)
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{path_d}"/>')
         if key != "":
             parts.append(f'<text x="{w-m+4}" y="{m+14*k}" font-family="sans-serif" '
-                         f'font-size="10" fill="{color}">{gcol}={key}</text>')
+                         f'font-size="10" fill="{color}">{key}</text>')
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")

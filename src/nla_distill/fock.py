@@ -468,8 +468,10 @@ def purity(state: PureState, keep: Sequence[ModeLabel]) -> float:
     Tr(rho^2) / Tr(rho)^2 = |G|_F^2 / Tr(G)^2 without forming rho itself.
     A zero-norm state raises ValueError.
     """
-    _positive_norm_sq(state)
+    w = _positive_norm_sq(state)
     mat = _kept_by_traced(state, keep)
+    if w * w < np.finfo(float).tiny:  # Tr(rho)^2 would underflow
+        mat = mat / math.sqrt(w)
     if mat.shape[0] <= mat.shape[1]:
         gram = mat @ mat.conj().T
     else:
@@ -484,7 +486,10 @@ def fidelity(a: PureState, b: PureState) -> float:
     if a.modes != b.modes or a.amps.shape != b.amps.shape:
         raise ValueError("states live on different mode layouts")
     ov = np.vdot(a.amps, b.amps)
-    return float(abs(ov) ** 2 / (_positive_norm_sq(a) * _positive_norm_sq(b)))
+    wa, wb = _positive_norm_sq(a), _positive_norm_sq(b)
+    if wa * wb < np.finfo(float).tiny:  # normalize before the product underflows
+        return float(abs(ov / math.sqrt(wa) / math.sqrt(wb)) ** 2)
+    return float(abs(ov) ** 2 / (wa * wb))
 
 
 def debug_serialize(state: PureState) -> str:

@@ -8,16 +8,17 @@ Two constructions of the same physics:
 * the closed-form heralded states (1 + (kappa/N) a'b')^N sigma_AL^rho |0>
   for any stage count, expanded with exact binomial coefficients.
 
-Each heralds on one concrete detection pattern; the success probability folds
-in the 2^N symmetric patterns, whose branches coincide after the documented
-phase compensation on the amplified mode.  Every builder takes the channel as
-the floats (r, lam) and checks them before it builds any state.
+Each returns the unnormalized `fock.PureState` branch of one concrete detection
+pattern; the success probability folds in the 2^N symmetric patterns, whose
+branches coincide after the documented phase compensation on the amplified
+mode.  Every builder takes the channel as the floats (r, lam) and checks them
+before it builds any state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from math import comb
 
 import numpy as np
@@ -27,7 +28,6 @@ from .analytic import (DistillationResult, _check_params, _kappa_rho,
                        success_prob)
 
 __all__ = [
-    "HeraldedState",
     "DistillationResult",
     "lossy_channel_state",
     "scissor_circuit",
@@ -39,22 +39,6 @@ __all__ = [
 ]
 
 _PATTERNS = ((1, 0), (0, 1))
-
-
-@dataclass(frozen=True)
-class HeraldedState:
-    """Unnormalized heralded branch of an N-stage amplifier.
-
-    The stored branch is the one for a single concrete detection pattern; the
-    other symmetric patterns contribute equal probability.
-    """
-
-    state: fock.PureState
-    n_stages: int
-
-    @property
-    def success_prob(self) -> float:
-        return 2.0**self.n_stages * fock.norm_sq(self.state)
 
 
 def _flip_odd(state: fock.PureState, mode: str) -> fock.PureState:
@@ -103,7 +87,7 @@ def lossy_channel_state(r: float, lam: float, cutoff: int) -> fock.PureState:
 
 
 def scissor_circuit(n_stages: int, r: float, lam: float, eta: float,
-                    cutoff: int, patterns=None) -> HeraldedState:
+                    cutoff: int, patterns=None) -> fock.PureState:
     """Full circuit: EPR source, loss on one arm, the lossy arm split evenly
     over N scissors and coherently recombined (Ralph & Lund's N-splitter
     generalized scissor).
@@ -131,24 +115,23 @@ def scissor_circuit(n_stages: int, r: float, lam: float, eta: float,
     for k in reversed(range(n - 1)):
         st = fock.apply_beamsplitter(st, (out, f"P{k}"), _arm_transmissivity(n, k))
         st = fock.project_fock(st, f"P{k}", 0)
-    st = fock.reorder_modes(fock.rename_modes(st, {out: "B"}), ("A", "B", "L"))
-    return HeraldedState(st, n)
+    return fock.reorder_modes(fock.rename_modes(st, {out: "B"}), ("A", "B", "L"))
 
 
 def single_stage_circuit(r: float, lam: float, eta: float, cutoff: int,
-                         pattern=(1, 0)) -> HeraldedState:
+                         pattern=(1, 0)) -> fock.PureState:
     """One scissor on the lossy arm: ``scissor_circuit(1, ...)``."""
     return scissor_circuit(1, r, lam, eta, cutoff, [pattern])
 
 
 def dual_stage_circuit(r: float, lam: float, eta: float, cutoff: int,
-                       patterns=None) -> HeraldedState:
+                       patterns=None) -> fock.PureState:
     """Two scissors on the evenly split lossy arm: ``scissor_circuit(2, ...)``."""
     return scissor_circuit(2, r, lam, eta, cutoff, patterns)
 
 
 def closed_form_state(n_stages: int, r: float, lam: float, eta: float,
-                      cutoff: int) -> HeraldedState:
+                      cutoff: int) -> fock.PureState:
     """Heralded branch (1 + (kappa/N) a'b')^N sigma_AL^rho |0> at exact scale.
 
     The binomial is expanded with exact integer coefficients; the overall
@@ -179,8 +162,7 @@ def closed_form_state(n_stages: int, r: float, lam: float, eta: float,
     # the untruncated branch holds one pattern's share of the success rate
     norm_inf = success_prob(n, r, lam, eta) / 2.0**n
     tail = max(norm_inf - float(np.vdot(amps, amps).real), 0.0)
-    state = fock.PureState(("A", "B", "L"), amps, tail_mass=tail)
-    return HeraldedState(state, n)
+    return fock.PureState(("A", "B", "L"), amps, tail_mass=tail)
 
 
 def truncated_pair_state(n_stages: int, kappa: float) -> fock.PureState:
@@ -195,14 +177,17 @@ def truncated_pair_state(n_stages: int, kappa: float) -> fock.PureState:
     return fock.PureState(("A", "B"), amps)
 
 
-def distill_and_measure(heralded: HeraldedState) -> DistillationResult:
-    """Trace out the loss mode and evaluate the entanglement/purity figures."""
-    st = heralded.state
-    eps_ba, eps_ab = metrics.epr_criterion(st, "A", "B")
+def distill_and_measure(n_stages: int,
+                        state: fock.PureState) -> DistillationResult:
+    """Trace out the loss mode of an N-stage branch and evaluate the figures;
+    the success rate folds in its 2^N symmetric detection patterns."""
+    _check_params(n_stages=n_stages)
+    n_stages = int(n_stages)  # a numpy integer reports as a Python int
+    eps_ba, eps_ab = metrics.epr_criterion(state, "A", "B")
     return DistillationResult(
         eps_b_given_a=eps_ba,
         eps_a_given_b=eps_ab,
-        purity=fock.purity(st, ["A", "B"]),
-        success_prob=heralded.success_prob,
-        n_stages=heralded.n_stages,
+        purity=fock.purity(state, ["A", "B"]),
+        success_prob=2.0**n_stages * fock.norm_sq(state),
+        n_stages=n_stages,
     )

@@ -305,21 +305,22 @@ def optimize_entanglement(lam: float, pi: float,
     The success probability is the joint N-stage heralding probability; the
     scissor transmissivity is recovered from it at every probed squeezing.
     """
-    objective, sub, eps, runs = _scan(lam, pi, n_stages)
+    n_stages, objective, sub, eps, runs = _scan(lam, pi, n_stages)
     r_opt, eps_opt, eta_opt = _minimize_on_grid(objective, sub, eps, runs)
     return _finalize(r_opt, eta_opt, eps_opt, lam, pi, n_stages)
 
 
 def _scan(lam: float, pi: float, n_stages: int, eps_target: float = 1.0):
     """Both searches' opening: the input checks, then the scalar objective and
-    `_feasible_grid` on the grid pass, as (objective, sub, eps, runs)."""
+    `_feasible_grid` on the grid pass, as (int N, objective, sub, eps, runs)."""
     _check_params(lam=lam, pi=pi, eps_target=eps_target, n_stages=n_stages)
+    n_stages = int(n_stages)
     if n_stages > MAX_SEARCH_STAGES:
         raise ValueError(f"searches take 1 to {MAX_SEARCH_STAGES} stages, "
                          f"got {n_stages}")
     sub, eps, runs = _feasible_grid(*_grid_values(lam, pi, n_stages),
                                     lam, pi, n_stages)
-    return _make_objective(lam, pi, n_stages), sub, eps, runs
+    return n_stages, _make_objective(lam, pi, n_stages), sub, eps, runs
 
 
 def _finalize(r_opt: float, eta_opt: float, eps_opt: float, lam: float,
@@ -346,7 +347,7 @@ def purity_for_target_entanglement(eps_target: float, lam: float, pi: float,
     optimum) and returns the root with maximal purity; ``full_output=True``
     additionally returns all roots' results.
     """
-    objective, sub, eps, runs = _scan(lam, pi, n_stages, eps_target)
+    n_stages, objective, sub, eps, runs = _scan(lam, pi, n_stages, eps_target)
     if (eps > eps_target).all():
         # only then can the target lie below the optimum, or between the
         # refined optimum and every grid value (the straddle below, whose

@@ -107,11 +107,12 @@ def _check_circuits(tail: list) -> list[CheckResult]:
         k1 = nla.closed_form_state(1, r, lam, eta, cut)
         c2 = nla.dual_stage_circuit(r, lam, eta, cut)
         k2 = nla.closed_form_state(2, r, lam, eta, cut)
-        tail.extend(h.state.tail_mass for h in (c1, k1, c2, k2))
-        f1 = max(f1, 1.0 - fock.fidelity(c1.state, k1.state))
-        f2 = max(f2, 1.0 - fock.fidelity(c2.state, k2.state))
-        dpi = max(dpi, abs(success_prob(1, r, lam, eta) - c1.success_prob),
-                  abs(success_prob(2, r, lam, eta) - c2.success_prob))
+        tail.extend(h.tail_mass for h in (c1, k1, c2, k2))
+        f1 = max(f1, 1.0 - fock.fidelity(c1, k1))
+        f2 = max(f2, 1.0 - fock.fidelity(c2, k2))
+        dpi = max(dpi, *(abs(success_prob(n, r, lam, eta)
+                             - 2.0**n * fock.norm_sq(c))
+                         for n, c in ((1, c1), (2, c2))))
     return [CheckResult("single_stage_circuit_vs_closed_form", f1, 1e-10),
             CheckResult("dual_stage_circuit_vs_closed_form", f2, 1e-8),
             CheckResult("success_prob_vs_heralding", dpi, 1e-10)]
@@ -123,14 +124,14 @@ def _check_patterns(tail: list) -> list[CheckResult]:
     base1 = nla.single_stage_circuit(r, lam, 0.7, cut)
     alt1 = nla.single_stage_circuit(r, lam, 0.7, cut, pattern=(0, 1))
     base2 = nla.dual_stage_circuit(r, lam, 0.7, cut)
-    tail.extend(h.state.tail_mass for h in (base1, alt1, base2))
-    dn = abs(fock.norm_sq(alt1.state) - fock.norm_sq(base1.state))
-    df = 1.0 - fock.fidelity(alt1.state, base1.state)
+    tail.extend(h.tail_mass for h in (base1, alt1, base2))
+    dn = abs(fock.norm_sq(alt1) - fock.norm_sq(base1))
+    df = 1.0 - fock.fidelity(alt1, base1)
     for pats in (((1, 0), (0, 1)), ((0, 1), (1, 0)), ((0, 1), (0, 1))):
         alt2 = nla.dual_stage_circuit(r, lam, 0.7, cut, patterns=pats)
-        tail.append(alt2.state.tail_mass)
-        dn = max(dn, abs(fock.norm_sq(alt2.state) - fock.norm_sq(base2.state)))
-        df = max(df, 1.0 - fock.fidelity(alt2.state, base2.state))
+        tail.append(alt2.tail_mass)
+        dn = max(dn, abs(fock.norm_sq(alt2) - fock.norm_sq(base2)))
+        df = max(df, 1.0 - fock.fidelity(alt2, base2))
     return [CheckResult("pattern_norm_symmetry", dn, 1e-12),
             CheckResult("pattern_state_after_compensation", df, 1e-12)]
 
@@ -176,8 +177,8 @@ def _check_formulas(tail: list) -> list[CheckResult]:
     for r, lam, eta in _FORMULA_GRID:
         pi = success_prob(1, r, lam, eta)
         hs = nla.single_stage_circuit(r, lam, eta, _auto_cutoff(r))
-        tail.append(hs.state.tail_mass)
-        res = nla.distill_and_measure(hs)
+        tail.append(hs.tail_mass)
+        res = nla.distill_and_measure(1, hs)
         de = max(de, abs(res.eps_b_given_a - eps_opt_formula(r, lam, pi)))
         dp = max(dp, abs(res.purity - purity_formula(r, lam, pi)))
     return [CheckResult("eps_formula_pointwise_vs_sim", de, 1e-6),
@@ -271,8 +272,8 @@ def _circuit_eps(r: float, lam: float, pi: float, tail: list) -> float:
     if not etas or cutoff > MAX_CUTOFF:
         return math.inf
     hs = nla.single_stage_circuit(r, lam, etas[0], cutoff)
-    tail.append(hs.state.tail_mass)
-    return metrics.epr_criterion(hs.state, "A", "B")[0]
+    tail.append(hs.tail_mass)
+    return metrics.epr_criterion(hs, "A", "B")[0]
 
 
 def _circuit_minimum(lam: float, pi: float, tail: list) -> float:
@@ -302,8 +303,8 @@ def _check_moments_engine(tail: list) -> CheckResult:
     worst = 0.0
     for n_st, r, lam, eta in ((1, 0.5, 0.3, 0.8), (2, 0.3, 0.3, 0.7)):
         hs = nla.closed_form_state(n_st, r, lam, eta, 40)
-        tail.append(hs.state.tail_mass)
-        sim = metrics.epr_criterion(hs.state, "A", "B")[0]
+        tail.append(hs.tail_mass)
+        sim = metrics.epr_criterion(hs, "A", "B")[0]
         alg = moments.eps_via_moments(n_st, *kappa_rho(r, lam, eta))
         worst = max(worst, abs(sim - alg))
     return CheckResult("moment_engine_vs_sim", worst, 1e-10)

@@ -61,13 +61,13 @@ def test_criterion_04_circuit_closed_form_equivalence():
     for r, lam, eta in CIRCUIT_GRID:
         circ = nla.single_stage_circuit(r, lam, eta, 20)
         cf = nla.closed_form_state(1, r, lam, eta, 20)
-        worst1 = max(worst1, 1.0 - fock.fidelity(circ.state, cf.state))
+        worst1 = max(worst1, 1.0 - fock.fidelity(circ, cf))
     t0 = time.perf_counter()
     worst2 = 0.0
     for r, lam, eta in CIRCUIT_GRID:
         circ = nla.dual_stage_circuit(r, lam, eta, 8)
         cf = nla.closed_form_state(2, r, lam, eta, 8)
-        worst2 = max(worst2, 1.0 - fock.fidelity(circ.state, cf.state))
+        worst2 = max(worst2, 1.0 - fock.fidelity(circ, cf))
     dt = time.perf_counter() - t0
     report(4, "circuit-closed-form-equivalence",
            worst1 <= 1e-10 and worst2 <= 1e-8 and dt < 120.0,
@@ -80,7 +80,7 @@ def test_criterion_05_success_probability():
     for r, lam, eta in CIRCUIT_GRID:
         circ = nla.single_stage_circuit(r, lam, eta, 20)
         worst = max(worst, abs(success_prob(1, r, lam, eta)
-                               - 2.0 * fock.norm_sq(circ.state)))
+                               - 2.0 * fock.norm_sq(circ)))
     report(5, "success-probability", worst <= 1e-10,
            f"max err {worst:.2e} <= 1e-10")
 
@@ -122,7 +122,7 @@ def test_criterion_09_purity_formula():
     for r, lam, pi in ((0.4, 0.5, 0.1), (0.1, 0.5, 0.01), (0.4, 0.3, 0.2)):
         eta, = optimize.eta_candidates(r, lam, pi, 1)
         hs = nla.single_stage_circuit(r, lam, eta, 40)
-        sim = nla.distill_and_measure(hs).purity
+        sim = nla.distill_and_measure(1, hs).purity
         worst = max(worst, abs(sim - purity_formula(r, lam, pi)))
     report(9, "purity-formula", worst <= 1e-6,
            f"stated point infeasible as required; max err at feasible "

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -128,6 +129,23 @@ def test_fig10_schema(tmp_path):
     assert tuple(header_b) == EXPECTED_HEADERS["fig10b"]
     stages = {r.split(",")[3] for r in rows_a}
     assert stages == {"1", "2"}
+
+
+def test_fig10_svg_draws_one_line_per_pi_and_stage_count(tmp_path):
+    # each line runs left to right along the loss axis: the N = 1 and N = 2
+    # rows of one pi are two lines, not one that jumps back
+    assert cli.main(["fig10", "-o", str(tmp_path / "fig10.csv"), "--lambda-db",
+                     "3", "9", "3", "--pi", "0.1", "--workers", "1",
+                     "--svg"]) == 0
+    for panel in ("fig10a", "fig10b"):
+        svg = (tmp_path / f"{panel}.svg").read_text()
+        assert re.findall(r'">(pi=[^<]*)</text>', svg) == [
+            "pi=0.1 n_stages=1", "pi=0.1 n_stages=2"]
+        lines = re.findall(r'points="([^"]*)"', svg)
+        assert len(lines) == 2
+        for points in lines:
+            xs = [float(p.split(",")[0]) for p in points.split()]
+            assert len(xs) == 3 and xs == sorted(xs)
 
 
 def test_point_command_output(capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -363,8 +364,8 @@ def test_norm_sq_is_the_validated_norm_of_every_state():
         fock.herald_beamsplitter(raw, ("A", "B"), 0.3, (1, 2)),
         fock.herald_beamsplitter(epr, ("N", "S"), 0.4, (2, 1), ancilla=sq),
         fock.project_fock(raw, "B", 3),
-        nla.scissor_circuit(2, 0.3, 0.4, 0.6, 8).state,
-        nla.closed_form_state(2, 0.3, 0.4, 0.6, 8).state,
+        nla.scissor_circuit(2, 0.3, 0.4, 0.6, 8),
+        nla.closed_form_state(2, 0.3, 0.4, 0.6, 8),
         nla.truncated_pair_state(3, 0.7),
     ]
     for state in states:
@@ -446,15 +447,28 @@ def test_purity_matches_partial_trace_reference(state):
 
 def test_purity_of_heralded_branch_matches_partial_trace_reference():
     hs = nla.single_stage_circuit(0.5, 0.3, 0.7, 12)
-    assert fock.norm_sq(hs.state) < 0.5  # subnormalized
-    assert_purity_matches_partial_trace(hs.state)
+    assert fock.norm_sq(hs) < 0.5  # subnormalized
+    assert_purity_matches_partial_trace(hs)
+
+
+def test_tiny_norm_state_has_fidelity_and_purity():
+    # 150 stages at eta = 0.9: norm^2 1.4e-195, whose square underflows; the
+    # EPR criterion reads this state too
+    branch = nla.closed_form_state(150, 0.3, 0.3, 0.9, 10)
+    w = fock.norm_sq(branch)
+    assert 0.0 < w < math.sqrt(sys.float_info.min)
+    assert fock.fidelity(branch, branch) == pytest.approx(1.0, abs=1e-14)
+    unit = fock.PureState(branch.modes, branch.amps / math.sqrt(w))
+    for keep in (["A", "B"], ["A"], ["L"]):
+        assert fock.purity(branch, keep) == pytest.approx(
+            fock.purity(unit, keep), rel=1e-14)
 
 
 def test_zero_norm_state_has_no_fidelity_or_purity():
     # past r ~ 710 the closed-form branch is all zero: nothing to normalize
-    zero = nla.closed_form_state(1, 800.0, 0.3, 0.5, 10).state
+    zero = nla.closed_form_state(1, 800.0, 0.3, 0.5, 10)
     assert fock.norm_sq(zero) == 0.0
-    other = nla.closed_form_state(1, 0.5, 0.3, 0.5, 10).state
+    other = nla.closed_form_state(1, 0.5, 0.3, 0.5, 10)
     for measure in (lambda: fock.fidelity(zero, zero),
                     lambda: fock.fidelity(other, zero),
                     lambda: fock.fidelity(zero, other),

@@ -28,9 +28,9 @@ transmissivity = st.floats(0.05, 0.95)
 def test_ladder_matches_fock_closed_form_state(n, r, lam, eta):
     kappa, rho = kappa_rho(r, lam, eta)
     hs = nla.closed_form_state(n, r, lam, eta, 80)
-    assert hs.state.tail_mass < 1e-12
-    sim_ba, sim_ab = metrics.epr_criterion(hs.state, "A", "B")
-    sim_purity = fock.purity(hs.state, ["A", "B"])
+    assert hs.tail_mass < 1e-12
+    sim_ba, sim_ab = metrics.epr_criterion(hs, "A", "B")
+    sim_purity = fock.purity(hs, ["A", "B"])
     eps_ba, eps_ab = eps_ladder(n, kappa, rho)
     assert abs(eps_ba - sim_ba) < 1e-10
     assert abs(eps_ab - sim_ab) < 1e-10
@@ -146,6 +146,24 @@ def test_ladder_sums_reject_rho_where_tanh_squared_is_not_below_one(rho):
         for value in (rho, np.array([0.5, rho])):
             with pytest.raises(ValueError, match="rho"):
                 sums(value)
+
+
+@pytest.mark.parametrize("kappa", [1e32, math.inf, math.nan])
+def test_ladder_sums_reject_kappa_past_the_rescale(kappa):
+    # kappa^2 cosh^2 rho <= 2^256 keeps every recurrence step inside the
+    # 2^256 rescale; past it the sums read nan, or overflow with no name
+    for sums in (lambda x: eps_ladder(150, x, 19.0),
+                 lambda x: purity_ladder(150, x, 19.0)):
+        for value in (kappa, np.array([0.5, kappa])):
+            with pytest.raises(ValueError, match="kappa"):
+                sums(value)
+
+
+def test_ladder_sums_are_finite_just_inside_the_kappa_bound():
+    assert 1e30**2 * math.cosh(19.0) ** 2 <= 2.0**256
+    for value in (1e30, np.array([0.5, 1e30])):
+        assert np.isfinite(eps_ladder(150, value, 19.0)).all()
+        assert np.isfinite(purity_ladder(150, value, 19.0)).all()
 
 
 def test_ladder_sums_are_finite_just_below_where_tanh_squared_rounds_to_one():

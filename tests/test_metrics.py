@@ -112,7 +112,7 @@ def test_separable_bound_on_product_states(seed):
 
 def test_zero_norm_state_rejected():
     for st in (fock.PureState(("A", "B"), np.zeros((2, 3))),
-               nla.closed_form_state(1, 800.0, 0.3, 0.5, 10).state):
+               nla.closed_form_state(1, 800.0, 0.3, 0.5, 10)):
         with pytest.raises(ValueError, match="zero norm"):
             metrics.epr_criterion(st, "A", "B")
 
@@ -122,9 +122,9 @@ def test_tiny_norm_state_equals_its_rescaled_self():
     tiny_vacuum = np.zeros((2, 3))
     tiny_vacuum[0, 0] = 1e-9
     hs = nla.closed_form_state(20, 0.3, 0.3, 0.9, 30)
-    assert fock.norm_sq(hs.state) < 1e-25
+    assert fock.norm_sq(hs) < 1e-25
     for st in (fock.PureState(("A", "B"), tiny_vacuum),
-               fock.PureState(("A", "B", "L"), hs.state.amps)):
+               fock.PureState(("A", "B", "L"), hs.amps)):
         unit = fock.PureState(st.modes, st.amps / math.sqrt(fock.norm_sq(st)))
         got, want = (metrics.epr_criterion(s, "A", "B") for s in (st, unit))
         assert got == pytest.approx(want, rel=1e-12)

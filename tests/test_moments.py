@@ -185,7 +185,7 @@ def test_quadrature_moment_takes_the_fock_spec(n_st):
     # one factor spec drives both routes on the heralded state
     r, lam = 0.3, 0.4
     kappa, rho = kappa_rho(r, lam, 0.7)
-    st = nla.closed_form_state(n_st, r, lam, 0.7, 40).state
+    st = nla.closed_form_state(n_st, r, lam, 0.7, 40)
     z = fock.norm_sq(st)
     zg = moments.quadrature_moment(n_st, kappa, rho, [])
     assert zg == moments.heralded_moment(n_st, kappa, rho, [(1.0, ())]).real
@@ -208,7 +208,7 @@ def test_quadrature_moment_takes_the_fock_spec(n_st):
 ])
 def test_eps_via_moments_matches_fock_route(n_st, r, lam, eta):
     hs = nla.closed_form_state(n_st, r, lam, eta, 40)
-    sim = metrics.epr_criterion(hs.state, "A", "B")[0]
+    sim = metrics.epr_criterion(hs, "A", "B")[0]
     alg = moments.eps_via_moments(n_st, *kappa_rho(r, lam, eta))
     assert abs(sim - alg) < 1e-10
 

@@ -19,32 +19,31 @@ GRID = [(r, lam, eta) for r in (0.2, 0.3) for lam in (0.2, 0.5)
 def test_single_stage_trivial_point():
     # no squeezing: the ancilla photon must reflect straight into the detector
     hs = nla.single_stage_circuit(0.0, 0.0, 0.3, 6)
-    assert hs.success_prob == pytest.approx(0.7, abs=1e-12)
-    assert hs.n_stages == 1
+    assert 2.0 * fock.norm_sq(hs) == pytest.approx(0.7, abs=1e-12)
     vac = fock.vacuum(["A", "B", "L"], [6, 1, 6])
-    assert fock.fidelity(hs.state, vac) == pytest.approx(1.0, abs=1e-12)
+    assert fock.fidelity(hs, vac) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("r,lam,eta", GRID)
 def test_single_stage_matches_closed_form(r, lam, eta):
     circ = nla.single_stage_circuit(r, lam, eta, 20)
     cf = nla.closed_form_state(1, r, lam, eta, 20)
-    assert fock.fidelity(circ.state, cf.state) >= 1 - 1e-10
+    assert fock.fidelity(circ, cf) >= 1 - 1e-10
 
 
 @pytest.mark.parametrize("r,lam,eta", GRID)
 def test_single_stage_success_prob_matches_formula(r, lam, eta):
     circ = nla.single_stage_circuit(r, lam, eta, 20)
     ana = success_prob(1, r, lam, eta)
-    assert abs(2.0 * fock.norm_sq(circ.state) - ana) < 1e-10
-    assert abs(circ.success_prob - ana) < 1e-10
+    assert abs(2.0 * fock.norm_sq(circ) - ana) < 1e-10
+    assert abs(nla.distill_and_measure(1, circ).success_prob - ana) < 1e-10
 
 
 def test_heralding_probability_at_reference_point():
     # single-pattern heralding probability equals the closed form halved
     r, lam = 0.5, 0.3
     circ = nla.single_stage_circuit(r, lam, 0.8, 20)
-    assert fock.norm_sq(circ.state) == pytest.approx(
+    assert fock.norm_sq(circ) == pytest.approx(
         success_prob(1, r, lam, 0.8) / 2.0, abs=1e-10)
 
 
@@ -52,8 +51,8 @@ def test_single_stage_pattern_symmetry():
     r, lam = 0.3, 0.3
     a = nla.single_stage_circuit(r, lam, 0.7, 15)
     b = nla.single_stage_circuit(r, lam, 0.7, 15, pattern=(0, 1))
-    assert abs(fock.norm_sq(a.state) - fock.norm_sq(b.state)) < 1e-12
-    assert fock.fidelity(a.state, b.state) >= 1 - 1e-12
+    assert abs(fock.norm_sq(a) - fock.norm_sq(b)) < 1e-12
+    assert fock.fidelity(a, b) >= 1 - 1e-12
 
 
 def scissor_splitting_after_tensor(state, signal, photon, vac, photon_cutoff,
@@ -82,11 +81,11 @@ def test_circuits_match_splitting_the_ancilla_after_tensoring(r, lam, eta, patte
     new = build()
     with mock.patch.object(nla, "_scissor", scissor_splitting_after_tensor):
         old = build()
-    for a, b in zip(new, old):
-        assert a.state.modes == b.state.modes
-        assert fock.fidelity(a.state, b.state) >= 1 - 1e-14
-        assert abs(a.success_prob - b.success_prob) <= 1e-14
-        assert abs(a.state.tail_mass - b.state.tail_mass) <= 1e-14
+    for n, (a, b) in enumerate(zip(new, old), start=1):
+        assert a.modes == b.modes
+        assert fock.fidelity(a, b) >= 1 - 1e-14
+        assert 2.0**n * abs(fock.norm_sq(a) - fock.norm_sq(b)) <= 1e-14
+        assert abs(a.tail_mass - b.tail_mass) <= 1e-14
 
 
 def test_single_stage_rejects_bad_pattern():
@@ -99,7 +98,7 @@ def test_closed_form_n1_lossless_structure():
     eta = 0.6
     hs = nla.closed_form_state(1, r, lam, eta, 8)
     kappa = kappa_rho(r, lam, eta)[0]
-    amps = hs.state.amps
+    amps = hs.amps
     nz = {idx: amps[idx] for idx in np.ndindex(amps.shape) if abs(amps[idx]) > 1e-15}
     assert set(nz) == {(0, 0, 0), (1, 1, 0)}
     assert nz[(1, 1, 0)] / nz[(0, 0, 0)] == pytest.approx(kappa, abs=1e-12)
@@ -111,7 +110,7 @@ def test_closed_form_n2_coefficients():
     eta = 0.7
     kappa = kappa_rho(r, lam, eta)[0]
     hs = nla.closed_form_state(2, r, lam, eta, 8)
-    a = hs.state.amps
+    a = hs.amps
     amp11 = a[1, 1, 0] / a[0, 0, 0]
     amp22 = a[2, 2, 0] / a[0, 0, 0]
     assert amp11 == pytest.approx(kappa, abs=1e-12)
@@ -126,7 +125,7 @@ def test_closed_form_large_n_approaches_epr():
     # source of strength kappa
     kappa = 0.3
     hs = nla.closed_form_state(64, math.atanh(kappa), 0.0, 0.5, 30)
-    st = fock.project_fock(hs.state, "L", 0)
+    st = fock.project_fock(hs, "L", 0)
     target_amps = np.zeros((31, 65), dtype=complex)
     for n in range(31):
         target_amps[n, n] = kappa ** n
@@ -141,9 +140,9 @@ def test_closed_form_past_the_cosh_overflow_is_the_infinite_squeezing_branch(n):
     # all zero with success probability 0, as success_prob reads there
     far, limit = (nla.closed_form_state(n, r, 0.3, 0.5, 10)
                   for r in (800.0, math.inf))
-    assert not far.state.amps.any() and not limit.state.amps.any()
-    assert far.success_prob == success_prob(n, 800.0, 0.3, 0.5) == 0.0
-    assert far.state.tail_mass == limit.state.tail_mass == 0.0
+    assert not far.amps.any() and not limit.amps.any()
+    assert fock.norm_sq(far) == success_prob(n, 800.0, 0.3, 0.5) == 0.0
+    assert far.tail_mass == limit.tail_mass == 0.0
 
 
 def test_closed_form_rejects_zero_stages():
@@ -153,25 +152,24 @@ def test_closed_form_rejects_zero_stages():
 
 def test_dual_stage_trivial_point():
     hs = nla.dual_stage_circuit(0.0, 0.0, 0.3, 4)
-    assert hs.n_stages == 2
-    assert hs.success_prob == pytest.approx(0.7 ** 2, abs=1e-12)
+    assert 4.0 * fock.norm_sq(hs) == pytest.approx(0.7 ** 2, abs=1e-12)
     vac = fock.vacuum(["A", "B", "L"], [4, 2, 4])
-    assert fock.fidelity(hs.state, vac) == pytest.approx(1.0, abs=1e-12)
+    assert fock.fidelity(hs, vac) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("r,lam,eta", GRID)
 def test_dual_stage_matches_closed_form(r, lam, eta):
     circ = nla.dual_stage_circuit(r, lam, eta, 8)
     cf = nla.closed_form_state(2, r, lam, eta, 8)
-    assert fock.fidelity(circ.state, cf.state) >= 1 - 1e-8
-    assert abs(circ.success_prob - cf.success_prob) < 1e-12
+    assert fock.fidelity(circ, cf) >= 1 - 1e-8
+    assert 4.0 * abs(fock.norm_sq(circ) - fock.norm_sq(cf)) < 1e-12
 
 
 def test_dual_stage_reference_point():
     r, lam = 0.3, 0.3
     circ = nla.dual_stage_circuit(r, lam, 0.7, 8)
     cf = nla.closed_form_state(2, r, lam, 0.7, 8)
-    assert fock.fidelity(circ.state, cf.state) >= 1 - 1e-8
+    assert fock.fidelity(circ, cf) >= 1 - 1e-8
 
 
 def test_dual_stage_pattern_symmetry():
@@ -179,18 +177,22 @@ def test_dual_stage_pattern_symmetry():
     base = nla.dual_stage_circuit(r, lam, 0.7, 8)
     for pats in (((1, 0), (0, 1)), ((0, 1), (1, 0)), ((0, 1), (0, 1))):
         alt = nla.dual_stage_circuit(r, lam, 0.7, 8, patterns=pats)
-        assert abs(fock.norm_sq(alt.state) - fock.norm_sq(base.state)) < 1e-12
-        assert fock.fidelity(alt.state, base.state) >= 1 - 1e-12
+        assert abs(fock.norm_sq(alt) - fock.norm_sq(base)) < 1e-12
+        assert fock.fidelity(alt, base) >= 1 - 1e-12
 
 
-def test_heralded_state_invariant():
+def test_distill_and_measure_folds_in_the_patterns():
+    # the builders return the bare branch of one detection pattern; the
+    # success rate counts all 2^N of them
     r, lam = 0.4, 0.2
     for n, hs in ((1, nla.single_stage_circuit(r, lam, 0.6, 15)),
                   (2, nla.dual_stage_circuit(r, lam, 0.6, 8)),
+                  (3, nla.scissor_circuit(3, r, lam, 0.6, 6)),
                   (3, nla.closed_form_state(3, r, lam, 0.6, 15))):
-        assert hs.n_stages == n
-        assert hs.success_prob == 2.0**n * fock.norm_sq(hs.state)
-        assert nla.distill_and_measure(hs).n_stages == n
+        assert type(hs) is fock.PureState
+        res = nla.distill_and_measure(n, hs)
+        assert res.success_prob == 2.0**n * fock.norm_sq(hs)
+        assert res.n_stages == n
 
 
 @pytest.mark.parametrize("n,cutoff", [(1, 14), (2, 12), (3, 10), (4, 10)])
@@ -198,7 +200,8 @@ def test_heralded_state_invariant():
 def test_success_prob_matches_every_circuit(n, cutoff, r, lam, eta):
     # the source tails (chi^(2(cutoff+1)) < 1e-15) stay below the tolerance
     circ = nla.scissor_circuit(n, r, lam, eta, cutoff)
-    assert abs(circ.success_prob - analytic.success_prob(n, r, lam, eta)) <= 1e-13
+    assert abs(2.0**n * fock.norm_sq(circ)
+               - analytic.success_prob(n, r, lam, eta)) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -206,9 +209,9 @@ def test_closed_form_tail_is_the_truncated_branch_norm(n):
     r, lam = 0.6, 0.4
     small = nla.closed_form_state(n, r, lam, 0.7, 8)
     big = nla.closed_form_state(n, r, lam, 0.7, 60)
-    assert big.state.tail_mass <= 1e-16
-    assert abs(small.state.tail_mass
-               - (fock.norm_sq(big.state) - fock.norm_sq(small.state))) <= 1e-15
+    assert big.tail_mass <= 1e-16
+    assert abs(small.tail_mass
+               - (fock.norm_sq(big) - fock.norm_sq(small))) <= 1e-15
 
 
 def test_lossy_channel_state_routes_the_loss_into_l():
@@ -225,7 +228,7 @@ def test_lossy_channel_state_routes_the_loss_into_l():
 
 def test_distill_and_measure_vacuum_branch():
     hs = nla.single_stage_circuit(0.0, 0.0, 0.4, 6)
-    res = nla.distill_and_measure(hs)
+    res = nla.distill_and_measure(1, hs)
     assert res.eps_b_given_a == pytest.approx(1.0, abs=1e-12)
     assert res.purity == pytest.approx(1.0, abs=1e-12)
     assert res.success_prob == pytest.approx(0.6, abs=1e-12)
@@ -233,7 +236,7 @@ def test_distill_and_measure_vacuum_branch():
 
 
 def test_distill_and_measure_fields_are_python_floats():
-    res = nla.distill_and_measure(nla.single_stage_circuit(0.3, 0.3, 0.7, 12))
+    res = nla.distill_and_measure(1, nla.single_stage_circuit(0.3, 0.3, 0.7, 12))
     assert {type(x) for x in (res.eps_b_given_a, res.eps_a_given_b,
                               res.purity, res.success_prob)} == {float}
 
@@ -253,9 +256,9 @@ def test_distill_ideal_dual_stage_floor():
 
 @pytest.mark.parametrize("r,lam,eta", GRID)
 def test_heralded_entanglement_bounded_by_pure_floor(r, lam, eta):
-    res1 = nla.distill_and_measure(nla.single_stage_circuit(r, lam, eta, 20))
+    res1 = nla.distill_and_measure(1, nla.single_stage_circuit(r, lam, eta, 20))
     assert res1.eps_b_given_a >= 0.81 - 1e-3
-    res2 = nla.distill_and_measure(nla.dual_stage_circuit(r, lam, eta, 8))
+    res2 = nla.distill_and_measure(2, nla.dual_stage_circuit(r, lam, eta, 8))
     assert res2.eps_b_given_a >= 0.57 - 1e-3
 
 
@@ -273,12 +276,11 @@ N_STAGE_POINTS = [(0.3, 0.3, 0.7), (0.5, 0.6, 0.4)]
 def test_n_stage_circuit_matches_closed_form(n, r, lam, eta):
     circ = nla.scissor_circuit(n, r, lam, eta, 10)
     cf = nla.closed_form_state(n, r, lam, eta, 10)
-    assert circ.state.modes == cf.state.modes
-    assert circ.n_stages == n
-    assert fock.fidelity(circ.state, cf.state) >= 1 - 1e-12
-    assert abs(fock.norm_sq(circ.state) / fock.norm_sq(cf.state) - 1) <= 1e-12
+    assert circ.modes == cf.modes
+    assert fock.fidelity(circ, cf) >= 1 - 1e-12
+    assert abs(fock.norm_sq(circ) / fock.norm_sq(cf) - 1) <= 1e-12
     # only the source clips: every scissor output has room for all N photons
-    assert abs(circ.state.tail_mass - math.tanh(r) ** (2 * 11)) < 1e-14
+    assert abs(circ.tail_mass - math.tanh(r) ** (2 * 11)) < 1e-14
 
 
 def test_closed_form_pins_the_splitter_convention(monkeypatch):
@@ -289,7 +291,7 @@ def test_closed_form_pins_the_splitter_convention(monkeypatch):
     cf = nla.closed_form_state(3, r, lam, eta, 10)
     monkeypatch.setattr(nla, "_arm_transmissivity", lambda n, k: 1.0 / (n - k))
     flipped = nla.scissor_circuit(3, r, lam, eta, 10)
-    assert fock.fidelity(flipped.state, cf.state) < 1 - 1e-4
+    assert fock.fidelity(flipped, cf) < 1 - 1e-4
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -301,7 +303,7 @@ def test_n_stage_success_prob_matches_polynomial(n, r, lam, pi):
     assert etas
     for eta in etas:
         hs = nla.scissor_circuit(n, r, lam, eta, 10)
-        assert abs(hs.success_prob - pi) <= 1e-13
+        assert abs(2.0**n * fock.norm_sq(hs) - pi) <= 1e-13
 
 
 def test_n_stage_pattern_symmetry():
@@ -309,8 +311,8 @@ def test_n_stage_pattern_symmetry():
     base = nla.scissor_circuit(3, r, lam, 0.7, 10)
     for pats in itertools.product(nla._PATTERNS, repeat=3):
         alt = nla.scissor_circuit(3, r, lam, 0.7, 10, patterns=pats)
-        assert abs(fock.norm_sq(alt.state) - fock.norm_sq(base.state)) < 1e-12
-        assert fock.fidelity(alt.state, base.state) >= 1 - 1e-12
+        assert abs(fock.norm_sq(alt) - fock.norm_sq(base)) < 1e-12
+        assert fock.fidelity(alt, base) >= 1 - 1e-12
 
 
 def test_scissor_circuit_needs_one_pattern_per_stage():

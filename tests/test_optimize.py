@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from nla_distill import figures, nla, optimize
+from nla_distill import figures, fock, nla, optimize
 from nla_distill.analytic import (InfeasibleParameterError, eps_ladder,
                                   eps_no_nla, eps_opt_formula, kappa_rho,
                                   lambda_from_db, purity_formula,
@@ -46,7 +46,7 @@ def test_eta_candidates_two_stage_roundtrip(r, lam, pi):
     assert etas
     for eta in etas:
         hs = nla.closed_form_state(2, r, lam, eta, 60)
-        assert hs.success_prob == pytest.approx(pi, abs=1e-9)
+        assert 4.0 * fock.norm_sq(hs) == pytest.approx(pi, abs=1e-9)
 
 
 def test_optimize_entanglement_soundness():
@@ -105,6 +105,8 @@ STAGE_COUNT_ENTRIES = {
     "scissor_circuit": lambda n: nla.scissor_circuit(n, 0.3, 0.3, 0.5, 8),
     "closed_form_state": lambda n: nla.closed_form_state(n, 0.3, 0.3, 0.5, 8),
     "truncated_pair_state": lambda n: nla.truncated_pair_state(n, 0.5),
+    "distill_and_measure": lambda n: nla.distill_and_measure(
+        n, nla.closed_form_state(2, 0.3, 0.3, 0.5, 8)),
     "optimize_entanglement":
         lambda n: optimize.optimize_entanglement(0.5, 0.01, n),
     "purity_for_target_entanglement":
@@ -122,7 +124,11 @@ def test_stage_counts_are_integers(entry):
     for n in (2.5, 2.0, True, "3", math.nan):
         with pytest.raises(ValueError):
             call(n)
-    call(np.int64(2))
+    out = call(np.int64(2))
+    if entry in ("optimize_entanglement", "purity_for_target_entanglement",
+                 "distill_and_measure"):
+        # a report carries N and its figures as Python scalars
+        assert repr(out) == repr(call(2))
 
 
 # every entry point that takes the lossy channel, with the arguments that go
@@ -250,8 +256,8 @@ def test_optimize_two_stage_simulate_agrees():
     # two-stage state at the reported operating point
     a = optimize.optimize_entanglement(0.9, 1e-3, 2)
     hs = nla.closed_form_state(2, a.r_opt, 0.9, a.eta_opt, 60)
-    assert hs.state.tail_mass < 1e-12
-    sim = nla.distill_and_measure(hs)
+    assert hs.tail_mass < 1e-12
+    sim = nla.distill_and_measure(2, hs)
     assert abs(a.eps_b_given_a - sim.eps_b_given_a) < 1e-8
     assert abs(a.eps_a_given_b - sim.eps_a_given_b) < 1e-8
     assert abs(a.purity - sim.purity) < 1e-8

@@ -23,9 +23,8 @@ def _record_states(monkeypatch) -> list[tuple[float, int]]:
 
             def wrapped(*args, _fn=fn, **kwargs):
                 out = _fn(*args, **kwargs)
-                st = out.state if isinstance(out, nla.HeraldedState) else out
-                if isinstance(st, fock.PureState):
-                    built.append((st.tail_mass, max(st.cutoffs)))
+                if isinstance(out, fock.PureState):
+                    built.append((out.tail_mass, max(out.cutoffs)))
                 return out
 
             monkeypatch.setattr(mod, name, wrapped)
