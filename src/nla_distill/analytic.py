@@ -62,10 +62,11 @@ def _xp(x):
 # the parameter layer: the one check of each parameter domain, the one
 # (r, lam, eta) -> (kappa, rho) map and the one cosh^2 r
 def _check_params(r=0.0, lam=0.0, pi=1.0, eps_target=1.0, n_stages=1,
-                  eta=0.5) -> None:
-    """Raise ValueError for r < 0, lam outside [0, 1), pi or an entanglement
-    target outside (0, 1], an N that is not an integer >= 1 (bools and floats
-    included) or eta outside (0, 1), NaN included; an argument left out passes."""
+                  eta=0.5) -> int:
+    """N as a Python int, the N every N-stage function computes with; raises
+    ValueError for r < 0, lam outside [0, 1), pi or eps_target outside (0, 1],
+    an N not an integer >= 1 (bools and floats included) or eta outside
+    (0, 1), NaN included.  An argument left out passes."""
     if not r >= 0.0:
         raise ValueError(f"squeezing parameter r must be >= 0, got {r}")
     if not 0.0 <= lam < 1.0:
@@ -75,13 +76,14 @@ def _check_params(r=0.0, lam=0.0, pi=1.0, eps_target=1.0, n_stages=1,
     if not 0.0 < eps_target <= 1.0:
         raise ValueError(f"eps_target must be in (0, 1], got {eps_target}")
     try:  # operator.index, not an ABC check: this runs on every search probe
-        n_ok = n_stages is not True and operator.index(n_stages) >= 1
+        n = operator.index(n_stages) if n_stages is not True else 0
     except TypeError:
-        n_ok = False
-    if not n_ok:
+        n = 0
+    if n < 1:
         raise ValueError(f"n_stages must be an integer >= 1, got {n_stages!r}")
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must be in (0, 1), got {eta}")
+    return n
 
 
 def _kappa_rho(r, lam: float, eta):
@@ -239,14 +241,13 @@ def purity_formula(r: float, lam: float, pi: float) -> float:
 # finite sum over j <= N.
 
 
-def _success_weights(n_stages: int, r: float, lam: float):
+def _success_weights(n: int, r: float, lam: float):
     """u_j and cosh^2(rho) of Pi_N(eta) = (cosh^2 rho / cosh^2 r)
     * sum_j u_j eta^j (1-eta)^(N-j), the joint N-stage heralding probability
     in its all-positive Bernstein form; r may be an array."""
     t2 = _xp(r).tanh(r) ** 2
     q = (1.0 - lam) * t2
     ch2rho = 1.0 / (1.0 - lam * t2)  # cosh^2(rho)
-    n = n_stages
     u = [(math.comb(n, j) * math.factorial(j) / n**j) ** 2 * (q * ch2rho) ** j
          for j in range(n + 1)]
     return u, ch2rho
@@ -258,7 +259,7 @@ def success_prob(n_stages: int, r: float, lam: float, eta: float) -> float:
     Summed in the Bernstein form, whose terms are all positive; the expanded
     monomial coefficients cancel catastrophically at large N.
     """
-    _check_params(r, lam, n_stages=n_stages, eta=eta)
+    n_stages = _check_params(r, lam, n_stages=n_stages, eta=eta)
     u, ch2rho = _success_weights(n_stages, r, lam)
     total = sum(uj * eta**j * (1.0 - eta) ** (n_stages - j)
                 for j, uj in enumerate(u))
@@ -279,8 +280,8 @@ def _ladder(n_stages: int, kappa: float, rho: float):
     float and an array element alike (NaN fails), unless |rho| <= 19 (tanh
     rounds to 1 from 19.0 in numpy, 19.07 in math; the (r, lam, eta) map's rho
     is at most 18.72) and kappa^2 q <= 2^256, so that no step outgrows the
-    rescale (the searches' kappa^2 q is below 1e18, the floor's below 16)."""
-    _check_params(n_stages=n_stages)
+    rescale (the searches' kappa^2 q is below 1e18, the floor's below 16).
+    N is taken as checked: a Python int >= 1, from `_check_params`."""
     _require(abs(rho) <= 19.0, "|rho| <= 19", "rho", rho)
     big_t, q = _xp(rho).tanh(rho) ** 2, _cosh2(rho)
     # kappa is compared, not squared: its square can overflow
@@ -306,6 +307,7 @@ def eps_ladder(n_stages: int, kappa: float, rho: float) -> tuple[float, float]:
     kappa and rho may be arrays (of one shape, or one of them a float);
     they need |rho| <= 19 and kappa^2 cosh^2 rho <= 2^256 (`_ladder`).
     """
+    n_stages = _check_params(n_stages=n_stages)
     return _eps_sums(n_stages, kappa, _ladder(n_stages, kappa, rho))
 
 
@@ -352,6 +354,7 @@ def purity_ladder(n_stages: int, kappa: float, rho: float) -> float:
     """Purity of the N-stage heralded state with the loss mode traced out:
     the squared block norms, grouped by powers of T^2, are sum_i T^(2i)
     (sum_(j>=i) C(j,i) v_j (1+T)^-j)^2 / ((1 - T^2) q^2 (sum_j v_j)^2)."""
+    n_stages = _check_params(n_stages=n_stages)
     return _purity_sums(n_stages, _ladder(n_stages, kappa, rho))
 
 

@@ -34,10 +34,12 @@ FIG3_LAMBDAS = tuple(i / 100.0 for i in range(100))
 FIG3_SQUEEZE_DB = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0, RECORD_SQUEEZING_DB)
 FIG4_EPS_TARGETS = tuple(round(1.0 - 0.11 * k, 2) for k in range(10))
 FIG10_PIS = (1e-1, 1e-4)
-# (loss, pi) points in one sweep; the default grids have 320.  A point costs
-# about 0.4 ms at one stage and 7 ms at two (fig10 runs four searches per
-# point, 13 ms) on one core of a Xeon server, so the cap bounds a sweep at
-# about 70 s of fig8 work, or 2 min of fig10, before the worker pool divides it
+# (loss, pi) points in one sweep; the default grids have 320.  In process on
+# the default grids, on one core of a 2-core Xeon host (Python 3.11, numpy
+# 2.4), a point costs 0.3 to 0.5 ms at one stage (fig6, fig7), 4.5 to 7 ms at
+# two (fig8, fig9) and 10 to 12 ms in fig10 (four searches per point), so the
+# cap bounds a sweep at about 5 s at one stage, 70 s of fig8 work or 2 min of
+# fig10 before the worker pool divides it
 MAX_SWEEP_POINTS = 10_000
 
 _SWEEP = {"lambda_db": DEFAULT_LAMBDA_DB, "pi": DEFAULT_PIS}
@@ -212,7 +214,8 @@ def figure_params(name: str, *, lambda_db=None, pi=None,
                              f"success probabilities exceeds "
                              f"{MAX_SWEEP_POINTS} points")
     _check_params(eps_target=p.get("eps_target", 1.0))
-    optimize._check_floor_stages(p.get("max_stages", 1))
+    if "max_stages" in p:
+        p["max_stages"] = optimize._check_floor_stages(p["max_stages"])
     return p
 
 

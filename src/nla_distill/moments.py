@@ -107,7 +107,7 @@ def heralded_moment(n_stages: int, kappa: float, rho: float, middle) -> complex:
     norm.  Each term is the product coef * cosh/sinh picks * vacuum value,
     multiplied left to right, summed within its block, then across blocks.
     """
-    _check_params(n_stages=n_stages)
+    n_stages = _check_params(n_stages=n_stages)
     k = kappa / n_stages
     fac = (math.cosh(rho), math.sinh(rho))
     weight = [comb(n_stages, i) * k**i for i in range(n_stages + 1)]

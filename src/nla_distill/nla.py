@@ -100,8 +100,7 @@ def scissor_circuit(n_stages: int, r: float, lam: float, eta: float,
     outputs N together.  The returned state's ``tail_mass`` is that clipped
     population; the caller picks the cutoff and judges the tail.
     """
-    _check_params(r, lam, n_stages=n_stages, eta=eta)
-    n = n_stages
+    n = _check_params(r, lam, n_stages=n_stages, eta=eta)
     patterns = [(1, 0)] * n if patterns is None else [tuple(p) for p in patterns]
     if len(patterns) != n or not set(patterns) <= set(_PATTERNS):
         raise ValueError(f"need {n} detection patterns, each (1,0) or (0,1): {patterns}")
@@ -139,9 +138,8 @@ def closed_form_state(n_stages: int, r: float, lam: float, eta: float,
     cosh(rho)/cosh(r) * ((1-eta)/2)^(N/2), each scissor contributing one
     factor sqrt((1-eta)/2).
     """
-    _check_params(r, lam, n_stages=n_stages, eta=eta)
+    n = _check_params(r, lam, n_stages=n_stages, eta=eta)
     kappa, rho = _kappa_rho(r, lam, eta)
-    n = n_stages
     try:
         cosh_r = math.cosh(r)
     except OverflowError:  # r > ~710: the r = inf branch, all zero
@@ -167,8 +165,7 @@ def closed_form_state(n_stages: int, r: float, lam: float, eta: float,
 
 def truncated_pair_state(n_stages: int, kappa: float) -> fock.PureState:
     """Normalized (1 + (kappa/N) a'b')^N |0_AB>; cutoff N is exact."""
-    _check_params(n_stages=n_stages)
-    n = n_stages
+    n = _check_params(n_stages=n_stages)
     diag = np.array([comb(n, j) * (kappa / n) ** j * math.factorial(j)
                      for j in range(n + 1)])
     diag /= math.sqrt(float(diag @ diag))
@@ -181,8 +178,7 @@ def distill_and_measure(n_stages: int,
                         state: fock.PureState) -> DistillationResult:
     """Trace out the loss mode of an N-stage branch and evaluate the figures;
     the success rate folds in its 2^N symmetric detection patterns."""
-    _check_params(n_stages=n_stages)
-    n_stages = int(n_stages)  # a numpy integer reports as a Python int
+    n_stages = _check_params(n_stages=n_stages)
     eps_ba, eps_ab = metrics.epr_criterion(state, "A", "B")
     return DistillationResult(
         eps_b_given_a=eps_ba,

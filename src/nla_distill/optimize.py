@@ -31,7 +31,7 @@ from . import moments
 from .analytic import (DistillationResult, InfeasibleParameterError,
                        _check_params, _cosh2, _eps_slope, _eps_sums,
                        _kappa_rho, _ladder, _purity_sums, _success_weights,
-                       _xp, eps_ladder, eps_opt_formula)
+                       _xp, eps_ladder, eps_opt_formula, success_prob)
 
 __all__ = [
     "DistillationResult",
@@ -56,8 +56,12 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # the N >= 2 searches refine on the moments engine, which compiles each stage
 # count once per process at a cost exponential in N (6 ms at N = 2, 0.12 s at
 # N = 4, about 0.7 s and a 120 MB peak at N = 5 on one core of a Xeon server);
-# after the array grid pass a search makes ~30 evaluations of 0.07 to 0.10 ms
-# (about 10 ms per search at N = 2 to 4)
+# after the array grid pass a search makes ~30 evaluations of 0.07 to 0.10 ms.
+# Averaged over the default fig8 grid's 320 (loss, pi) points, infeasible ones
+# included, a search costs 5 to 7 ms at N = 2, 6 to 9 ms at N = 3 and 7 to
+# 11 ms at N = 4, in process on one core of a 2-core Xeon host (Python 3.11,
+# numpy 2.4), so at the cap a search costs at most about 0.13 s in a fresh
+# process, the compile included
 MAX_SEARCH_STAGES = 4
 # the floor search is O(N^2): 0.01 s at N = 20, 0.2 s at 100, 0.5 s at 150
 # and about 4 s at 400 on one core of a Xeon server
@@ -89,7 +93,7 @@ def eta_candidates(r: float, lam: float, pi: float, n_stages: int) -> list[float
     form.  Returns [] when unreachable; raises ValueError for an r, lam, pi or
     N outside its domain.
     """
-    _check_params(r, lam, pi, n_stages=n_stages)
+    n_stages = _check_params(r, lam, pi, n_stages=n_stages)
     if n_stages == 1:
         eta = _linear_eta(r, lam, pi)
         return [eta] if 0.0 < eta < 1.0 else []
@@ -102,10 +106,9 @@ def eta_candidates(r: float, lam: float, pi: float, n_stages: int) -> list[float
     return [float(x) for x in etas[~np.isnan(etas)]]
 
 
-def _level_set_coeffs(r, lam: float, pi: float, n_stages: int) -> list:
+def _level_set_coeffs(r, lam: float, pi: float, n: int) -> list:
     """Monomial coefficients, constant first, of a polynomial in eta whose
     roots are those of Pi_N(eta) = pi; r may be an array."""
-    n = n_stages
     u, ch2rho = _success_weights(n, r, lam)
     target = pi * _cosh2(r) / ch2rho
     coeffs = [0.0] * (n + 1)
@@ -313,8 +316,8 @@ def optimize_entanglement(lam: float, pi: float,
 def _scan(lam: float, pi: float, n_stages: int, eps_target: float = 1.0):
     """Both searches' opening: the input checks, then the scalar objective and
     `_feasible_grid` on the grid pass, as (int N, objective, sub, eps, runs)."""
-    _check_params(lam=lam, pi=pi, eps_target=eps_target, n_stages=n_stages)
-    n_stages = int(n_stages)
+    n_stages = _check_params(lam=lam, pi=pi, eps_target=eps_target,
+                             n_stages=n_stages)
     if n_stages > MAX_SEARCH_STAGES:
         raise ValueError(f"searches take 1 to {MAX_SEARCH_STAGES} stages, "
                          f"got {n_stages}")
@@ -325,6 +328,14 @@ def _scan(lam: float, pi: float, n_stages: int, eps_target: float = 1.0):
 
 def _finalize(r_opt: float, eta_opt: float, eps_opt: float, lam: float,
               pi: float, n_stages: int) -> DistillationResult:
+    """The reported operating point; InfeasibleParameterError where its eta
+    misses the success budget pi by more than 1e-6 relative (the N >= 2 roots
+    carry ~1e-16 of absolute error in Pi_N, from `_level_set_coeffs`)."""
+    got = success_prob(n_stages, r_opt, lam, eta_opt)
+    if not abs(got - pi) <= 1e-6 * pi:
+        raise InfeasibleParameterError(
+            f"success probability {pi} with {n_stages} stage(s) is below what "
+            f"the eta solver resolves: its eta misses the budget")
     kappa, rho = _kappa_rho(r_opt, lam, eta_opt)
     ladder = _ladder(n_stages, kappa, rho)  # one ladder serves both reports
     return DistillationResult(
@@ -400,12 +411,13 @@ def purity_for_target_entanglement(eps_target: float, lam: float, pi: float,
     return (best, results) if full_output else best
 
 
-def _check_floor_stages(n_max: int) -> None:
-    """ValueError unless n_max (fig11's max_stages) is an integer 1 to
-    `MAX_FLOOR_STAGES`."""
-    _check_params(n_stages=n_max)
+def _check_floor_stages(n_max: int) -> int:
+    """n_max (fig11's max_stages) as a Python int; ValueError unless it is an
+    integer 1 to `MAX_FLOOR_STAGES`."""
+    n_max = _check_params(n_stages=n_max)
     if n_max > MAX_FLOOR_STAGES:
         raise ValueError(f"max_stages must be 1 to {MAX_FLOOR_STAGES}, got {n_max}")
+    return n_max
 
 
 def best_entanglement_vs_stages(n_max: int) -> list[tuple[int, float, float]]:
@@ -418,7 +430,7 @@ def best_entanglement_vs_stages(n_max: int) -> list[tuple[int, float, float]]:
     cell around the grid minimum, and eps_B|A is reported from the ladder sums
     there.  A cell without a sign change raises RuntimeError naming N.
     """
-    _check_floor_stages(n_max)
+    n_max = _check_floor_stages(n_max)
     out = []
     for n in range(1, n_max + 1):
         k = int(np.argmin(eps_ladder(n, _KAPPA_GRID, 0.0)[0]))

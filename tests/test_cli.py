@@ -279,6 +279,20 @@ def test_infeasible_points_are_counted(tmp_path):
     assert comments == ["# nla-distill " + cli.__version__, "# command=fig4"]
 
 
+def test_a_budget_the_eta_misses_is_counted(tmp_path, capsys):
+    # at two stages the eta roots miss pi = 1e-16: the point is skipped, the
+    # pi = 0.01 row stays, and `point` exits 1
+    assert cli.main(["fig8", "-o", str(tmp_path / "fig8.csv"), "--lambda-db",
+                     "10", "10", "1", "--pi", "0.01", "1e-16",
+                     "--workers", "1"]) == 0
+    comments, _, rows = read_csv(tmp_path / "fig8a.csv")
+    assert comments[2] == "# infeasible_skipped=1"
+    assert [r.split(",")[2] for r in rows] == ["0.01"]
+    assert cli.main(["point", "--lambda-db", "10", "--pi", "1e-300",
+                     "--stages", "2"]) == 1
+    assert "eta solver" in capsys.readouterr().err
+
+
 def test_removed_flags_are_rejected():
     parser = cli._build_parser()
     fig = ["fig6", "-o", "x.csv"]

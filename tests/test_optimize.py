@@ -1,12 +1,16 @@
 """Operating-point searches and the success-probability inversion."""
 
 import dataclasses
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
-from nla_distill import figures, fock, nla, optimize
+import nla_distill
+from nla_distill import figures, fock, moments, nla, optimize
 from nla_distill.analytic import (InfeasibleParameterError, eps_ladder,
                                   eps_no_nla, eps_opt_formula, kappa_rho,
                                   lambda_from_db, purity_formula,
@@ -70,6 +74,26 @@ def test_optimize_saturates_at_single_stage_floor():
     assert vals[-1] < 0.8086
 
 
+@pytest.mark.parametrize("pi", [1e-16, 1e-300])
+def test_searches_refuse_a_budget_their_eta_misses(pi):
+    # the N >= 2 eta roots carry ~1e-16 of absolute error in Pi_N: at 10 dB
+    # and pi = 1e-300 the refined eta's own success probability is 2.2e-16
+    lam = lambda_from_db(10.0)
+    for search in (lambda: optimize.optimize_entanglement(lam, pi, 2),
+                   lambda: optimize.purity_for_target_entanglement(
+                       0.85, lam, pi, 2)):
+        with pytest.raises(InfeasibleParameterError,
+                           match=f"{pi} with 2 stage.*eta solver"):
+            search()
+
+
+def test_searches_return_a_budget_their_eta_meets():
+    lam = lambda_from_db(10.0)
+    res = optimize.optimize_entanglement(lam, 1e-6, 4)
+    assert success_prob(4, res.r_opt, lam, res.eta_opt) == pytest.approx(
+        1e-6, rel=1e-6)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_eta_candidates_reject_nonpositive_success_rate(n):
     for pi in (0.0, -0.1, math.nan):
@@ -101,6 +125,11 @@ STAGE_COUNT_ENTRIES = {
     "success_prob": lambda n: success_prob(n, 0.3, 0.3, 0.5),
     "eps_ladder": lambda n: eps_ladder(n, 0.5, 0.2),
     "purity_ladder": lambda n: purity_ladder(n, 0.5, 0.2),
+    "heralded_moment":
+        lambda n: moments.heralded_moment(n, 0.5, 0.2, [(1.0, ())]),
+    "quadrature_moment": lambda n: moments.quadrature_moment(
+        n, 0.5, 0.2, [("A", "+"), ("B", "+")]),
+    "eps_via_moments": lambda n: moments.eps_via_moments(n, 0.5, 0.2),
     "eta_candidates": lambda n: optimize.eta_candidates(0.3, 0.3, 0.01, n),
     "scissor_circuit": lambda n: nla.scissor_circuit(n, 0.3, 0.3, 0.5, 8),
     "closed_form_state": lambda n: nla.closed_form_state(n, 0.3, 0.3, 0.5, 8),
@@ -119,16 +148,37 @@ STAGE_COUNT_ENTRIES = {
 @pytest.mark.parametrize("entry", STAGE_COUNT_ENTRIES)
 def test_stage_counts_are_integers(entry):
     # a float, a bool, a string or a NaN stage count is a ValueError, not a
-    # TypeError from range() or a result; a numpy integer is an integer
+    # TypeError from range() or a result; a numpy integer is an integer, and
+    # computed with as the Python int it stands for: the same Python scalars
     call = STAGE_COUNT_ENTRIES[entry]
     for n in (2.5, 2.0, True, "3", math.nan):
         with pytest.raises(ValueError):
             call(n)
-    out = call(np.int64(2))
-    if entry in ("optimize_entanglement", "purity_for_target_entanglement",
-                 "distill_and_measure"):
-        # a report carries N and its figures as Python scalars
-        assert repr(out) == repr(call(2))
+    out, ref = call(np.int64(2)), call(2)
+    if isinstance(ref, fock.PureState):
+        assert repr(out.tail_mass) == repr(ref.tail_mass)
+        assert out.amps.dtype == ref.amps.dtype
+        assert out.amps.tobytes() == ref.amps.tobytes()
+    else:
+        assert repr(out) == repr(ref)
+
+
+def test_every_stage_count_entry_is_in_the_table():
+    # every public function, in each module's __all__, that takes a stage count
+    found = []
+    for info in pkgutil.iter_modules(nla_distill.__path__):
+        module = importlib.import_module(f"nla_distill.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if inspect.isfunction(obj) and {"n_stages", "n_max"} & set(
+                    inspect.signature(obj).parameters):
+                found.append((info.name, name))
+    # the walk sees the entries it is meant to police
+    assert ("moments", "eps_via_moments") in found
+    assert ("optimize", "best_entanglement_vs_stages") in found
+    missing = [f"{m}.{name}" for m, name in found
+               if name not in STAGE_COUNT_ENTRIES]
+    assert not missing, f"add to STAGE_COUNT_ENTRIES: {missing}"
 
 
 # every entry point that takes the lossy channel, with the arguments that go
