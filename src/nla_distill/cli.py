@@ -43,13 +43,13 @@ def _run_figure(args: argparse.Namespace) -> int:
     comments = [f"nla-distill {__version__}",
                 " ".join([f"command={name}"]
                          + [f"{k}={_echo(k, v)}" for k, v in params.items()])]
-    for suffix, header, rows, skipped in panels:
+    for suffix, header, rows, skipped, plot in panels:
         path = _panel_path(args.output, suffix)
         extra = [] if skipped is None else [f"infeasible_skipped={skipped}"]
         figures.write_csv(path, header, rows, comments + extra)
         if args.svg:
             figures.write_svg(os.path.splitext(path)[0] + ".svg",
-                              f"{name}{suffix}", header, rows, name + suffix)
+                              f"{name}{suffix}", header, rows, plot)
     return 0
 
 

@@ -1,22 +1,25 @@
 """Sweep-data generation for every figure, plus CSV/SVG emission.
 
-``figure_params`` is the one place that knows a figure's inputs, their
-defaults and their valid ranges; ``figure_rows`` runs on what it returns.
+`_FIGURES` is the one owner of a figure: its generator and the inputs that
+shape its rows, with their defaults.  ``figure_params`` resolves and checks
+those inputs; ``figure_rows`` calls the generator on them.
 
-Each generator returns a list of (panel_suffix, header, rows, skipped); the
-CSV schema (header names and row order) is part of the package's external
-contract and covered by golden tests.  ``skipped`` counts the sweep points
-left out of the panel as infeasible, and is None for the figures that do not
-search (fig3, fig4, fig11).  The searched figures run one sweep worker,
-`_point`, over their (pi, loss) grid, fanned out over a process pool; rows
-are assembled in axis order regardless of completion order, so output bytes
-do not depend on scheduling.
+Each generator returns a list of panels (suffix, header, rows, skipped,
+plot); the CSV schema (header names and row order) is part of the package's
+external contract and covered by golden tests.  ``skipped`` counts the sweep
+points left out of the panel as infeasible, and is None for the figures that
+do not search (fig3, fig4, fig11).  ``plot`` is the panel's chart layout for
+`write_svg`: (x column, y column, columns naming each line).  The searched
+figures run one sweep worker, `_point`, over their (pi, loss) grid, fanned
+out over a process pool; rows are assembled in axis order regardless of
+completion order, so output bytes do not depend on scheduling.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from functools import partial
 from typing import Iterable, Sequence
 
 from . import analytic, optimize
@@ -41,21 +44,6 @@ FIG10_PIS = (1e-1, 1e-4)
 # cap bounds a sweep at about 5 s at one stage, 70 s of fig8 work or 2 min of
 # fig10 before the worker pool divides it
 MAX_SWEEP_POINTS = 10_000
-
-_SWEEP = {"lambda_db": DEFAULT_LAMBDA_DB, "pi": DEFAULT_PIS}
-# the inputs that shape each figure's rows, with their defaults; fig3 and
-# fig4 run on fixed grids
-_DEFAULTS = {
-    "fig3": {},
-    "fig4": {},
-    "fig6": _SWEEP,
-    "fig7": {**_SWEEP, "eps_target": 0.85},
-    "fig8": _SWEEP,
-    "fig9": {**_SWEEP, "eps_target": 0.6},
-    "fig10": {**_SWEEP, "pi": FIG10_PIS, "eps_target": 0.85},
-    "fig11": {"max_stages": 20},
-}
-FIGURES = tuple(_DEFAULTS)
 
 
 def _db_count(spec: tuple[float, float, float]) -> int:
@@ -115,75 +103,95 @@ def _sweep(search, db_spec, pis, workers: int, **kwargs) -> list:
 # figure generators
 
 
-def _fig3(lambdas: Iterable[float]):
+def _fig3():
     head = ("lambda_db", "lambda", "squeeze_db", "r", "eps_b_given_a")
     head_b = ("lambda_db", "lambda", "squeeze_db", "r", "purity")
     rows_a, rows_b = [], []
     # the last squeezing, inf, gives the infinite-squeezing benchmark
     for sdb in FIG3_SQUEEZE_DB + (math.inf,):
         r = r_from_squeeze_db(sdb)
-        for lam in lambdas:
+        for lam in FIG3_LAMBDAS:
             rows_a.append((db_from_lambda(lam), lam, sdb, r, eps_no_nla(r, lam)[0]))
             rows_b.append((db_from_lambda(lam), lam, sdb, r, purity_no_nla(r, lam)))
-    return [("a", head, rows_a, None), ("b", head_b, rows_b, None)]
+    return [("a", head, rows_a, None, ("lambda", "eps_b_given_a", ("squeeze_db",))),
+            ("b", head_b, rows_b, None, ("lambda", "purity", ("squeeze_db",)))]
 
 
-def _fig4(lambdas: Iterable[float]):
+def _fig4():
     head = ("lambda_db", "lambda", "eps_target", "purity")
     rows = []
     for eps in FIG4_EPS_TARGETS:
-        for lam in lambdas:
+        for lam in FIG3_LAMBDAS:
             if lam * lam > eps:
                 continue  # beyond the infinite-squeezing floor
             rows.append((db_from_lambda(lam), lam, eps, purity_tradeoff(eps, lam)))
-    return [("", head, rows, None)]
+    return [("", head, rows, None, ("lambda", "purity", ("eps_target",)))]
 
 
-def _fig_opt(db_spec, pis, n_stages: int, workers: int):
-    got = _sweep(optimize.optimize_entanglement, db_spec, pis, workers,
+def _fig_opt(lambda_db, pi, n_stages: int, workers: int):
+    got = _sweep(optimize.optimize_entanglement, lambda_db, pi, workers,
                  n_stages=n_stages)
     head_a = ("lambda_db", "lambda", "pi", "eps_opt", "r_opt", "eta_opt")
     head_b = ("lambda_db", "lambda", "pi", "purity", "r_opt", "eta_opt")
     rows_a, rows_b = [], []
-    for lam_db, lam, pi, res in filter(None, got):
-        rows_a.append((lam_db, lam, pi, res.eps_b_given_a, res.r_opt, res.eta_opt))
-        rows_b.append((lam_db, lam, pi, res.purity, res.r_opt, res.eta_opt))
+    for lam_db, lam, p, res in filter(None, got):
+        rows_a.append((lam_db, lam, p, res.eps_b_given_a, res.r_opt, res.eta_opt))
+        rows_b.append((lam_db, lam, p, res.purity, res.r_opt, res.eta_opt))
     skipped = got.count(None)
-    return [("a", head_a, rows_a, skipped), ("b", head_b, rows_b, skipped)]
+    return [("a", head_a, rows_a, skipped, ("lambda_db", "eps_opt", ("pi",))),
+            ("b", head_b, rows_b, skipped, ("lambda_db", "purity", ("pi",)))]
 
 
-def _fig_target(db_spec, pis, eps_target: float, n_stages: int, workers: int):
-    got = _sweep(optimize.purity_for_target_entanglement, db_spec, pis,
+def _fig_target(lambda_db, pi, eps_target: float, n_stages: int, workers: int):
+    got = _sweep(optimize.purity_for_target_entanglement, lambda_db, pi,
                  workers, eps_target=eps_target, n_stages=n_stages)
     head = ("lambda_db", "lambda", "pi", "eps_target", "purity",
             "purity_no_nla", "r_opt", "eta_opt")
     rows = []
-    for lam_db, lam, pi, res in filter(None, got):
+    for lam_db, lam, p, res in filter(None, got):
         bench = purity_tradeoff(eps_target, lam) if lam * lam <= eps_target else 0.0
-        rows.append((lam_db, lam, pi, eps_target, res.purity, bench,
+        rows.append((lam_db, lam, p, eps_target, res.purity, bench,
                      res.r_opt, res.eta_opt))
-    return [("", head, rows, got.count(None))]
+    return [("", head, rows, got.count(None), ("lambda_db", "purity", ("pi",)))]
 
 
 def _by_stages(suffix: str, panels):
-    """One panel from (n_stages, panel) pairs, n_stages inserted as column 3."""
-    head = panels[0][1][1]
+    """One panel from (n_stages, panel) pairs, n_stages inserted as column 3
+    and drawn as a line column."""
+    _, head, _, _, (x, y, lines) = panels[0][1]
     rows = [row[:3] + (n,) + row[3:] for n, panel in panels for row in panel[2]]
     return (suffix, head[:3] + ("n_stages",) + head[3:], rows,
-            sum(panel[3] for _, panel in panels))
+            sum(panel[3] for _, panel in panels), (x, y, lines + ("n_stages",)))
 
 
-def _fig10(db_spec, pis, eps_target: float, workers: int):
-    opt = [(n, _fig_opt(db_spec, pis, n, workers)[0]) for n in (1, 2)]
-    target = [(n, _fig_target(db_spec, pis, eps_target, n, workers)[0])
+def _fig10(lambda_db, pi, eps_target: float, workers: int):
+    opt = [(n, _fig_opt(lambda_db, pi, n, workers)[0]) for n in (1, 2)]
+    target = [(n, _fig_target(lambda_db, pi, eps_target, n, workers)[0])
               for n in (1, 2)]
     return [_by_stages("a", opt), _by_stages("b", target)]
 
 
-def _fig11(n_max: int):
+def _fig11(max_stages: int):
     head = ("n_stages", "eps_best", "kappa_best")
-    rows = [(n, e, k) for n, e, k in optimize.best_entanglement_vs_stages(n_max)]
-    return [("", head, rows, None)]
+    rows = optimize.best_entanglement_vs_stages(max_stages)
+    return [("", head, rows, None, ("n_stages", "eps_best", ()))]
+
+
+_SWEEP = {"lambda_db": DEFAULT_LAMBDA_DB, "pi": DEFAULT_PIS}
+# each figure's generator and the inputs that shape its rows, with their
+# defaults; fig3 and fig4 run on fixed grids, and the sweeps (the figures
+# that read pi) also take the worker count
+_FIGURES = {
+    "fig3": (_fig3, {}),
+    "fig4": (_fig4, {}),
+    "fig6": (partial(_fig_opt, n_stages=1), _SWEEP),
+    "fig7": (partial(_fig_target, n_stages=1), {**_SWEEP, "eps_target": 0.85}),
+    "fig8": (partial(_fig_opt, n_stages=2), _SWEEP),
+    "fig9": (partial(_fig_target, n_stages=2), {**_SWEEP, "eps_target": 0.6}),
+    "fig10": (_fig10, {**_SWEEP, "pi": FIG10_PIS, "eps_target": 0.85}),
+    "fig11": (_fig11, {"max_stages": 20}),
+}
+FIGURES = tuple(_FIGURES)
 
 
 def figure_params(name: str, *, lambda_db=None, pi=None,
@@ -195,14 +203,15 @@ def figure_params(name: str, *, lambda_db=None, pi=None,
     only max_stages.  Raises ValueError for an unknown figure, an input the
     figure does not read, or a value out of range.
     """
-    if name not in _DEFAULTS:
+    if name not in _FIGURES:
         raise ValueError(f"unknown figure {name!r}")
+    defaults = _FIGURES[name][1]
     given = {"lambda_db": lambda_db, "pi": pi, "eps_target": eps_target,
              "max_stages": max_stages}
-    unread = [k for k, v in given.items() if v is not None and k not in _DEFAULTS[name]]
+    unread = [k for k, v in given.items() if v is not None and k not in defaults]
     if unread:
         raise ValueError(f"{name} does not read {', '.join(unread)}")
-    p = {k: d if given[k] is None else given[k] for k, d in _DEFAULTS[name].items()}
+    p = {k: d if given[k] is None else given[k] for k, d in defaults.items()}
     if "pi" in p:
         p["lambda_db"], p["pi"] = tuple(p["lambda_db"]), tuple(p["pi"])
         if not p["pi"]:
@@ -227,21 +236,8 @@ def figure_rows(name: str, params: dict | None = None,
     workers = os.cpu_count() or 1 if workers is None else workers
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if name == "fig3":
-        return _fig3(FIG3_LAMBDAS)
-    if name == "fig4":
-        return _fig4(FIG3_LAMBDAS)
-    if name == "fig10":
-        return _fig10(p["lambda_db"], p["pi"], p["eps_target"], workers)
-    if name == "fig11":
-        return _fig11(p["max_stages"])
-    if name not in _DEFAULTS:
-        raise ValueError(f"unknown figure {name!r}")
-    n_stages = 1 if name in ("fig6", "fig7") else 2
-    if "eps_target" in p:
-        return _fig_target(p["lambda_db"], p["pi"], p["eps_target"], n_stages,
-                           workers)
-    return _fig_opt(p["lambda_db"], p["pi"], n_stages, workers)
+    generator, defaults = _FIGURES[name]
+    return generator(**p, workers=workers) if "pi" in defaults else generator(**p)
 
 
 # ---------------------------------------------------------------------------
@@ -278,29 +274,14 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence],
 _PALETTE = ("#e08214", "#41ab5d", "#4292c6", "#d4b106", "#807dba", "#d6616b",
             "#636363", "#8c6d31")
 
-# per-panel plotting layout: (x column, y column, columns naming each line)
-_PLOT_SPEC = {
-    "fig3a": ("lambda", "eps_b_given_a", ("squeeze_db",)),
-    "fig3b": ("lambda", "purity", ("squeeze_db",)),
-    "fig4": ("lambda", "purity", ("eps_target",)),
-    "fig6a": ("lambda_db", "eps_opt", ("pi",)),
-    "fig6b": ("lambda_db", "purity", ("pi",)),
-    "fig7": ("lambda_db", "purity", ("pi",)),
-    "fig8a": ("lambda_db", "eps_opt", ("pi",)),
-    "fig8b": ("lambda_db", "purity", ("pi",)),
-    "fig9": ("lambda_db", "purity", ("pi",)),
-    "fig10a": ("lambda_db", "eps_opt", ("pi", "n_stages")),
-    "fig10b": ("lambda_db", "purity", ("pi", "n_stages")),
-    "fig11": ("n_stages", "eps_best", ()),
-}
-
-
 def write_svg(path: str, title: str, header: Sequence[str],
-              rows: Sequence[Sequence], panel: str) -> None:
-    spec = _PLOT_SPEC.get(panel)
-    if spec is None or not rows:
+              rows: Sequence[Sequence],
+              plot: tuple[str, str, Sequence[str]]) -> None:
+    """The rows as a line chart; ``plot`` is the panel's (x column, y column,
+    columns naming each line)."""
+    if not rows:
         return
-    xcol, ycol, gcols = spec
+    xcol, ycol, gcols = plot
     xi, yi = header.index(xcol), header.index(ycol)
     groups: dict = {}
     for row in rows:

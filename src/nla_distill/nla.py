@@ -166,8 +166,11 @@ def closed_form_state(n_stages: int, r: float, lam: float, eta: float,
 def truncated_pair_state(n_stages: int, kappa: float) -> fock.PureState:
     """Normalized (1 + (kappa/N) a'b')^N |0_AB>; cutoff N is exact."""
     n = _check_params(n_stages=n_stages)
-    diag = np.array([comb(n, j) * (kappa / n) ** j * math.factorial(j)
-                     for j in range(n + 1)])
+    # |j, j> has amplitude N!/(N-j)! (kappa/N)^j, built term by term: the
+    # factorials alone overflow a double from N = 171
+    diag = np.ones(n + 1)
+    for j in range(1, n + 1):
+        diag[j] = diag[j - 1] * (n - j + 1) * kappa / n
     diag /= math.sqrt(float(diag @ diag))
     amps = np.zeros((n + 1, n + 1), dtype=np.complex128)
     amps[np.arange(n + 1), np.arange(n + 1)] = diag

@@ -368,8 +368,8 @@ def purity_for_target_entanglement(eps_target: float, lam: float, pi: float,
             raise UnachievableTargetError(
                 f"target {eps_target} below the optimum {eps_min:.6f} "
                 f"reachable at lam={lam}, pi={pi}, {n_stages} stage(s)")
-    # the r = 0 edge is always feasible and reaches eps = 1 exactly (vacuum
-    # input); the log grid cannot contain it
+    # the r = 0 edge (vacuum input) reaches eps = 1 up to roundoff, where an
+    # eta is feasible; the log grid cannot contain it
     sub = np.concatenate([[0.0], sub])
     eps_vals = np.concatenate([[objective(0.0)[0]], eps])
     runs = np.concatenate([[runs[0]], runs])
@@ -380,22 +380,29 @@ def purity_for_target_entanglement(eps_target: float, lam: float, pi: float,
         e, etas[r] = objective(r)
         return e - eps_target
 
+    def root(a: float, b: float) -> list[float]:
+        """The root in [a, b], or none where the scalar objective does not
+        confirm the sign change the grid values show (they differ from it by
+        roundoff, which decides a target within ~1e-13 of a grid value)."""
+        try:
+            return [_brentq(f, a, b)]
+        except ValueError:
+            return []
+
     diffs = eps_vals - eps_target
     same_run = runs[:-1] == runs[1:]  # never bridge disjoint feasible pockets
     on_grid = abs(diffs) < 1e-14
     roots = [float(r) for r in sub[np.append(same_run, True) & on_grid]]
-    crossed = same_run & ~on_grid[:-1] & (diffs[:-1] * diffs[1:] < 0.0)
-    roots += [_brentq(f, sub[i], sub[i + 1])
-              for i in np.flatnonzero(crossed)]
+    # signs, not diffs: the r = 0 edge reads inf where no eta is feasible
+    signs = np.sign(diffs)
+    crossed = same_run & ~on_grid[:-1] & (signs[:-1] * signs[1:] < 0.0)
+    for i in np.flatnonzero(crossed):
+        roots += root(sub[i], sub[i + 1])
     if not roots and (diffs > 0.0).all():
         # the target lies between the refined optimum and every grid value:
         # one root on each side of r_opt, inside its grid cell
         i = int(np.searchsorted(sub, r_opt)) - 1
-        roots = [_brentq(f, sub[i], r_opt),
-                 _brentq(f, r_opt, sub[i + 1])]
-    if not roots:
-        raise InfeasibleParameterError(
-            f"no squeezing reaches eps={eps_target} at lam={lam}, pi={pi}")
+        roots = root(sub[i], r_opt) + root(r_opt, sub[i + 1])
     deduped: list[float] = []
     for r in sorted(roots):
         if not deduped or r - deduped[-1] > 1e-9:
@@ -405,8 +412,11 @@ def purity_for_target_entanglement(eps_target: float, lam: float, pi: float,
     results = []
     for r in roots:
         eta = etas[r] if r in etas else objective(r)[1]
-        res = _finalize(r, eta, eps_target, lam, pi, n_stages)
-        results.append(res)
+        if not math.isnan(eta):  # a grid root where the scalar finds no eta
+            results.append(_finalize(r, eta, eps_target, lam, pi, n_stages))
+    if not results:
+        raise InfeasibleParameterError(
+            f"no squeezing reaches eps={eps_target} at lam={lam}, pi={pi}")
     best = max(results, key=lambda dr: dr.purity)
     return (best, results) if full_output else best
 

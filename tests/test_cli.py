@@ -279,6 +279,20 @@ def test_infeasible_points_are_counted(tmp_path):
     assert comments == ["# nla-distill " + cli.__version__, "# command=fig4"]
 
 
+@pytest.mark.parametrize("db,pi,found", [("74", "0.01", 0), ("120", "1", 1)])
+def test_target_one_at_high_loss_is_a_row_or_a_skip(db, pi, found, tmp_path):
+    # near eps = 1 the grid pass and the scalar objective differ by roundoff:
+    # at 74 dB the r = 0 edge reads 1 + 2.4e-13 and the first grid point
+    # 1 - 1.6e-13, a sign change the objective does not confirm, so no root;
+    # at pi = 1 the edge has no eta and reads inf.  Warnings are errors here.
+    assert cli.main(["fig7", "-o", str(tmp_path / "fig7.csv"), "--lambda-db",
+                     db, db, "1", "--pi", pi, "--eps-target", "1",
+                     "--workers", "1"]) == 0
+    comments, _, rows = read_csv(tmp_path / "fig7.csv")
+    assert comments[2] == f"# infeasible_skipped={1 - found}"
+    assert len(rows) == found
+
+
 def test_a_budget_the_eta_misses_is_counted(tmp_path, capsys):
     # at two stages the eta roots miss pi = 1e-16: the point is skipped, the
     # pi = 0.01 row stays, and `point` exits 1

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nla_distill import fock, metrics, moments, nla
@@ -57,6 +57,8 @@ def test_ladder_matches_one_stage_closed_forms(r, lam, eta):
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 8), kappa=st.floats(0.0, 4.0))
+@example(n=171, kappa=0.5)  # N! alone overflows a double from here
+@example(n=200, kappa=0.5)
 def test_ladder_at_zero_loss_matches_pair_state(n, kappa):
     sim_ba, sim_ab = metrics.epr_criterion(nla.truncated_pair_state(n, kappa),
                                            "A", "B")
