@@ -279,8 +279,6 @@ def write_svg(path: str, title: str, header: Sequence[str],
               plot: tuple[str, str, Sequence[str]]) -> None:
     """The rows as a line chart; ``plot`` is the panel's (x column, y column,
     columns naming each line)."""
-    if not rows:
-        return
     xcol, ycol, gcols = plot
     xi, yi = header.index(xcol), header.index(ycol)
     groups: dict = {}
