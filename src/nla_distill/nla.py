@@ -129,11 +129,21 @@ def dual_stage_circuit(r: float, lam: float, eta: float, cutoff: int,
     return scissor_circuit(2, r, lam, eta, cutoff, patterns)
 
 
+def _pair_amplitudes(n: int, kappa: float) -> np.ndarray:
+    """N!/(N-j)! (kappa/N)^j for j = 0..N, the |j, j> amplitudes of
+    (1 + (kappa/N) a'b')^N |0>, built term by term: the factorials alone
+    overflow a double from N = 171."""
+    d = np.ones(n + 1)
+    for j in range(1, n + 1):
+        d[j] = d[j - 1] * (n - j + 1) * kappa / n
+    return d
+
+
 def closed_form_state(n_stages: int, r: float, lam: float, eta: float,
                       cutoff: int) -> fock.PureState:
     """Heralded branch (1 + (kappa/N) a'b')^N sigma_AL^rho |0> at exact scale.
 
-    The binomial is expanded with exact integer coefficients; the overall
+    The binomial's |j, j> amplitudes come from `_pair_amplitudes`; the overall
     amplitude generalizes the one- and two-stage prefactors as
     cosh(rho)/cosh(r) * ((1-eta)/2)^(N/2), each scissor contributing one
     factor sqrt((1-eta)/2).
@@ -147,8 +157,7 @@ def closed_form_state(n_stages: int, r: float, lam: float, eta: float,
     scale = (math.cosh(rho) / cosh_r) * ((1.0 - eta) / 2.0) ** (n / 2.0)
     tl = math.tanh(rho)
     sech = 1.0 / math.cosh(rho)
-    coef = [comb(n, j) * (kappa / n) ** j * math.sqrt(math.factorial(j))
-            for j in range(n + 1)]
+    pair = _pair_amplitudes(n, kappa).tolist()
 
     amps = np.zeros((cutoff + 1, n + 1, cutoff + 1), dtype=np.complex128)
     for nl in range(cutoff + 1):
@@ -156,7 +165,7 @@ def closed_form_state(n_stages: int, r: float, lam: float, eta: float,
         for j in range(n + 1):
             if nl + j > cutoff:
                 break
-            amps[nl + j, j, nl] = base * coef[j] * math.sqrt(math.perm(nl + j, j))
+            amps[nl + j, j, nl] = base * pair[j] * math.sqrt(comb(nl + j, j))
     # the untruncated branch holds one pattern's share of the success rate
     norm_inf = success_prob(n, r, lam, eta) / 2.0**n
     tail = max(norm_inf - float(np.vdot(amps, amps).real), 0.0)
@@ -166,11 +175,7 @@ def closed_form_state(n_stages: int, r: float, lam: float, eta: float,
 def truncated_pair_state(n_stages: int, kappa: float) -> fock.PureState:
     """Normalized (1 + (kappa/N) a'b')^N |0_AB>; cutoff N is exact."""
     n = _check_params(n_stages=n_stages)
-    # |j, j> has amplitude N!/(N-j)! (kappa/N)^j, built term by term: the
-    # factorials alone overflow a double from N = 171
-    diag = np.ones(n + 1)
-    for j in range(1, n + 1):
-        diag[j] = diag[j - 1] * (n - j + 1) * kappa / n
+    diag = _pair_amplitudes(n, kappa)
     diag /= math.sqrt(float(diag @ diag))
     amps = np.zeros((n + 1, n + 1), dtype=np.complex128)
     amps[np.arange(n + 1), np.arange(n + 1)] = diag

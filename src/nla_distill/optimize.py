@@ -11,7 +11,8 @@ and the floor's minimum by `_brentq` on the closed slope of the ladder sums
 (`analytic._eps_slope`), so every reported number comes from the scalar
 evaluators; the grid guards against the (empirically valid) assumption that
 the objective is unimodal on the feasible interval.  Both searches open
-through `_scan`: input checks, grid pass, feasible grid.  The grid pass solves
+through `_scan`: input checks, then the grid pass's eps row, inf where no eta
+is feasible, which is all the grid state they carry.  The grid pass solves
 eta with the scalar objective's solvers on arrays (the linear inversion at one
 stage, `_unit_roots` at N >= 2) and reads eps from the ladder sums
 (`eps_ladder`) at every N, within 5e-11 of the closed form and the moments
@@ -251,52 +252,30 @@ def _make_objective(lam: float, pi: float,
     return objective
 
 
-def _grid_values(lam: float, pi: float,
-                 n_stages: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_make_objective` at every `R_GRID` point in one array pass: eps and
-    eta arrays, (inf, nan) where no eta is feasible."""
+def _grid_values(lam: float, pi: float, n_stages: int) -> np.ndarray:
+    """`_make_objective`'s eps at every `R_GRID` point in one array pass, inf
+    where no eta is feasible."""
     etas = _grid_etas(lam, pi, n_stages)
     i, j = np.nonzero(~np.isnan(etas))
     e = np.full(etas.shape, np.inf)
     e[i, j] = eps_ladder(n_stages, *_kappa_rho(R_GRID[i], lam, etas[i, j]))[0]
     e[~(e < np.inf)] = np.inf  # the objective keeps an eta only if eps < inf
-    rows, best = np.arange(R_GRID_POINTS), np.argmin(e, axis=1)
-    eps = e[rows, best]
-    return eps, np.where(eps < np.inf, etas[rows, best], np.nan)
+    return e.min(axis=1)
 
 
-def _feasible_grid(eps: np.ndarray, eta: np.ndarray, lam: float, pi: float,
-                   n_stages: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Feasible `R_GRID` points, their objective values, and run labels.
-
-    ``eps`` and ``eta`` hold the objective at every grid point; a point is
-    feasible when its eta is not NaN.  The feasible set is usually a single
-    interval in r, but a second pocket can open at large squeezing (the gain
-    inversion re-enters (0, 1) on its way down), so bracketing is only ever
-    done inside one contiguous run.
-    """
-    idx = np.flatnonzero(~np.isnan(eta))
-    if not idx.size:
-        raise InfeasibleParameterError(
-            f"no squeezing in [{R_GRID_LO}, {R_GRID_HI}] reaches success "
-            f"probability {pi} at lam={lam} with {n_stages} stage(s)")
-    runs = np.concatenate([[0], np.cumsum(np.diff(idx) != 1)])
-    return R_GRID[idx], eps[idx], runs
-
-
-def _minimize_on_grid(objective, sub, eps, runs) -> tuple[float, float, float]:
+def _minimize_on_grid(objective, eps) -> tuple[float, float, float]:
     """The golden-section minimum x of objective(x)[0] in the cell around the
-    least grid value ``eps``, within its run: (x, *objective(x)).  The
-    entanglement and target searches share it."""
+    least grid value ``eps``, bounded by its feasible neighbours:
+    (x, *objective(x)).  The entanglement and target searches share it."""
     k = int(np.argmin(eps))
-    in_run = np.flatnonzero(runs == runs[k])
-    lo = sub[max(k - 1, in_run[0])]
-    hi = sub[min(k + 1, in_run[-1])]
+    lo = R_GRID[k - 1] if k > 0 and eps[k - 1] < np.inf else R_GRID[k]
+    hi = R_GRID[k + 1] if k < R_GRID_POINTS - 1 and eps[k + 1] < np.inf \
+        else R_GRID[k]
     r_opt = _golden_min(lambda r: objective(r)[0], lo, hi, GOLDEN_TOL) \
-        if hi > lo else sub[k]
+        if hi > lo else R_GRID[k]
     eps_opt, eta_opt = objective(r_opt)
     if not math.isfinite(eps_opt):  # boundary roundoff: fall back to grid point
-        r_opt = sub[k]
+        r_opt = R_GRID[k]
         eps_opt, eta_opt = objective(r_opt)
     return float(r_opt), eps_opt, eta_opt
 
@@ -308,22 +287,31 @@ def optimize_entanglement(lam: float, pi: float,
     The success probability is the joint N-stage heralding probability; the
     scissor transmissivity is recovered from it at every probed squeezing.
     """
-    n_stages, objective, sub, eps, runs = _scan(lam, pi, n_stages)
-    r_opt, eps_opt, eta_opt = _minimize_on_grid(objective, sub, eps, runs)
+    n_stages, objective, eps = _scan(lam, pi, n_stages)
+    r_opt, eps_opt, eta_opt = _minimize_on_grid(objective, eps)
     return _finalize(r_opt, eta_opt, eps_opt, lam, pi, n_stages)
 
 
 def _scan(lam: float, pi: float, n_stages: int, eps_target: float = 1.0):
     """Both searches' opening: the input checks, then the scalar objective and
-    `_feasible_grid` on the grid pass, as (int N, objective, sub, eps, runs)."""
+    the grid pass's eps row, as (int N, objective, eps).
+
+    The feasible grid points, those with eps < inf, usually form a single
+    interval in r, but a second pocket can open at large squeezing (the gain
+    inversion re-enters (0, 1) on its way down), so no bracket ever spans an
+    infeasible point.
+    """
     n_stages = _check_params(lam=lam, pi=pi, eps_target=eps_target,
                              n_stages=n_stages)
     if n_stages > MAX_SEARCH_STAGES:
         raise ValueError(f"searches take 1 to {MAX_SEARCH_STAGES} stages, "
                          f"got {n_stages}")
-    sub, eps, runs = _feasible_grid(*_grid_values(lam, pi, n_stages),
-                                    lam, pi, n_stages)
-    return n_stages, _make_objective(lam, pi, n_stages), sub, eps, runs
+    eps = _grid_values(lam, pi, n_stages)
+    if not (eps < np.inf).any():
+        raise InfeasibleParameterError(
+            f"no squeezing in [{R_GRID_LO}, {R_GRID_HI}] reaches success "
+            f"probability {pi} at lam={lam} with {n_stages} stage(s)")
+    return n_stages, _make_objective(lam, pi, n_stages), eps
 
 
 def _finalize(r_opt: float, eta_opt: float, eps_opt: float, lam: float,
@@ -358,21 +346,20 @@ def purity_for_target_entanglement(eps_target: float, lam: float, pi: float,
     optimum) and returns the root with maximal purity; ``full_output=True``
     additionally returns all roots' results.
     """
-    n_stages, objective, sub, eps, runs = _scan(lam, pi, n_stages, eps_target)
+    n_stages, objective, eps = _scan(lam, pi, n_stages, eps_target)
     if (eps > eps_target).all():
         # only then can the target lie below the optimum, or between the
         # refined optimum and every grid value (the straddle below, whose
         # condition implies this one, reads r_opt)
-        r_opt, eps_min, _ = _minimize_on_grid(objective, sub, eps, runs)
+        r_opt, eps_min, _ = _minimize_on_grid(objective, eps)
         if eps_target < eps_min:
             raise UnachievableTargetError(
                 f"target {eps_target} below the optimum {eps_min:.6f} "
                 f"reachable at lam={lam}, pi={pi}, {n_stages} stage(s)")
     # the r = 0 edge (vacuum input) reaches eps = 1 up to roundoff, where an
     # eta is feasible; the log grid cannot contain it
-    sub = np.concatenate([[0.0], sub])
-    eps_vals = np.concatenate([[objective(0.0)[0]], eps])
-    runs = np.concatenate([[runs[0]], runs])
+    grid = np.concatenate([[0.0], R_GRID])
+    diffs = np.concatenate([[objective(0.0)[0]], eps]) - eps_target
 
     etas = {}  # _brentq returns a squeezing it probed: its eta is kept here
 
@@ -389,20 +376,21 @@ def purity_for_target_entanglement(eps_target: float, lam: float, pi: float,
         except ValueError:
             return []
 
-    diffs = eps_vals - eps_target
-    same_run = runs[:-1] == runs[1:]  # never bridge disjoint feasible pockets
+    feasible = diffs < np.inf
     on_grid = abs(diffs) < 1e-14
-    roots = [float(r) for r in sub[np.append(same_run, True) & on_grid]]
-    # signs, not diffs: the r = 0 edge reads inf where no eta is feasible
+    roots = [float(r) for r in grid[on_grid]]
+    # signs, not diffs: an infeasible sample reads inf, and inf * 0 warns
     signs = np.sign(diffs)
-    crossed = same_run & ~on_grid[:-1] & (signs[:-1] * signs[1:] < 0.0)
+    # never bridge disjoint feasible pockets: both ends of a cell feasible
+    crossed = (feasible[:-1] & feasible[1:] & ~on_grid[:-1]
+               & (signs[:-1] * signs[1:] < 0.0))
     for i in np.flatnonzero(crossed):
-        roots += root(sub[i], sub[i + 1])
+        roots += root(grid[i], grid[i + 1])
     if not roots and (diffs > 0.0).all():
         # the target lies between the refined optimum and every grid value:
         # one root on each side of r_opt, inside its grid cell
-        i = int(np.searchsorted(sub, r_opt)) - 1
-        roots = root(sub[i], r_opt) + root(r_opt, sub[i + 1])
+        i = int(np.searchsorted(grid, r_opt)) - 1
+        roots = root(grid[i], r_opt) + root(r_opt, grid[i + 1])
     deduped: list[float] = []
     for r in sorted(roots):
         if not deduped or r - deduped[-1] > 1e-9:

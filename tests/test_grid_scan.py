@@ -48,43 +48,43 @@ def scalar_grid(lam, pi, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_array_grid_matches_the_scalar_objective(n):
     for lam, pi in POINTS:
-        eps, eta = optimize._grid_values(lam, pi, n)
+        eps = optimize._grid_values(lam, pi, n)
         s_eps, s_eta = scalar_grid(lam, pi, n)
         feasible = ~np.isnan(s_eta)
-        assert np.array_equal(~np.isnan(eta), feasible), (lam, pi)
-        assert np.array_equal(eps == np.inf, ~feasible), (lam, pi)
+        assert np.array_equal(eps < np.inf, feasible), (lam, pi)
         np.testing.assert_allclose(eps[feasible], s_eps[feasible],
                                    rtol=EPS_RTOL, atol=0)
-        np.testing.assert_allclose(eta[feasible], s_eta[feasible],
-                                   rtol=ETA_RTOL, atol=0)
+        # the scalar objective's eta is one of the grid pass's roots there
+        etas, s_eta = optimize._grid_etas(lam, pi, n)[feasible], s_eta[feasible]
+        near = abs(etas - s_eta[:, None]) <= ETA_RTOL * s_eta[:, None]
+        assert near.any(axis=1).all(), (lam, pi)
         if not feasible.any():
-            for e, h in ((eps, eta), (s_eps, s_eta)):
-                with pytest.raises(InfeasibleParameterError):
-                    optimize._feasible_grid(e, h, lam, pi, n)
+            with pytest.raises(InfeasibleParameterError,
+                               match="no squeezing in"):
+                optimize._scan(lam, pi, n)
             continue
-        _, e, runs = optimize._feasible_grid(eps, eta, lam, pi, n)
-        _, s_e, s_runs = optimize._feasible_grid(s_eps, s_eta, lam, pi, n)
-        assert np.array_equal(runs, s_runs), (lam, pi)
-        assert np.argmin(e) == np.argmin(s_e), (lam, pi)
+        assert np.argmin(eps) == np.argmin(s_eps), (lam, pi)
 
 
 def test_array_grid_takes_the_best_of_several_roots(monkeypatch):
     # no point above has two feasible roots at one squeezing, so hand both
     # evaluators the same extra candidate
     lam, pi, n, extra = 0.5, 1e-2, 2, 0.97
+    plain = optimize._grid_values(lam, pi, n)
     grid_etas, eta_candidates = optimize._grid_etas, optimize.eta_candidates
     monkeypatch.setattr(optimize, "_grid_etas", lambda *a: np.sort(
         np.column_stack([grid_etas(*a), np.full(optimize.R_GRID_POINTS, extra)]),
         axis=1))
     monkeypatch.setattr(optimize, "eta_candidates",
                         lambda *a: sorted(eta_candidates(*a) + [extra]))
-    eps, eta = optimize._grid_values(lam, pi, n)
+    eps = optimize._grid_values(lam, pi, n)
     # the patched objective: off the shared scan
     s_eps, s_eta = np.array(scalar_scan(lam, pi, n)).T
     np.testing.assert_allclose(eps, s_eps, rtol=EPS_RTOL, atol=0)
-    np.testing.assert_allclose(eta, s_eta, rtol=ETA_RTOL, atol=0)
-    won = eta == extra
+    won = s_eta == extra
     assert won.any() and not won.all()
+    # where the extra root wins, the grid pass reads its eps, not the other's
+    assert (eps[won] < plain[won]).all() and (eps[~won] == plain[~won]).all()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -106,11 +106,11 @@ def test_grid_pass_reads_the_ladder_sums_only(n, monkeypatch):
 
 
 def test_point_list_covers_two_pockets_and_an_infeasible_grid():
-    _, _, runs = optimize._feasible_grid(
-        *optimize._grid_values(0.3, 1e-2, 2), 0.3, 1e-2, 2)
-    assert runs[-1] == 1
-    eps, eta = optimize._grid_values(0.5, 1.0, 1)
-    assert np.isnan(eta).all() and (eps == np.inf).all()
+    feasible = optimize._grid_values(0.3, 1e-2, 2) < np.inf
+    # the finite runs of the row: each one starts where feasible turns on
+    starts = feasible & ~np.concatenate([[False], feasible[:-1]])
+    assert starts.sum() == 2
+    assert (optimize._grid_values(0.5, 1.0, 1) == np.inf).all()
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 60, 150])
@@ -156,19 +156,6 @@ def test_floor_meets_the_mpmath_floor(eps_mp):
 # the searches against the scalar scan
 
 
-def scalar_feasible_grid(lam, pi, n_stages):
-    """The scalar grid scan the array pass replaced, on the shared scan."""
-    grid, vals = optimize.R_GRID, shared_scan(lam, pi, n_stages)
-    idx = np.flatnonzero([not math.isnan(eta) for _, eta in vals])
-    if not idx.size:
-        raise InfeasibleParameterError(
-            f"no squeezing in [{optimize.R_GRID_LO}, {optimize.R_GRID_HI}] "
-            f"reaches success probability {pi} at lam={lam} with "
-            f"{n_stages} stage(s)")
-    runs = np.concatenate([[0], np.cumsum(np.diff(idx) != 1)])
-    return grid[idx], [vals[i] for i in idx], runs
-
-
 def outcome(fn):
     try:
         return fn()
@@ -187,9 +174,35 @@ def test_searches_equal_the_scalar_scan(n, monkeypatch):
     points = POINTS if n == 1 else POINTS[:40:6] + POINTS[40:]
     array_scan = [searches(lam, pi, n) for lam, pi in points]
 
-    def feasible_grid(eps, eta, lam, pi, n_stages):  # ignores the array pass
-        sub, vals, runs = scalar_feasible_grid(lam, pi, n_stages)
-        return sub, np.array([v[0] for v in vals]), runs
-
-    monkeypatch.setattr(optimize, "_feasible_grid", feasible_grid)
+    # the scalar scan's eps row in place of the array pass
+    monkeypatch.setattr(optimize, "_grid_values",
+                        lambda lam, pi, n_stages: scalar_grid(lam, pi, n_stages)[0])
     assert array_scan == [searches(lam, pi, n) for lam, pi in points]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_searches_bracket_only_feasible_squeezings(n, monkeypatch):
+    # where no eta is feasible the objective jumps to inf: a bracket with
+    # such an end holds no root, and _brentq would stop at the jump.  At
+    # 10 dB, pi = 1e-300 and N = 2 the r = 0 edge and the first grid points
+    # are infeasible
+    cases = [(lam, pi, target) for lam, pi in POINTS for target in (0.6, 0.85)]
+    if n == 2:
+        cases.append((lambda_from_db(10.0), 1e-300, 0.85))
+    brackets = []
+    real = optimize._brentq
+
+    def recording(f, a, b):
+        brackets.append((a, b))
+        return real(f, a, b)
+
+    monkeypatch.setattr(optimize, "_brentq", recording)
+    for lam, pi, target in cases:
+        brackets.clear()
+        outcome(lambda: optimize.optimize_entanglement(lam, pi, n))
+        outcome(lambda: optimize.purity_for_target_entanglement(
+            target, lam, pi, n))
+        objective = optimize._make_objective(lam, pi, n)
+        for a, b in brackets:
+            assert objective(a)[0] < math.inf, (lam, pi, target, a)
+            assert objective(b)[0] < math.inf, (lam, pi, target, b)

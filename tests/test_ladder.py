@@ -25,6 +25,8 @@ transmissivity = st.floats(0.05, 0.95)
 
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(1, 3), r=squeezing, lam=loss, eta=transmissivity)
+@example(n=171, r=0.3, lam=0.3, eta=0.5)  # N! alone overflows a double here
+@example(n=200, r=0.3, lam=0.3, eta=0.5)
 def test_ladder_matches_fock_closed_form_state(n, r, lam, eta):
     kappa, rho = kappa_rho(r, lam, eta)
     hs = nla.closed_form_state(n, r, lam, eta, 80)

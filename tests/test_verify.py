@@ -86,7 +86,7 @@ def test_circuit_minimum_runs_no_search_step_of_optimize(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("verify ran a search step of optimize")
 
-    for name in ("_minimize_on_grid", "_feasible_grid", "_golden_min"):
+    for name in ("_scan", "_grid_values", "_minimize_on_grid", "_golden_min"):
         monkeypatch.setattr(optimize, name, forbidden)
     assert abs(verify._circuit_minimum(lam, pi, []) - closed) < 1e-10
 
