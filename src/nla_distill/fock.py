@@ -193,33 +193,6 @@ def reorder_modes(state: PureState, order: Sequence[ModeLabel]) -> PureState:
 
 
 # ---------------------------------------------------------------------------
-# single-mode operators
-
-
-def _annihilation(dim: int) -> np.ndarray:
-    m = np.zeros((dim, dim))
-    n = np.arange(1, dim)
-    m[n - 1, n] = np.sqrt(n)
-    return m
-
-
-def _quadrature(dim: int, sign: str) -> np.ndarray:
-    m = _annihilation(dim)
-    if sign == "+":
-        x = (m + m.T).astype(np.complex128)
-    elif sign == "-":
-        x = (-1j) * (m - m.T)
-    else:
-        raise ValueError(f"quadrature sign must be '+' or '-', got {sign!r}")
-    return x
-
-
-def _apply_single_mode(amps: np.ndarray, op: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(op, amps, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
-
-
-# ---------------------------------------------------------------------------
 # beamsplitters
 
 # Convention (Heisenberg picture, modes (M, N), transmissivity t):
@@ -404,28 +377,6 @@ def partial_trace(state: PureState, keep: Sequence[ModeLabel]) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)  # scrub roundoff asymmetry
 
 
-def _validate_factors(state: PureState, factors) -> list[tuple[int, str, int]]:
-    factors = list(factors)
-    if not 1 <= len(factors) <= 2:
-        raise ValueError("spec must contain one or two quadrature factors")
-    out = []
-    for item in factors:
-        try:
-            mode, sign = item
-        except Exception:
-            raise ValueError(f"malformed quadrature factor {item!r}") from None
-        ax = state.axis(mode)
-        if sign not in ("+", "-"):
-            raise ValueError(f"quadrature sign must be '+' or '-', got {sign!r}")
-        out.append((ax, sign, state.amps.shape[ax]))
-    return out
-
-
-def _padded(arr: np.ndarray, pad: dict) -> np.ndarray:
-    width = [(0, pad.get(ax, 0)) for ax in range(arr.ndim)]
-    return np.pad(arr, width) if any(p for _, p in width) else arr
-
-
 def quadrature_moment(state: PureState, factors) -> float:
     """Expectation of a product of quadratures X^+/X^- on named modes.
 
@@ -436,14 +387,29 @@ def quadrature_moment(state: PureState, factors) -> float:
     The value is *not* normalized: for a subnormalized branch it returns
     <psi|O|psi>; divide by the squared norm as needed.
     """
-    parsed = _validate_factors(state, factors)
-    pad = {}
-    for ax, _, _ in parsed:
+    factors = list(factors)
+    if not 1 <= len(factors) <= 2:
+        raise ValueError("spec must contain one or two quadrature factors")
+    parsed, pad = [], {}
+    for item in factors:
+        try:
+            mode, sign = item
+        except Exception:
+            raise ValueError(f"malformed quadrature factor {item!r}") from None
+        ax = state.axis(mode)
+        if sign not in ("+", "-"):
+            raise ValueError(f"quadrature sign must be '+' or '-', got {sign!r}")
+        parsed.append((ax, sign))
         pad[ax] = pad.get(ax, 0) + 1
-    psi = _padded(state.amps, pad)
-    phi = psi
-    for ax, sign, dim in reversed(parsed):
-        phi = _apply_single_mode(phi, _quadrature(dim + pad[ax], sign), ax)
+    width = [(0, pad.get(ax, 0)) for ax in range(state.amps.ndim)]
+    psi = phi = np.pad(state.amps, width)
+    for ax, sign in reversed(parsed):
+        dim = psi.shape[ax]
+        m = np.zeros((dim, dim))  # the annihilator a, padded
+        n = np.arange(1, dim)
+        m[n - 1, n] = np.sqrt(n)
+        x = (m + m.T).astype(np.complex128) if sign == "+" else (-1j) * (m - m.T)
+        phi = np.moveaxis(np.tensordot(x, phi, axes=([1], [ax])), 0, ax)
     return float(np.vdot(psi, phi).real)
 
 

@@ -67,6 +67,8 @@ def vacuum_expectation(word: Word) -> float:
 # into cosh(rho) times itself plus sinh(rho) times the partner mode's symbol
 # of opposite type (m sigma = cosh sigma m + sinh sigma n'); B passes through
 _PARTNER = {"A": "L", "L": "A"}
+# the heralded state's modes, in `nla.lossy_channel_state`'s order
+_MODES = ("A", "B", "L")
 
 
 @lru_cache(maxsize=256)
@@ -137,9 +139,14 @@ def _poly_mul(p1, p2):
 
 
 # one product polynomial per factor spec: rebuilding it on every call made
-# eps_via_moments about a quarter slower
+# eps_via_moments about a quarter slower; the spec is checked on a cache miss
 @lru_cache(maxsize=256)
 def _quadrature_poly(factors: tuple) -> tuple:
+    for mode, sign in factors:  # fock.quadrature_moment's checks and wording
+        if mode not in _MODES:
+            raise ValueError(f"mode {mode!r} not in {_MODES}")
+        if sign not in ("+", "-"):
+            raise ValueError(f"quadrature sign must be '+' or '-', got {sign!r}")
     polys = [_x_poly(mode, sign) for mode, sign in factors] or [[(1.0, ())]]
     return tuple(reduce(_poly_mul, polys))
 

@@ -28,7 +28,6 @@ from .analytic import (DistillationResult, _check_params, _kappa_rho,
                        success_prob)
 
 __all__ = [
-    "DistillationResult",
     "lossy_channel_state",
     "scissor_circuit",
     "single_stage_circuit",

@@ -35,7 +35,6 @@ from .analytic import (DistillationResult, InfeasibleParameterError,
                        _xp, eps_ladder, eps_opt_formula, success_prob)
 
 __all__ = [
-    "DistillationResult",
     "UnachievableTargetError",
     "eta_candidates",
     "optimize_entanglement",
@@ -96,7 +95,7 @@ def eta_candidates(r: float, lam: float, pi: float, n_stages: int) -> list[float
     """
     n_stages = _check_params(r, lam, pi, n_stages=n_stages)
     if n_stages == 1:
-        eta = _linear_eta(r, lam, pi)
+        eta = float(_linear_eta(r, lam, pi))  # a float for a numpy lam or pi too
         return [eta] if 0.0 < eta < 1.0 else []
     # Pi_N <= cosh^2 rho / cosh^2 r (every u_j <= 1 and the Bernstein basis
     # sums to 1): past that bound no eta reaches pi, and the level set's
@@ -287,14 +286,15 @@ def optimize_entanglement(lam: float, pi: float,
     The success probability is the joint N-stage heralding probability; the
     scissor transmissivity is recovered from it at every probed squeezing.
     """
-    n_stages, objective, eps = _scan(lam, pi, n_stages)
+    n_stages, lam, pi, objective, eps = _scan(lam, pi, n_stages)
     r_opt, eps_opt, eta_opt = _minimize_on_grid(objective, eps)
     return _finalize(r_opt, eta_opt, eps_opt, lam, pi, n_stages)
 
 
 def _scan(lam: float, pi: float, n_stages: int, eps_target: float = 1.0):
     """Both searches' opening: the input checks, then the scalar objective and
-    the grid pass's eps row, as (int N, objective, eps).
+    the grid pass's eps row, as (N, lam, pi, objective, eps), with N a Python
+    int and lam, pi Python floats, which the search computes with.
 
     The feasible grid points, those with eps < inf, usually form a single
     interval in r, but a second pocket can open at large squeezing (the gain
@@ -306,12 +306,13 @@ def _scan(lam: float, pi: float, n_stages: int, eps_target: float = 1.0):
     if n_stages > MAX_SEARCH_STAGES:
         raise ValueError(f"searches take 1 to {MAX_SEARCH_STAGES} stages, "
                          f"got {n_stages}")
+    lam, pi = float(lam), float(pi)
     eps = _grid_values(lam, pi, n_stages)
     if not (eps < np.inf).any():
         raise InfeasibleParameterError(
             f"no squeezing in [{R_GRID_LO}, {R_GRID_HI}] reaches success "
             f"probability {pi} at lam={lam} with {n_stages} stage(s)")
-    return n_stages, _make_objective(lam, pi, n_stages), eps
+    return n_stages, lam, pi, _make_objective(lam, pi, n_stages), eps
 
 
 def _finalize(r_opt: float, eta_opt: float, eps_opt: float, lam: float,
@@ -346,7 +347,8 @@ def purity_for_target_entanglement(eps_target: float, lam: float, pi: float,
     optimum) and returns the root with maximal purity; ``full_output=True``
     additionally returns all roots' results.
     """
-    n_stages, objective, eps = _scan(lam, pi, n_stages, eps_target)
+    n_stages, lam, pi, objective, eps = _scan(lam, pi, n_stages, eps_target)
+    eps_target = float(eps_target)  # it is the result's eps_b_given_a
     if (eps > eps_target).all():
         # only then can the target lie below the optimum, or between the
         # refined optimum and every grid value (the straddle below, whose

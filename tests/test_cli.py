@@ -441,3 +441,13 @@ def test_runtime_needs_no_scipy(tmp_path):
     assert "verify: all checks passed" in proc.stdout
     _, _, rows = read_csv(tmp_path / "fig7.csv")
     assert len(rows) == 2
+
+
+def test_version_matches_pyproject():
+    # the version is written twice: in pyproject.toml and in
+    # nla_distill.__version__, which --version and CSV provenance print
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "pyproject.toml")
+    with open(path, "rb") as f:
+        assert tomllib.load(f)["project"]["version"] == cli.__version__

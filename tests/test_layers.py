@@ -72,8 +72,10 @@ def test_importing_the_package_loads_no_process_pool():
     assert out[1] == "False"
 
 
-@pytest.mark.parametrize("module", ["nla_distill", "nla_distill.analytic",
-                                    "nla_distill.optimize"])
+@pytest.mark.parametrize("module", ["nla_distill"] + [
+    f"nla_distill.{name}" for name in ("analytic", "optimize", "cli", "figures",
+                                       "fock", "metrics", "moments", "nla",
+                                       "verify")])
 def test_every_exported_name_resolves(module):
     # a removed function must leave no stale name in an __all__
     mod = importlib.import_module(module)
@@ -81,6 +83,22 @@ def test_every_exported_name_resolves(module):
 
 
 def test_star_import_runs():
+    # it binds exactly the package's __all__
     namespace = {}
     exec("from nla_distill import *", namespace)
-    assert set(nla_distill.__all__) <= set(namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(nla_distill.__all__)
+
+
+def test_package_exports_each_module_name_once():
+    # the top-level names are the re-exported modules' __all__: no name sits
+    # in two of them, and each is its module's object
+    owner = {}
+    for name in ("analytic", "fock", "metrics", "nla", "optimize"):
+        mod = importlib.import_module(f"nla_distill.{name}")
+        for public in mod.__all__:
+            assert public not in owner, (public, owner[public].__name__, name)
+            owner[public] = mod
+    assert sorted(nla_distill.__all__) == sorted(owner)
+    for public, mod in owner.items():
+        assert getattr(nla_distill, public) is getattr(mod, public), public

@@ -201,6 +201,18 @@ def test_quadrature_moment_takes_the_fock_spec(n_st):
                                 moments._poly_mul(xb, xa)).real
 
 
+@pytest.mark.parametrize("factors", [[("A", "x")] * 2, [("Q", "+")] * 2,
+                                     [("B", "+"), ("A", "")]])
+def test_quadrature_moment_rejects_what_the_fock_route_rejects(factors):
+    # a bad sign once read as X-, and an unknown mode as a vacuum mode
+    st = nla.closed_form_state(1, 0.3, 0.4, 0.7, 10)
+    with pytest.raises(ValueError) as sim:
+        fock.quadrature_moment(st, factors)
+    with pytest.raises(ValueError) as alg:
+        moments.quadrature_moment(1, *kappa_rho(0.3, 0.4, 0.7), factors)
+    assert str(alg.value) == str(sim.value)
+
+
 @pytest.mark.parametrize("n_st,r,lam,eta", [
     (1, 0.5, 0.3, 0.8),
     (1, 0.2, 0.6, 0.5),

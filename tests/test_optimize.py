@@ -289,14 +289,23 @@ def test_optimize_result_is_consistent():
 @pytest.mark.parametrize("n", [1, 2])
 def test_search_results_hold_python_floats(n):
     # r_opt comes off the numpy grid; isinstance would pass a numpy scalar,
-    # so the type is compared exactly
-    for res in (optimize.optimize_entanglement(0.9, 1e-2, n),
-                optimize.purity_for_target_entanglement(0.9, 0.9, 1e-2, n)):
+    # so the type is compared exactly.  Numpy-typed inputs give the
+    # Python-float call's result, field for field
+    ref = (optimize.optimize_entanglement(0.9, 1e-2, n),
+           optimize.purity_for_target_entanglement(0.9, 0.9, 1e-2, n))
+    lam, pi = np.float64(0.9), np.float64(1e-2)
+    got = (optimize.optimize_entanglement(lam, pi, n),
+           optimize.purity_for_target_entanglement(np.float64(0.9), lam, pi, n))
+    for res, want in zip(ref + got, ref + ref):
         for field in dataclasses.fields(res):
             value = getattr(res, field.name)
             expect = int if field.name == "n_stages" else float
             assert type(value) is expect, (field.name, type(value))
+            assert value == getattr(want, field.name), field.name
         assert "np.float64" not in repr(res)
+    etas = optimize.eta_candidates(0.1, lam, pi, n)
+    assert etas and [type(eta) for eta in etas] == [float] * len(etas)
+    assert etas == optimize.eta_candidates(0.1, 0.9, 1e-2, n)
 
 
 def test_optimize_second_feasible_pocket_is_handled():
